@@ -3,9 +3,9 @@
 Three recovery cases on the **scan → filter → aggregate** microbench
 (process backend, workers=2): fault-free, kill-one-worker-and-retry
 (``kill_worker`` attempts=1 — the worker dies, the partition re-enqueues,
-the respawned worker re-runs it), and degrade-to-thread (``kill_worker``
-attempts=99 — retries exhaust and the failed partition re-runs on the
-thread rung).  Each asserts the recovered rows and counters are
+the respawned worker re-runs it), and degrade-to-inline (``kill_worker``
+attempts=99 — retries exhaust and the failed partition re-runs inline on
+the caller).  Each asserts the recovered rows and counters are
 bit-identical to serial before timing anything, so the committed
 ``BENCH_bench_faults.json`` documents the *cost* of recovery whose
 *correctness* is already gated (chaos leg of the differential harness).
@@ -58,7 +58,7 @@ def _faulted(fact, spec: str):
 
 
 # ----------------------------------------------------------------------
-# Recovery overhead: fault-free vs kill-and-retry vs degrade-to-thread
+# Recovery overhead: fault-free vs kill-and-retry vs degrade-to-inline
 # ----------------------------------------------------------------------
 def test_fault_free_process(benchmark, fact):
     serial_rows, _ = scan_filter_aggregate(fact).run_batches(BATCH_SIZE)
@@ -82,7 +82,7 @@ def test_kill_one_worker_and_retry(benchmark, fact):
     _record(benchmark, "process", scenario="kill_retry")
 
 
-def test_degrade_to_thread(benchmark, fact):
+def test_degrade_to_inline(benchmark, fact):
     serial_rows, serial_metrics = scan_filter_aggregate(fact).run_batches(
         BATCH_SIZE
     )
@@ -94,7 +94,7 @@ def test_degrade_to_thread(benchmark, fact):
         return rows
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-    _record(benchmark, "process", scenario="degrade_to_thread")
+    _record(benchmark, "process", scenario="degrade_to_inline")
 
 
 # ----------------------------------------------------------------------

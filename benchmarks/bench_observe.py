@@ -163,20 +163,20 @@ def test_tracing_enabled_overhead_claim(benchmark, fact):
 # ----------------------------------------------------------------------
 # Context: the cost of a traced parallel run and of a stats snapshot
 # ----------------------------------------------------------------------
-def test_traced_thread_exchange(benchmark, fact):
-    """Document the absolute cost of tracing across the thread exchange
+def test_traced_process_exchange(benchmark, fact):
+    """Document the absolute cost of tracing across the process exchange
     (worker span shipping + adoption included)."""
     serial_rows, _ = scan_filter_aggregate(fact).run_batches(BATCH_SIZE)
 
     def run():
-        plan = insert_exchanges(scan_filter_aggregate(fact), 2, backend="thread")
+        plan = insert_exchanges(scan_filter_aggregate(fact), 2, backend="process")
         tracer = Tracer()
         rows, _ = plan.run_batches(BATCH_SIZE, tracer=tracer)
         assert rows == serial_rows
         return len(tracer.spans)
 
     spans = benchmark.pedantic(run, rounds=3, iterations=1)
-    _record(benchmark, scenario="traced_thread_exchange", spans=spans)
+    _record(benchmark, scenario="traced_process_exchange", spans=spans)
 
 
 def test_stats_snapshot_cost(benchmark):

@@ -1,32 +1,27 @@
-"""Parallel vs serial batch throughput, per exchange backend.
+"""Parallel vs serial batch throughput on the process backend.
 
 The same two pipeline shapes as :mod:`bench_vectorized` — **scan → filter
 → aggregate** and **join → aggregate** — executed at batch_size=1024
-serially and behind exchanges on every backend × worker combination
-(``thread``/``process`` × 1/2/4).  Each case records ``rows_per_sec``,
-its ``backend``, and the host's capability record in ``extra_info``
-(dumped to ``BENCH_bench_parallel.json``), so the committed baseline
-documents what the recording host could *honestly* deliver on each
-backend.
+serially and behind ``process``-backend exchanges at 1/2/4 workers.
+Each case records ``rows_per_sec``, its ``backend``, and the host's
+capability record in ``extra_info`` (dumped to
+``BENCH_bench_parallel.json``), so the committed baseline documents what
+the recording host could *honestly* deliver.
 
-Honesty note, load-bearing: CPython **threads** only run Python bytecode
-concurrently on a free-threaded build (PEP 703, ``python3.13t+``) with
-more than one core — ``parallel_capable`` records that regime.  The
-**process** backend escapes the GIL entirely (one interpreter per
-worker), so it needs only multiple cores — ``process_capable`` records
-that — but pays serialization: chains ship out pickled (token-shipped
-under fork) and morsels ship back.  On a host where the relevant
-capability is absent — including the single-core container this baseline
+Honesty note, load-bearing: the **process** backend escapes the GIL (one
+interpreter per worker), so it needs only multiple cores —
+``process_capable`` records that — but pays serialization: chains ship
+out pickled (token-shipped under fork) and morsels ship back.  On a host
+with no spare core — including the single-core container this baseline
 was recorded on — the pool adds bounded overhead instead of speedup, and
 the only defensible claims are (a) bit-identical results, (b)
-counter-identical metrics, and (c) that overhead stays small.  Each
-``test_parallel_scaling_claim[<backend>]`` asserts the ≥1.5× workers=4
-bar only when the backend-appropriate capability holds and the backend's
-overhead floor (:data:`OVERHEAD_FLOOR` — wider for ``process``, whose
-serialization bill has nothing to offset it on a saturated host)
-otherwise, and ``tests/harness/test_bench_regression.py``
-re-checks the same capability-aware gates as a cheap proxy on every CI
-run.
+counter-identical metrics, and (c) that overhead stays small.
+``test_parallel_scaling_claim[process]`` asserts the ≥1.5× workers=4 bar
+only where ``process_capable`` holds and :data:`OVERHEAD_FLOOR`
+otherwise, and ``tests/harness/test_bench_regression.py`` re-checks the
+same gates as a cheap proxy on every CI run.  (The ``inline`` backend
+has no pool to measure; the end-to-end ``report_*`` workloads of
+``BENCHMARK.json`` cover it.)
 """
 from __future__ import annotations
 
@@ -45,25 +40,19 @@ from repro.workloads.microbench import (
 )
 
 BATCH_SIZE = 1024
-BACKENDS = ("thread", "process")
+BACKENDS = ("process",)
 WORKER_COUNTS = (1, 2, 4)
 PARALLEL_CASES = [
     (backend, workers) for backend in BACKENDS for workers in WORKER_COUNTS
 ]
 PARALLEL_IDS = [f"{backend}-{workers}" for backend, workers in PARALLEL_CASES]
 
-#: Which capability flag says "this backend can actually scale here":
-#: threads need a free-threaded multi-core build, processes just cores.
-CAPABILITY_KEY = {"thread": "parallel_capable", "process": "process_capable"}
-
-#: Overhead floor asserted even where the capability is absent.  The
-#: thread pool adds only scheduling overhead, so it must stay within 2×
-#: of workers=1.  The process backend on a host with *no spare core*
-#: still pays its full serialization bill (chains shipped out, morsels
-#: shipped back) with zero offsetting parallelism, so its honest bound
-#: is wider — within 4× — which still trips on accidental whole-stream
-#: re-sorts or quadratic shipping.
-OVERHEAD_FLOOR = {"thread": 0.5, "process": 0.25}
+#: Overhead floor asserted even without a spare core.  The process
+#: backend there still pays its full serialization bill (chains shipped
+#: out, morsels shipped back) with zero offsetting parallelism, so its
+#: honest bound is wide — within 4× of workers=1 — which still trips on
+#: accidental whole-stream re-sorts or quadratic shipping.
+OVERHEAD_FLOOR = 0.25
 
 
 def _record(benchmark, rows: int, backend: str | None = None) -> None:
@@ -123,20 +112,18 @@ def test_join_aggregate_parallel(benchmark, fact, dim, backend, workers):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_parallel_scaling_claim(benchmark, fact, backend):
-    """workers=4 vs workers=1 on scan→filter→aggregate, per backend.
+    """workers=4 vs workers=1 on scan→filter→aggregate.
 
     Always asserted: bit-identical rows, counter-identical metrics, and
-    the backend's overhead floor (see :data:`OVERHEAD_FLOOR` — the pool
-    must never cost more than bounded overhead).  When the
-    backend-appropriate capability holds — multi-core free-threaded for
-    ``thread``, simply multi-core for ``process`` — the acceptance bar
-    is ≥1.5×; otherwise that speedup is a physical impossibility for
-    pure-Python work, so the bar is recorded as not applicable rather
-    than faked.
+    the overhead floor (see :data:`OVERHEAD_FLOOR` — the pool must never
+    cost more than bounded overhead).  On a multi-core host
+    (``process_capable``) the acceptance bar is ≥1.5×; otherwise that
+    speedup is a physical impossibility, so the bar is recorded as not
+    applicable rather than faked.
     """
     capability = host_capability()
-    capable = bool(capability[CAPABILITY_KEY[backend]])
-    floor = OVERHEAD_FLOOR[backend]
+    capable = bool(capability["process_capable"])
+    floor = OVERHEAD_FLOOR
 
     def best_of(fn, rounds=3):
         best = float("inf")

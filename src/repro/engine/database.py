@@ -17,14 +17,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from collections import OrderedDict
 
+from ..config import SLOW_QUERY_MS, TRACE_DEFAULT
 from ..core.dependency import Statement
-from ..obs import SLOW_QUERY_MS, TRACE_DEFAULT, EngineMetrics
+from ..obs import EngineMetrics
 from ..obs.tracer import Tracer
-from .batch import DEFAULT_BATCH_SIZE
 from .epoch import bump_epoch, current_epoch
 from .errors import CancelToken, QueryError, QueryTimeout
 from .index import SortedIndex
 from .operators.base import Metrics, Operator
+from .options import ExecOptions
 from .schema import Schema
 from .stats import TableStats, collect_stats
 from .table import Table
@@ -63,12 +64,12 @@ class QueryResult:
     #: Parallel worker count, ``None`` for serial execution.
     workers: Optional[int] = None
     #: Exchange backend the parallel run drained through (``"inline"`` /
-    #: ``"thread"`` / ``"process"``), ``None`` for serial execution.
+    #: ``"process"``), ``None`` for serial execution.
     backend: Optional[str] = None
     #: Fault-tolerance accounting for this execution (summed across the
     #: plan's exchanges; zero/None on the fault-free path): partition
-    #: attempts that were retried, and the deepest backend any partition
-    #: degraded to (``None`` — no degradation).  Lives here and in
+    #: attempts that were retried, and ``"inline"`` when any partition
+    #: degraded to it (``None`` — no degradation).  Lives here and in
     #: ``exchange_stats``, never in :class:`Metrics` — recovered runs
     #: stay counter-identical to serial.
     retries: int = 0
@@ -81,7 +82,7 @@ class QueryResult:
     #: Merged per-exchange accounting for this execution, as a *stable
     #: read-only mapping* (the supported surface — digging
     #: ``exchange_stats`` out of the plan tree is deprecated): retries,
-    #: degraded partitions, the deepest ``degraded_to`` rung, and the
+    #: degraded partitions, ``degraded_to``, and the
     #: process backend's serialization totals (``chain_bytes``,
     #: ``morsel_bytes``, ``morsels``, ``rows_shipped``).  Empty for
     #: serial/fault-free-inline runs.
@@ -127,8 +128,9 @@ class Database:
         #: post-mutation ``stats()`` call always recollects instead of
         #: serving row counts from before the mutation.
         self._stats: Dict[str, Tuple[int, TableStats]] = {}
-        #: Whole-plan memoization: logical fingerprint + mode → physical
-        #: plan, invalidated by catalog-epoch mismatch (see
+        #: Whole-plan memoization: logical fingerprint + the options'
+        #: ``plan_key`` → physical plan, invalidated by catalog-epoch
+        #: mismatch (see
         #: :mod:`repro.optimizer.plan_cache`).
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
         #: SQL text → (bound logical tree, canonical fingerprint).  Both
@@ -317,9 +319,6 @@ class Database:
             self._logical_memo.popitem(last=False)
         return entry
 
-    #: Backend → mode-key token (kept short for cache-key readability).
-    _BACKEND_MODE_TOKENS = {"inline": "inline", "thread": "thread", "process": "proc"}
-
     def plan(
         self,
         sql: str,
@@ -335,97 +334,79 @@ class Database:
 
         With ``use_cache=True`` (the default) the plan cache is consulted
         first: the logical tree is fingerprinted and, if an entry exists
-        for (fingerprint, mode) at the current catalog epoch, the memoized
-        physical plan is returned without re-planning.  ``use_cache=False``
-        neither reads nor fills the cache (benchmarks use it to measure
-        the uncached path; its plans report ``cache_state="bypass"``).
+        for (fingerprint, resolved options) at the current catalog epoch,
+        the memoized physical plan is returned without re-planning.
+        ``use_cache=False`` neither reads nor fills the cache (benchmarks
+        use it to measure the uncached path; its plans report
+        ``cache_state="bypass"``).  Every option below changes the
+        physical tree, so plans built under different values never serve
+        each other (see :attr:`ExecOptions.plan_key`).
 
         ``workers=K`` asks the planner to place exchange operators over
         the plan's partitionable chains (see :mod:`repro.engine.parallel`);
         ``backend=`` selects which :class:`ExchangeBackend` drains them
-        (``"thread"`` when unspecified) and requires ``workers``.
-        Parallel plans are cached under backend-qualified mode keys
-        (``"od+w4+thread"``, ``"od+w4+proc"``), so serial and parallel
-        plannings of one template — and different backends — never serve
-        each other's trees (exchange operators carry their backend).
+        (``"inline"`` when unspecified) and requires ``workers``.
 
         ``join_order`` selects how multi-join queries are ordered:
         ``"cost"`` (the default) runs the cost-based search of
         :mod:`repro.optimizer.joinorder` over the query's join graph;
         ``"syntactic"`` keeps the parse order (the pre-search behaviour,
         and the baseline the differential harness compares against).
-        Syntactic plans cache under a join-order-qualified mode key
-        (``"od+syntactic"``), so the two orderings never serve each
-        other's trees.
 
         ``rewrites`` switches the logical rewrite pack (eager
         aggregation, scan consolidation, FD join elimination — see
-        :mod:`repro.optimizer.rewrite_pack`); ``"off"`` plans cache under
-        a rewrite-qualified mode key (``"od+norw"``) so the two regimes
-        never serve each other's trees.
+        :mod:`repro.optimizer.rewrite_pack`) ``"on"`` or ``"off"``.
         """
-        from ..optimizer.planner import Planner  # lazy: avoids import cycle
+        options = ExecOptions(
+            optimize=optimize,
+            join_order=join_order,
+            rewrites=rewrites,
+            workers=workers,
+            backend=backend,
+        )
+        return self._plan(sql, options, use_cache, tracer)
 
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if join_order not in ("cost", "syntactic"):
-            raise ValueError(f"unknown join_order {join_order!r}")
-        if rewrites not in ("on", "off"):
-            raise ValueError(f"unknown rewrites setting {rewrites!r}")
-        if backend is not None:
-            if workers is None:
-                raise ValueError("backend= requires workers=")
-            if backend not in self._BACKEND_MODE_TOKENS:
-                raise ValueError(
-                    f"unknown backend {backend!r} "
-                    f"(expected one of {tuple(self._BACKEND_MODE_TOKENS)})"
-                )
+    def _plan(
+        self,
+        sql: str,
+        options: ExecOptions,
+        use_cache: bool,
+        tracer: Optional[Tracer] = None,
+    ) -> Operator:
+        """``plan`` for already-resolved options (what ``execute`` and
+        ``explain`` call, so options resolve once per statement)."""
         span = tracer.span if tracer is not None else None
         with span("parse-bind", "optimizer") if span else nullcontext():
             logical, fp = self._bind(sql)
-        if not use_cache:
-            plan = Planner(
-                self,
-                optimize=optimize,
-                workers=workers,
-                join_order=join_order,
-                backend=backend,
-                rewrites=rewrites,
-                tracer=tracer,
-            ).plan(logical)
-            plan.plan_info.cache_state = "bypass"
-            return plan
+        if use_cache:
+            key = options.plan_key
+            epoch = current_epoch()
+            with span("cache-lookup", "optimizer", key=key) if span else nullcontext():
+                entry = self.plan_cache.lookup(fp, key, epoch)
+            if entry is not None:
+                info = entry.plan.plan_info  # type: ignore[attr-defined]
+                info.cache_state = "hit"
+                info.cache_serves = entry.serves
+                return entry.plan
+        from ..optimizer.planner import Planner  # lazy: avoids import cycle
 
-        mode = "od" if optimize else "fd"
-        if join_order != "cost":
-            mode = f"{mode}+{join_order}"
-        if rewrites != "on":
-            mode = f"{mode}+norw"
-        if workers is not None:
-            token = self._BACKEND_MODE_TOKENS[backend or "thread"]
-            mode = f"{mode}+w{workers}+{token}"
-        epoch = current_epoch()
-        with span("cache-lookup", "optimizer", mode=mode) if span else nullcontext():
-            entry = self.plan_cache.lookup(fp, mode, epoch)
-        if entry is not None:
-            info = entry.plan.plan_info  # type: ignore[attr-defined]
-            info.cache_state = "hit"
-            info.cache_serves = entry.serves
-            return entry.plan
         plan = Planner(
             self,
-            optimize=optimize,
-            workers=workers,
-            join_order=join_order,
-            backend=backend,
-            rewrites=rewrites,
+            optimize=options.optimize,
+            workers=options.workers,
+            join_order=options.join_order,
+            backend=options.backend,
+            rewrites=options.rewrites,
             tracer=tracer,
         ).plan(logical)
         info = plan.plan_info  # type: ignore[attr-defined]
-        info.fingerprint = fp
-        info.epoch = epoch
-        info.cache_state = "miss"
-        self.plan_cache.store(fp, mode, epoch, plan)
+        if use_cache:
+            info.fingerprint = fp
+            info.epoch = epoch
+            info.cache_state = "miss"
+            self.plan_cache.store(fp, key, epoch, plan)
+        else:
+            info.cache_state = "bypass"
         return plan
 
     def plan_cache_stats(self) -> Dict[str, object]:
@@ -465,36 +446,6 @@ class Database:
         }
 
     @staticmethod
-    def _resolve_batch(
-        batch_size: Optional[int], workers: Optional[int]
-    ) -> Optional[int]:
-        """Validate and default the execution-mode arguments — shared by
-        ``execute`` and ``explain`` so they can never disagree about
-        which mode a (batch_size, workers) pair selects.  Parallel
-        execution is batch execution: ``workers`` without a
-        ``batch_size`` gets the default chunk capacity."""
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if workers is not None and batch_size is None:
-            return DEFAULT_BATCH_SIZE
-        return batch_size
-
-    @staticmethod
-    def _execution_desc(
-        batch_size: Optional[int],
-        workers: Optional[int],
-        backend: Optional[str] = None,
-    ) -> str:
-        if workers is not None:
-            return (
-                f"parallel ({workers} workers, batch size {batch_size}, "
-                f"{backend or 'thread'} backend)"
-            )
-        if batch_size is not None:
-            return f"vectorized (batch size {batch_size})"
-        return "row (iterator)"
-
-    @staticmethod
     def _collect_recovery(plan: Operator) -> Dict[str, object]:
         """Merge exchange accounting over the plan's exchanges.
 
@@ -503,12 +454,10 @@ class Database:
         ``retries``, ``degraded_partitions``, and the process backend's
         serialization accounting (``chain_bytes``, ``morsel_bytes``,
         ``morsels``, ``rows_shipped``, ``token_shipped_chains``);
-        ``degraded_to`` reports the *deepest* rung any partition fell to
-        (``process`` → ``thread`` → ``inline``) and ``exchanges`` counts
-        the exchange operators that executed.  The merged mapping is
-        what ``QueryResult.exchange_stats`` freezes.
+        ``degraded_to`` is ``"inline"`` when any partition fell back to
+        it and ``exchanges`` counts the exchange operators that executed.
+        The merged mapping is what ``QueryResult.exchange_stats`` freezes.
         """
-        depth = {None: 0, "thread": 1, "inline": 2}
         totals: Dict[str, object] = {
             "retries": 0,
             "degraded_partitions": 0,
@@ -523,8 +472,7 @@ class Database:
                 exchanges += 1
                 for key, value in stats.items():
                     if key == "degraded_to":
-                        if depth.get(value, 0) > depth.get(totals["degraded_to"], 0):
-                            totals["degraded_to"] = value
+                        totals["degraded_to"] = totals["degraded_to"] or value
                     elif isinstance(value, int) and not isinstance(value, bool):
                         totals[key] = totals.get(key, 0) + value  # type: ignore[operator]
             # Exchanges expose their serial subtree as children(); the
@@ -555,11 +503,11 @@ class Database:
         stream :class:`~repro.engine.batch.ColumnBatch` chunks of that
         capacity through compiled expression kernels.  ``workers=K``
         additionally partitions the plan's partitionable chains across a
-        worker pool behind order-preserving exchanges (parallel execution
-        is batch execution — an unspecified ``batch_size`` defaults to
-        :data:`~repro.engine.batch.DEFAULT_BATCH_SIZE`), and ``backend=``
-        picks the pool: ``"thread"`` (default), ``"process"`` (true
-        multicore), or ``"inline"`` (no pool — the deterministic floor).
+        exchange backend behind order-preserving exchanges (parallel
+        execution is batch execution — an unspecified ``batch_size``
+        defaults to :data:`~repro.engine.batch.DEFAULT_BATCH_SIZE`), and
+        ``backend=`` picks it: ``"inline"`` (default: no pool — the
+        deterministic floor) or ``"process"`` (true multicore).
         Results and ``Metrics`` counter totals are identical across all
         modes and backends (gated by the mode-matrix differential
         harness); only the speed differs.
@@ -567,22 +515,28 @@ class Database:
         ``timeout_s`` sets a deadline: a :class:`CancelToken` rides the
         execution's ``Metrics`` and every operator loop checks it
         per-batch (per ~1k rows in row mode), so a past-deadline query
-        raises :class:`~repro.engine.errors.QueryTimeout` promptly,
-        producers are unblocked, and the worker pools stay healthy for
-        the next query.  Worker/partition failures are retried and
+        raises :class:`~repro.engine.errors.QueryTimeout` promptly and
+        the worker pool stays healthy for the next query.  Worker/partition failures are retried and
         degraded transparently (see :mod:`repro.engine.parallel`); the
         result's ``retries``/``degraded_to``/``exchange_stats`` report
         what recovery ran.
 
         ``trace=True`` (or ``REPRO_TRACE=1`` in the environment) records
         a hierarchical span trace of the optimizer phases and every
-        operator's execution — across worker pools too — and attaches it
+        operator's execution — across worker processes too — and attaches it
         as a Chrome ``trace_event`` dict on ``QueryResult.trace`` (on the
         raised :class:`QueryError` for failed queries).  Tracing is
         observational only: rows and ``Metrics`` counters are
         bit-identical to an untraced run.
         """
-        batch_size = self._resolve_batch(batch_size, workers)
+        options = ExecOptions(
+            optimize=optimize,
+            join_order=join_order,
+            rewrites=rewrites,
+            batch_size=batch_size,
+            workers=workers,
+            backend=backend,
+        )
         if trace is None:
             trace = TRACE_DEFAULT
         tracer = Tracer() if trace else None
@@ -592,21 +546,12 @@ class Database:
         info = None
         try:
             with tracer.span("query", "query", sql=sql) if tracer else nullcontext():
-                plan = self.plan(
-                    sql,
-                    optimize=optimize,
-                    use_cache=use_cache,
-                    workers=workers,
-                    join_order=join_order,
-                    backend=backend,
-                    rewrites=rewrites,
-                    tracer=tracer,
-                )
+                plan = self._plan(sql, options, use_cache, tracer)
                 info = getattr(plan, "plan_info", None)
                 with tracer.span("execute", "execute") if tracer else nullcontext():
-                    if batch_size is not None:
+                    if options.batch_size is not None:
                         rows, metrics = plan.run_batches(
-                            batch_size, token=token, tracer=tracer
+                            options.batch_size, token=token, tracer=tracer
                         )
                     else:
                         rows, metrics = plan.run(token=token, tracer=tracer)
@@ -616,8 +561,8 @@ class Database:
                 sql,
                 wall_ns,
                 0,
-                backend=(backend or "thread") if workers is not None else None,
-                workers=workers,
+                backend=options.backend,
+                workers=options.workers,
                 error=exc,
                 timed_out=isinstance(exc, QueryTimeout),
             )
@@ -625,7 +570,7 @@ class Database:
                 tracer.finish()
                 exc.trace = tracer.chrome()
             if info is not None and plan is not None:
-                info.execution = self._execution_desc(batch_size, workers, backend)
+                info.execution = options.describe()
                 merged = self._collect_recovery(plan)
                 self._fold_exchange_totals(merged)
                 recovery = {
@@ -641,13 +586,13 @@ class Database:
             sql,
             wall_ns,
             len(rows),
-            backend=(backend or "thread") if workers is not None else None,
-            workers=workers,
+            backend=options.backend,
+            workers=options.workers,
         )
         merged = self._collect_recovery(plan)
         self._fold_exchange_totals(merged)
         if info is not None:
-            info.execution = self._execution_desc(batch_size, workers, backend)
+            info.execution = options.describe()
             if merged["retries"] or merged["degraded_partitions"]:
                 info.recovery = {
                     "retries": merged["retries"],
@@ -664,9 +609,9 @@ class Database:
             rows,
             metrics,
             plan,
-            batch_size,
-            workers,
-            (backend or "thread") if workers is not None else None,
+            options.batch_size,
+            options.workers,
+            options.backend,
             retries=merged["retries"],  # type: ignore[arg-type]
             degraded_to=merged["degraded_to"],  # type: ignore[arg-type]
             timed_out=False,
@@ -723,16 +668,15 @@ class Database:
         own statistics subsystem.  The per-node summary also lands on
         ``plan_info.analyze`` for programmatic use.
         """
-        batch_size = self._resolve_batch(batch_size, workers)
-        plan = self.plan(
-            sql,
+        options = ExecOptions(
             optimize=optimize,
-            use_cache=use_cache,
-            workers=workers,
             join_order=join_order,
-            backend=backend,
             rewrites=rewrites,
+            batch_size=batch_size,
+            workers=workers,
+            backend=backend,
         )
+        plan = self._plan(sql, options, use_cache)
         info = getattr(plan, "plan_info", None)
         if analyze:
             from ..obs.analyze import annotate_plan
@@ -741,8 +685,8 @@ class Database:
             started = perf_counter_ns()
             with tracer.span("query", "query", sql=sql):
                 with tracer.span("execute", "execute"):
-                    if batch_size is not None:
-                        plan.run_batches(batch_size, tracer=tracer)
+                    if options.batch_size is not None:
+                        plan.run_batches(options.batch_size, tracer=tracer)
                     else:
                         plan.run(tracer=tracer)
             wall_ns = perf_counter_ns() - started
@@ -762,6 +706,6 @@ class Database:
         else:
             text = plan.explain()
         if verbose and info is not None:
-            info.execution = self._execution_desc(batch_size, workers, backend)
+            info.execution = options.describe()
             text = f"{text}\n{info.describe()}"
         return text

@@ -52,8 +52,8 @@ class QueryCancelled(QueryError):
 
 
 class ExecutionFailed(QueryError):
-    """Execution failed after every recovery rung (retries, then the
-    backend degradation ladder) was exhausted.
+    """Execution failed after every recovery step (retries, then the
+    inline fallback) was exhausted.
 
     ``worker_traceback`` carries the original worker-side traceback text
     (process workers relay it over the result queue) so the first

@@ -487,7 +487,7 @@ def _literal_signature(expr: Expr) -> tuple:
 #: every execution of a cached plan — compile exactly once.
 _KERNEL_CACHE: "OrderedDict[tuple, Callable]" = OrderedDict()
 _KERNEL_CACHE_CAPACITY = 1024
-#: Parallel partitions compile kernels from worker threads; the lock keeps
+#: Callers may execute plans from several threads; the lock keeps
 #: the get/move_to_end/evict sequence atomic (an eviction racing a
 #: ``move_to_end`` would otherwise KeyError).  Uncontended cost is one
 #: lock per *operator construction*, not per batch — kernels are cached

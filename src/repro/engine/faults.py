@@ -12,17 +12,16 @@ recovered run stays bit-identical to fault-free serial execution.
 Fault kinds (the ``kind`` field):
 
 * ``kill_worker`` — the worker process hard-exits (``os._exit``) before
-  emitting the target batch.  Process backend only; thread/inline seams
-  skip it (you cannot kill a thread mid-bytecode).
+  emitting the target batch.  Process backend only; the inline seam
+  skips it (there is no worker to kill).
 * ``raise`` — the partition raises :class:`InjectedFault` before
   emitting the target batch, on any backend.
 * ``delay`` — the partition sleeps ``delay_s`` before emitting the
   target batch (pairs with ``timeout_s`` to exercise deadlines).
-* ``drop_results`` — the producer stops silently: no more morsels and
-  no terminal message (a lost result stream).  Thread backend detects
-  this via its producer-finished flag; the process backend cannot
-  distinguish it from a slow worker, so process chaos tests pair it
-  with a deadline.  Inline seams skip it (the inline "stream" *is* the
+* ``drop_results`` — the worker stops silently: no more morsels and no
+  terminal message (a lost result stream).  The parent cannot
+  distinguish that from a slow worker, so chaos tests pair it with a
+  deadline.  The inline seam skips it (the inline "stream" *is* the
   consumer).
 
 Plans are **attempt-gated**: a plan fires while the partition's attempt
@@ -43,6 +42,8 @@ import random
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
+
+from ..config import faults_spec
 
 __all__ = [
     "FAULT_KINDS",
@@ -163,7 +164,7 @@ def active_plans() -> Tuple[FaultPlan, ...]:
     """The plans in force: installed ones, else ``REPRO_FAULTS``."""
     if _INSTALLED is not None:
         return _INSTALLED
-    text = os.environ.get("REPRO_FAULTS", "")
+    text = faults_spec()
     if not text.strip():
         return ()
     return parse_plans(text)

@@ -203,13 +203,6 @@ class Operator:
                 return
         raise ValueError(f"{self.label()}: {old.label()} is not a child")
 
-    def prepare_parallel(self) -> None:
-        """Build lazily-cached shared state (columnar views, index arrays,
-        compiled kernels) *before* worker threads start pulling, so the
-        caches are written single-threaded.  Default: recurse."""
-        for child in self.children():
-            child.prepare_parallel()
-
     def execute(self, metrics: Metrics) -> Iterator[tuple]:
         raise NotImplementedError
 

@@ -41,11 +41,6 @@ class Filter(Operator):
     def partition_through(self, child: Operator) -> "Filter":
         return Filter(child, self.predicate)
 
-    def prepare_parallel(self) -> None:
-        if self._kernel is None:
-            self._kernel = vectorized_kernel(self.predicate, self.child.schema)
-        self.child.prepare_parallel()
-
     def children(self) -> Sequence[Operator]:
         return (self.child,)
 
@@ -126,14 +121,6 @@ class Project(Operator):
 
     def partition_through(self, child: Operator) -> "Project":
         return Project(child, self.exprs, self.names)
-
-    def prepare_parallel(self) -> None:
-        if self._kernels is None:
-            child_schema = self.child.schema
-            self._kernels = [
-                vectorized_kernel(expr, child_schema) for expr in self.exprs
-            ]
-        self.child.prepare_parallel()
 
     def _propagate_ordering(self) -> Tuple[str, ...]:
         rename: dict = {}

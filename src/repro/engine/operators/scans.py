@@ -51,9 +51,6 @@ class SeqScan(Operator):
     def partition_clone(self, index: int, count: int) -> "SeqScan":
         return SeqScan(self.table, self.alias, partition=(index, count))
 
-    def prepare_parallel(self) -> None:
-        self.table.columnar()  # build the shared view before threads race
-
     def _bounds(self) -> "tuple[int, int]":
         total = len(self.table.rows)
         if self.partition is None:
@@ -169,9 +166,6 @@ class IndexScan(Operator):
         return IndexScan(
             self.index, self.alias, self.low, self.high, partition=(index, count)
         )
-
-    def prepare_parallel(self) -> None:
-        len(self.index)  # force the sorted-array build before threads race
 
     def _position_bounds(self) -> "tuple[int, int]":
         start, stop = self.index.range_positions(self.low, self.high)

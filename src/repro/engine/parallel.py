@@ -1,5 +1,5 @@
 """Parallel batch execution: partitioned pipelines + order-preserving
-exchanges over pluggable, fault-tolerant backends.
+exchanges over two backends, one of them fault-tolerant.
 
 The :class:`~repro.engine.batch.ColumnBatch` stream of PR 3 is the natural
 *exchange granule* for parallelism: a partitionable leaf (a scan) is split
@@ -9,15 +9,12 @@ run on an :class:`ExchangeBackend`, and a single **exchange** operator
 reassembles the partition morsel streams into one batch stream for the
 serial remainder of the plan.
 
-Three backends (``Database.execute(..., workers=K, backend=...)``):
+Two backends (``Database.execute(..., workers=K, backend=...)``):
 
-* ``inline`` — no pool at all: partitions run lazily on the calling
-  thread, in partition order for union and interleaved on demand for
-  merge.  The deterministic floor every other backend is compared against.
-* ``thread`` — the shared :class:`ThreadPoolExecutor`.  Each partition
-  streams its batches through a bounded per-partition channel.  Real
-  speedup only on free-threaded builds (PEP 703); on the stock GIL it
-  buys architecture, not parallelism.
+* ``inline`` (the default) — no pool at all: partitions run lazily on
+  the caller, in partition order for union and interleaved on demand
+  for merge.  The deterministic floor the process backend is compared
+  against and degrades to.
 * ``process`` — true multicore: partition chains are *pickled* and shipped
   to a persistent pool of worker processes, which stream
   ``ColumnBatch`` columns back through one bounded result queue in
@@ -27,8 +24,8 @@ Three backends (``Database.execute(..., workers=K, backend=...)``):
   the streams deterministically — completion order never leaks into
   results or counters.
 
-Fault tolerance (the thread and process backends *recover*; inline is
-the floor they degrade to):
+Fault tolerance (the process backend *recovers*; inline is the floor it
+degrades to):
 
 * **Release-on-completion**: the consumer sees a partition's batches
   only after its terminal "done" message arrives.  A failed attempt's
@@ -42,10 +39,9 @@ the floor they degrade to):
   harmless.
 * **Retry, then degrade**: a failed partition attempt (worker death,
   in-kernel exception, dropped result stream) is re-enqueued with capped
-  exponential backoff up to :data:`RETRY_LIMIT` times
-  (``REPRO_RETRY_LIMIT``, default 2); past that, the partition walks the
-  degradation ladder — ``process`` → ``thread`` → ``inline`` — re-running
-  *only the failed partition*.  When even inline fails, the typed
+  exponential backoff up to :data:`RETRY_LIMIT` times; past that, the
+  partition degrades ``process`` → ``inline`` — re-running *only the
+  failed partition* on the caller.  When even inline fails, the typed
   :class:`~repro.engine.errors.ExecutionFailed` carries the first
   worker-side traceback.  Recovery accounting (``retries``,
   ``degraded_partitions``, ``degraded_to``) lives in
@@ -53,8 +49,8 @@ the floor they degrade to):
   parity invariant survives every recovery path.
 * **Deadlines/cancellation**: the consumer-side pump checks the
   execution's :class:`~repro.engine.errors.CancelToken` between morsels;
-  on timeout the run *aborts* (producers unblocked, pool marked for
-  restart) instead of draining, and the next query gets a healthy pool.
+  on timeout the run *aborts* (pool marked for restart) instead of
+  draining, and the next query gets a healthy pool.
   Workers never see the token — no cross-process signalling needed.
 * **Deterministic fault injection**: producers call the
   :mod:`repro.engine.faults` seam before emitting each batch, so the
@@ -113,7 +109,7 @@ process-backend and chaos legs) and property-tested in
   charged by partition 0 only, so totals equal the serial path's
   exactly — exchanges themselves charge nothing, because the serial plan
   has no exchange;
-* **determinism**: results never depend on thread or process scheduling —
+* **determinism**: results never depend on process scheduling —
   partitions are fixed at plan time, drained to completion, and
   reassembled in a fixed order.
 
@@ -138,10 +134,10 @@ import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .. import config
 from . import faults as faults_mod
 from .batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from .epoch import current_epoch
@@ -166,30 +162,28 @@ __all__ = [
 ]
 
 #: The recognized backend names, in cost order.
-BACKENDS: Tuple[str, ...] = ("inline", "thread", "process")
+BACKENDS: Tuple[str, ...] = ("inline", "process")
 
-#: What ``workers=K`` selects when no ``backend=`` is given — threads, the
-#: PR 4 behaviour (bounded overhead everywhere, speedup on free-threaded
-#: builds).
-DEFAULT_BACKEND = "thread"
+#: What ``workers=K`` selects when no ``backend=`` is given: no pool.  On
+#: the report statements inline measured faster than both pools on a
+#: 2-CPU GIL host; ``process`` is the opt-in for hosts with cores to use.
+DEFAULT_BACKEND = "inline"
 
 #: Target morsel size (rows) for process-backend result streaming: big
 #: enough to amortize one pickle + queue hop over thousands of rows, small
 #: enough that the parent overlaps reassembly with worker production.
-#: Override with ``REPRO_MORSEL_ROWS``.
-MORSEL_ROWS = max(1, int(os.environ.get("REPRO_MORSEL_ROWS", "16384")))
+MORSEL_ROWS = 16384
 
 #: Placement gate: chains whose source scans fewer estimated rows than
 #: this plan serial (exchange overhead would dominate — the snowflake
 #: dimension tables are the motivating case).  Chosen between the test
 #: workloads' dimension tables (≤ a few hundred rows) and their fact
-#: tables (thousands+).  Override with ``REPRO_PARALLEL_MIN_ROWS``.
-PARALLEL_MIN_ROWS = max(0, int(os.environ.get("REPRO_PARALLEL_MIN_ROWS", "1024")))
+#: tables (thousands+).
+PARALLEL_MIN_ROWS = 1024
 
 #: How many times a failed partition attempt is re-enqueued (with capped
-#: exponential backoff) before the run degrades backend→backend.
-#: Override with ``REPRO_RETRY_LIMIT``.
-RETRY_LIMIT = max(0, int(os.environ.get("REPRO_RETRY_LIMIT", "2")))
+#: exponential backoff) before the partition degrades to inline.
+RETRY_LIMIT = 2
 
 #: Retry backoff: ``base * 2^(failures-1)`` seconds, capped.  Short on
 #: purpose — the failures this engine retries (a dead worker, an
@@ -202,19 +196,10 @@ RETRY_BACKOFF_CAP_S = 0.25
 #: fast workers never buffer unbounded morsels in the queue itself.
 _RESULT_QUEUE_DEPTH = 16
 
-#: Thread-backend per-partition channel bound (messages in flight): the
-#: same backpressure for thread producers.  Bounded queues need the
-#: consumer-close contract below — see :class:`_Channel`.
-_STREAM_QUEUE_DEPTH = 64
-
 #: Seconds between worker-liveness checks while the process-backend
 #: consumer waits on the result queue.  Short: it is also the detection
 #: latency for a killed worker.
 _PULL_TIMEOUT = 0.25
-
-#: Seconds a producer/consumer waits on a channel before re-checking the
-#: closed/finished flags (thread backend).
-_CHANNEL_POLL = 0.05
 
 
 def _resolve_start_method() -> str:
@@ -222,7 +207,7 @@ def _resolve_start_method() -> str:
     (Linux: cheap workers that inherit table memory), else ``spawn``."""
     import multiprocessing
 
-    method = os.environ.get("REPRO_START_METHOD", "").strip()
+    method = config.start_method()
     if method:
         return method
     if "fork" in multiprocessing.get_all_start_methods():
@@ -233,11 +218,13 @@ def _resolve_start_method() -> str:
 def host_capability() -> dict:
     """Can this host actually run Python code in parallel — and how?
 
-    * ``parallel_capable`` — the **thread** backend scales: a free-threaded
-      build (PEP 703) with more than one core.
     * ``process_capable`` — the **process** backend scales: more than one
       core (the GIL is per-process, so a stock build is fine).
     * ``start_method`` — how worker processes would be created here.
+    * ``gil_enabled`` / ``parallel_capable`` — a free-threaded build
+      (PEP 703) with more than one core.  Nothing in the engine keys on
+      them; they stay because recorded baselines and the e2e benchmark
+      header print them.
 
     The benchmark baseline records all of this in ``extra_info`` and the
     bench/regression gates key their speedup-vs-overhead bars on it — one
@@ -379,68 +366,8 @@ class _ShipContext:
 # ----------------------------------------------------------------------
 # Internal recovery plumbing
 # ----------------------------------------------------------------------
-class _ConsumerClosed(Exception):
-    """Producer-side signal: the consumer closed the channel; stop."""
-
-
-class _AttemptFailed(Exception):
-    """One local (degraded-rung) attempt failed, with the relayed
-    worker traceback when one exists."""
-
-    def __init__(self, message: str, tb: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.tb = tb
-
-
 def _backoff(failures: int) -> None:
     time.sleep(min(RETRY_BACKOFF_S * (2 ** max(0, failures - 1)), RETRY_BACKOFF_CAP_S))
-
-
-class _Channel:
-    """A bounded per-partition message queue with consumer-close semantics
-    (the hardened successor of the old unbounded ``_QueueStream``).
-
-    The bound gives thread producers backpressure; backpressure demands
-    an early-termination contract, or a consumer that stops mid-stream
-    (``Limit`` above an exchange, a timeout, an aborted run) would leave
-    its producer blocked on a full queue forever.  The contract:
-    producers :meth:`put` in a short-timeout loop re-checking ``closed``;
-    the consumer's :meth:`close` raises the flag *and drains pending
-    items*, so a blocked producer frees within one poll interval.
-    ``producer_finished`` (set in the producer's ``finally``) lets the
-    consumer distinguish a silently-dead producer — the dropped-results
-    fault — from a slow one.
-    """
-
-    __slots__ = ("queue", "closed", "producer_finished")
-
-    def __init__(self, depth: Optional[int] = None) -> None:
-        self.queue: "queue_module.Queue" = queue_module.Queue(
-            maxsize=depth if depth is not None else _STREAM_QUEUE_DEPTH
-        )
-        self.closed = False
-        self.producer_finished = False
-
-    def put(self, item) -> None:
-        """Producer side: block with backpressure, bail when closed."""
-        while True:
-            if self.closed:
-                raise _ConsumerClosed()
-            try:
-                self.queue.put(item, timeout=_CHANNEL_POLL)
-                return
-            except queue_module.Full:
-                continue
-
-    def close(self) -> None:
-        """Consumer side: signal producers to stop, and unblock any
-        producer currently waiting on a full queue by draining it."""
-        self.closed = True
-        try:
-            while True:
-                self.queue.get_nowait()
-        except queue_module.Empty:
-            pass
 
 
 def _local_tracer(partition: Operator):
@@ -460,126 +387,19 @@ def _dump_spans(tracer) -> Optional[list]:
     return tracer.dump()
 
 
-def _produce_to_channel(
-    partition: Operator,
-    channel: _Channel,
-    batch_size: int,
-    index: int,
-    attempt: int,
-    plans: Tuple,
-    backend: str = "thread",
-    trace: bool = False,
-) -> None:
-    """Thread-side producer for one partition attempt.
-
-    Message protocol: ``("m", batch)`` morsels, then exactly one terminal
-    ``("d", (counters, spans))`` or ``("e", (message, traceback))``.  The
-    injected drop-results fault ends the stream with *no* terminal
-    message — which the consumer detects via ``producer_finished``.
-
-    ``spans`` is the attempt's local trace dump (``None`` untraced):
-    spans ride only the terminal message, so a failed or superseded
-    attempt's spans vanish with the attempt — exactly the
-    release-on-completion rule batches follow.
-    """
-    tracer = _local_tracer(partition) if trace else None
-    metrics = Metrics(tracer=tracer)
-    try:
-        batch_no = 0
-        for batch in partition.execute_batches(metrics, batch_size):
-            if plans:
-                faults_mod.fire(plans, index, batch_no, attempt, backend)
-            batch_no += 1
-            if len(batch):
-                channel.put(("m", batch))
-        channel.put(("d", (metrics.counters, _dump_spans(tracer))))
-    except _ConsumerClosed:
-        pass
-    except faults_mod.DropResults:
-        pass  # the injected lost-result-stream fault: finish silently
-    except BaseException as exc:  # noqa: BLE001 - relayed to the consumer
-        try:
-            channel.put(
-                ("e", (f"{type(exc).__name__}: {exc}", traceback.format_exc()))
-            )
-        except _ConsumerClosed:
-            pass
-    finally:
-        channel.producer_finished = True
-
-
-def _drain_channel(channel: _Channel, buffer: deque, token) -> Tuple[str, object]:
-    """Consume one partition channel to its terminal state.
-
-    Returns ``("done", (counters, spans))``, ``("error", (message, traceback))``,
-    or ``("dropped", (message, None))`` when the producer finished
-    without a terminal message (the lost-result-stream fault).  Checks
-    the cancel token between polls so deadlines land while waiting.
-    """
-    while True:
-        if token is not None:
-            token.check()
-        try:
-            kind, payload = channel.queue.get(timeout=_CHANNEL_POLL)
-        except queue_module.Empty:
-            if channel.producer_finished and channel.queue.empty():
-                return (
-                    "dropped",
-                    ("worker finished without delivering results", None),
-                )
-            continue
-        if kind == "m":
-            buffer.append(payload)
-        elif kind == "d":
-            return ("done", payload)
-        else:  # "e"
-            return ("error", payload)
-
-
-def _run_partition_locally(
+def _run_partition_inline(
     partition: Operator,
     batch_size: int,
     index: int,
     attempt: int,
     plans: Tuple,
     token,
-    rung: str,
     trace: bool = False,
 ) -> Tuple[List[ColumnBatch], Dict[str, int], Optional[list]]:
-    """One degraded attempt of a single partition on this process.
-
-    ``rung == "thread"``: produce through a fresh channel on the shared
-    thread pool (the consumer enforces the token).  ``rung == "inline"``:
-    run the partition directly on this thread, token on its Metrics.
-    Returns ``(batches, counters, spans)``; raises :class:`_AttemptFailed`
-    (or the original exception) on failure.
-    """
-    partition.prepare_parallel()
-    if rung == "thread":
-        channel = _Channel()
-        _shared_pool().submit(
-            _produce_to_channel,
-            partition,
-            channel,
-            batch_size,
-            index,
-            attempt,
-            plans,
-            "thread",
-            trace,
-        )
-        buffer: deque = deque()
-        try:
-            outcome, payload = _drain_channel(channel, buffer, token)
-        except BaseException:
-            channel.close()
-            raise
-        if outcome == "done":
-            counters, spans = payload  # type: ignore[misc]
-            return list(buffer), counters, spans
-        message, tb = payload  # type: ignore[misc]
-        raise _AttemptFailed(message, tb)
-    # inline: the last rung — deterministic, no pool, no queue.
+    """The degraded attempt of a single partition: run it to completion
+    on the caller — deterministic, no pool, no queue — with the token on
+    its Metrics.  Returns ``(batches, counters, spans)``; ``spans`` is
+    the attempt's local trace dump (``None`` untraced)."""
     tracer = _local_tracer(partition) if trace else None
     metrics = Metrics(token=token, tracer=tracer)
     batches: List[ColumnBatch] = []
@@ -649,7 +469,7 @@ class _InlineStream:
 
 
 class _BufferedStream:
-    """The consumer's view of one partition on a recovering backend.
+    """The consumer's view of one partition on the process backend.
 
     **Release-on-completion**: iteration first drives the run until this
     partition's terminal "done" message arrived, then yields the buffered
@@ -658,7 +478,7 @@ class _BufferedStream:
     streams — the property that makes retrying mid-stream safe at all.
     """
 
-    def __init__(self, run: "_RecoveringRun", index: int) -> None:
+    def __init__(self, run: "_ProcessRun", index: int) -> None:
         self.run = run
         self.index = index
 
@@ -697,117 +517,7 @@ class _BackendRun:
 
     def abort(self) -> None:
         for stream in self.streams:
-            abort = getattr(stream, "abort", None)
-            if abort is not None:
-                abort()
-            else:
-                stream.close()
-
-
-class _RecoveringRun(_BackendRun):
-    """Shared recovery machinery for the thread and process runs.
-
-    Tracks, per partition: the buffered batches of the current attempt,
-    the attempt id (stale-message discard + fault-seam gating), the
-    failure count, and the first failure's ``(message, traceback)``.
-    Subclasses provide :meth:`ensure_done` (make progress until a
-    partition completes) and :meth:`_redispatch` (start another attempt
-    on the backend's own pool); retry/degradation policy lives here.
-    """
-
-    #: The degradation rungs tried, in order, once retries are exhausted.
-    ladder: Tuple[str, ...] = ()
-
-    def __init__(self, partitions, batch_size, token, plans, stats, trace=False) -> None:
-        self.partitions = list(partitions)
-        count = len(self.partitions)
-        self.batch_size = batch_size
-        self.token = token
-        self.plans = plans
-        self.trace = trace
-        self.buffers: List[deque] = [deque() for _ in range(count)]
-        self.done = [False] * count
-        self.partition_counters: List[Dict[str, int]] = [{} for _ in range(count)]
-        self.partition_spans: List[Optional[list]] = [None] * count
-        self.failures = [0] * count
-        self.attempt_ids = [0] * count
-        self.first_failure: List[Optional[tuple]] = [None] * count
-        stats.setdefault("retries", 0)
-        stats.setdefault("degraded_partitions", 0)
-        stats.setdefault("degraded_to", None)
-        super().__init__([_BufferedStream(self, i) for i in range(count)], stats)
-
-    # -- subclass hooks -------------------------------------------------
-    def ensure_done(self, index: int) -> None:
-        raise NotImplementedError
-
-    def _redispatch(self, index: int) -> None:
-        raise NotImplementedError
-
-    # -- policy ---------------------------------------------------------
-    def _record_failure(self, index: int, error: tuple) -> None:
-        if self.first_failure[index] is None:
-            self.first_failure[index] = error
-
-    def _partition_failed(self, index: int, error: tuple) -> None:
-        """One attempt failed: discard its output, then retry (capped
-        exponential backoff) or walk the degradation ladder."""
-        self._record_failure(index, error)
-        self.failures[index] += 1
-        self.buffers[index].clear()
-        self.partition_spans[index] = None
-        self.attempt_ids[index] += 1  # supersede in-flight stale messages
-        if self.failures[index] <= RETRY_LIMIT:
-            self.stats["retries"] += 1
-            _backoff(self.failures[index])
-            self._redispatch(index)
-        else:
-            self._degrade(index, error)
-
-    def _degrade(self, index: int, error: tuple) -> None:
-        """Re-run just this partition down the backend ladder; raise the
-        typed :class:`ExecutionFailed` only when even inline fails."""
-        depth = {"thread": 1, "inline": 2}
-        for rung in self.ladder:
-            self.attempt_ids[index] += 1
-            self.buffers[index].clear()
-            self.partition_spans[index] = None
-            try:
-                batches, counters, spans = _run_partition_locally(
-                    self.partitions[index],
-                    self.batch_size,
-                    index,
-                    self.attempt_ids[index],
-                    self.plans,
-                    self.token,
-                    rung,
-                    self.trace,
-                )
-            except QueryError:
-                raise  # timeouts/cancellation propagate untyped-free
-            except _AttemptFailed as exc:
-                error = (str(exc), exc.tb)
-                self._record_failure(index, error)
-                continue
-            except BaseException as exc:  # noqa: BLE001 - next rung
-                error = (f"{type(exc).__name__}: {exc}", traceback.format_exc())
-                self._record_failure(index, error)
-                continue
-            self.buffers[index].extend(batches)
-            self.partition_counters[index] = counters
-            self.partition_spans[index] = spans
-            self.done[index] = True
-            self.stats["degraded_partitions"] += 1
-            current = self.stats["degraded_to"]
-            if current is None or depth.get(rung, 0) > depth.get(current, 0):
-                self.stats["degraded_to"] = rung
-            return
-        first = self.first_failure[index] or error
-        raise ExecutionFailed(
-            f"partition {index} failed after {self.failures[index]} attempt(s) "
-            f"and degradation through {self.ladder!r}: {first[0]}",
-            worker_traceback=first[1],
-        )
+            stream.abort()
 
 
 # ----------------------------------------------------------------------
@@ -838,14 +548,12 @@ class ExchangeBackend:
 
 
 class InlineBackend(ExchangeBackend):
-    """No pool: lazy, single-threaded, the deterministic floor — and the
-    last rung of every degradation ladder."""
+    """No pool: lazy, on the caller, the deterministic floor — and what
+    the process backend degrades to."""
 
     name = "inline"
 
     def run(self, partitions, batch_size, token=None, trace=False):
-        for partition in partitions:
-            partition.prepare_parallel()
         plans = faults_mod.resolve(faults_mod.active_plans(), len(partitions))
         return _BackendRun(
             [
@@ -854,118 +562,6 @@ class InlineBackend(ExchangeBackend):
             ],
             {"backend": "inline"},
         )
-
-
-#: One process-wide thread pool, created lazily on the first threaded
-#: drain and reused by every exchange — spawning a pool per execution
-#: would put OS thread creation on the warm-query path.  Channels are
-#: *bounded* (backpressure), so a nested/concurrent thread run on one
-#: consumer thread could starve the pool; :class:`ThreadBackend` guards
-#: that by degrading nested runs to inline (same rule as the process
-#: backend's run lock).
-_SHARED_POOL: Optional[ThreadPoolExecutor] = None
-_SHARED_POOL_LOCK = threading.Lock()
-
-#: Per-thread count of open thread-backend runs (the nested-run guard).
-_THREAD_RUN_STATE = threading.local()
-
-
-def _thread_run_depth() -> int:
-    return getattr(_THREAD_RUN_STATE, "depth", 0)
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _SHARED_POOL
-    if _SHARED_POOL is None:
-        with _SHARED_POOL_LOCK:
-            if _SHARED_POOL is None:
-                _SHARED_POOL = ThreadPoolExecutor(
-                    max_workers=max(4, host_capability()["cpus"]),
-                    thread_name_prefix="repro-exchange",
-                )
-    return _SHARED_POOL
-
-
-class _ThreadRun(_RecoveringRun):
-    """One thread-backend execution: per-partition bounded channels on
-    the shared pool, with retry and inline degradation."""
-
-    ladder = ("inline",)
-
-    def __init__(self, partitions, batch_size, token, plans, trace=False) -> None:
-        super().__init__(
-            partitions, batch_size, token, plans, {"backend": "thread"}, trace
-        )
-        self.channels: List[Optional[_Channel]] = [None] * len(self.partitions)
-        self.finished = False
-        _THREAD_RUN_STATE.depth = _thread_run_depth() + 1
-        for index in range(len(self.partitions)):
-            self._redispatch(index)
-
-    def _redispatch(self, index: int) -> None:
-        channel = _Channel()
-        self.channels[index] = channel
-        _shared_pool().submit(
-            _produce_to_channel,
-            self.partitions[index],
-            channel,
-            self.batch_size,
-            index,
-            self.attempt_ids[index],
-            self.plans,
-            "thread",
-            self.trace,
-        )
-
-    def ensure_done(self, index: int) -> None:
-        while not self.done[index]:
-            outcome, payload = _drain_channel(
-                self.channels[index], self.buffers[index], self.token
-            )
-            if outcome == "done":
-                counters, spans = payload  # type: ignore[misc]
-                self.partition_counters[index] = counters
-                self.partition_spans[index] = spans
-                self.done[index] = True
-            else:  # "error" or "dropped": one attempt failed
-                self._partition_failed(index, payload)  # type: ignore[arg-type]
-
-    def close(self) -> None:
-        try:
-            for index in range(len(self.partitions)):
-                self.ensure_done(index)
-        finally:
-            self._finish()
-
-    def abort(self) -> None:
-        for channel in self.channels:
-            if channel is not None:
-                channel.close()
-        self._finish()
-
-    def _finish(self) -> None:
-        if not self.finished:
-            self.finished = True
-            _THREAD_RUN_STATE.depth = max(0, _thread_run_depth() - 1)
-
-
-class ThreadBackend(ExchangeBackend):
-    """The shared thread pool; each partition streams batches through its
-    own bounded channel, released to the consumer on completion."""
-
-    name = "thread"
-
-    def run(self, partitions, batch_size, token=None, trace=False):
-        for partition in partitions:
-            partition.prepare_parallel()  # build shared caches single-threaded
-        if _thread_run_depth():
-            # A nested run on this consumer thread (two exchanges pulled
-            # interleaved) could starve the bounded channels on the shared
-            # fixed-size pool — run it inline instead, like the process
-            # backend's nested-run rule.
-            return InlineBackend().run(partitions, batch_size, token, trace)
-        plans = faults_mod.resolve(faults_mod.active_plans(), len(partitions))
-        return _ThreadRun(partitions, batch_size, token, plans, trace)
 
 
 # ----------------------------------------------------------------------
@@ -1147,6 +743,7 @@ class _ProcessPool:
 
 
 _PROCESS_POOL: Optional[_ProcessPool] = None
+_PROCESS_POOL_LOCK = threading.Lock()
 #: Serializes process-backend runs: the pool has one result queue, so one
 #: streaming run owns it at a time.  A *nested* run on the same thread
 #: (two exchanges pulled interleaved, e.g. under a merge join) falls back
@@ -1159,7 +756,7 @@ def shutdown_process_pool() -> None:
     """Tear down the persistent process pool (tests; start-method swaps;
     the interpreter-exit hook)."""
     global _PROCESS_POOL
-    with _SHARED_POOL_LOCK:
+    with _PROCESS_POOL_LOCK:
         if _PROCESS_POOL is not None:
             _PROCESS_POOL.shutdown()
             _PROCESS_POOL = None
@@ -1205,27 +802,41 @@ def _ensure_process_pool(needed: Sequence[Tuple[tuple, object]]) -> _ProcessPool
     return pool
 
 
-class _ProcessRun(_RecoveringRun):
+class _ProcessRun(_BackendRun):
     """Demultiplexer for one process-backend execution, with recovery.
 
     Workers tag every message with partition index *and attempt id*; the
     parent buffers morsels per partition (released on completion), tracks
     which worker pid runs which partition, and on worker death respawns
-    the worker and re-enqueues the attributable partitions.  Retries
-    exhausted → the partition degrades thread → inline.  A corrupt result
-    queue (a worker killed mid-write) is unrecoverable for the whole
-    pool: every outstanding partition degrades and the pool restarts on
-    the next query.
+    the pool and re-enqueues the unfinished partitions.  Per partition
+    it keeps the current attempt's buffered batches, the attempt id
+    (stale-message discard + fault-seam gating), the failure count, and
+    the first failure's ``(message, traceback)``.  Retries exhausted →
+    the partition degrades to inline.  A corrupt result queue (a worker
+    killed mid-write) is unrecoverable for the whole pool: every
+    outstanding partition degrades and the pool restarts on the next
+    query.
     """
-
-    ladder = ("thread", "inline")
 
     def __init__(
         self, pool, partitions, blobs, batch_size, token, plans, trace=False
     ) -> None:
         self.pool = pool
+        self.partitions = list(partitions)
         self.blobs = list(blobs)
-        self.running_pid: List[Optional[int]] = [None] * len(self.blobs)
+        count = len(self.partitions)
+        self.batch_size = batch_size
+        self.token = token
+        self.plans = plans
+        self.trace = trace
+        self.buffers: List[deque] = [deque() for _ in range(count)]
+        self.done = [False] * count
+        self.partition_counters: List[Dict[str, int]] = [{} for _ in range(count)]
+        self.partition_spans: List[Optional[list]] = [None] * count
+        self.failures = [0] * count
+        self.attempt_ids = [0] * count
+        self.first_failure: List[Optional[tuple]] = [None] * count
+        self.running_pid: List[Optional[int]] = [None] * count
         self.finished = False
         stats = {
             "backend": "process",
@@ -1235,12 +846,73 @@ class _ProcessRun(_RecoveringRun):
             "morsels": 0,
             "rows_shipped": 0,
             "token_shipped_chains": 0,
+            "retries": 0,
+            "degraded_partitions": 0,
+            "degraded_to": None,
         }
-        super().__init__(partitions, batch_size, token, plans, stats, trace)
+        super().__init__([_BufferedStream(self, i) for i in range(count)], stats)
         # Work stealing: partitions go into one shared task queue; each of
         # the pool's workers pulls the next one the moment it frees up.
-        for index in range(len(self.blobs)):
+        for index in range(count):
             self._redispatch(index)
+
+    # -- recovery policy ------------------------------------------------
+    def _record_failure(self, index: int, error: tuple) -> None:
+        if self.first_failure[index] is None:
+            self.first_failure[index] = error
+
+    def _discard_attempt(self, index: int) -> None:
+        """Drop the current attempt's output and supersede its in-flight
+        (now stale) messages."""
+        self.buffers[index].clear()
+        self.partition_spans[index] = None
+        self.attempt_ids[index] += 1
+
+    def _partition_failed(self, index: int, error: tuple) -> None:
+        """One attempt failed: discard its output, then retry (capped
+        exponential backoff) or degrade to inline."""
+        self._record_failure(index, error)
+        self.failures[index] += 1
+        if self.failures[index] > RETRY_LIMIT:
+            self._degrade(index)
+            return
+        self._discard_attempt(index)
+        self.stats["retries"] += 1
+        _backoff(self.failures[index])
+        self._redispatch(index)
+
+    def _degrade(self, index: int) -> None:
+        """Re-run just this partition inline; raise the typed
+        :class:`ExecutionFailed` only when that fails too."""
+        self._discard_attempt(index)
+        try:
+            batches, counters, spans = _run_partition_inline(
+                self.partitions[index],
+                self.batch_size,
+                index,
+                self.attempt_ids[index],
+                self.plans,
+                self.token,
+                self.trace,
+            )
+        except QueryError:
+            raise  # timeouts/cancellation propagate as themselves
+        except BaseException as exc:  # noqa: BLE001 - typed below
+            self._record_failure(
+                index, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+            )
+            message, worker_traceback = self.first_failure[index]
+            raise ExecutionFailed(
+                f"partition {index} failed after {self.failures[index]} "
+                f"attempt(s) and inline degradation: {message}",
+                worker_traceback=worker_traceback,
+            ) from None
+        self.buffers[index].extend(batches)
+        self.partition_counters[index] = counters
+        self.partition_spans[index] = spans
+        self.done[index] = True
+        self.stats["degraded_partitions"] += 1
+        self.stats["degraded_to"] = "inline"
 
     # ------------------------------------------------------------------
     def _redispatch(self, index: int) -> None:
@@ -1318,9 +990,7 @@ class _ProcessRun(_RecoveringRun):
         for index in range(len(self.partitions)):
             if not self.done[index]:
                 self._record_failure(index, (reason, None))
-                self.attempt_ids[index] += 1
-                self.buffers[index].clear()
-                self._degrade(index, (reason, None))
+                self._degrade(index)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -1366,8 +1036,8 @@ class _PoolUnavailable(Exception):
 
 class ProcessBackend(ExchangeBackend):
     """True multicore: pickled chains out, morsel streams back — with
-    worker recovery, and whole-run degradation to the thread backend when
-    no pool can be built at all."""
+    worker recovery, and whole-run degradation to inline when no pool
+    can be built at all."""
 
     name = "process"
 
@@ -1402,14 +1072,16 @@ class ProcessBackend(ExchangeBackend):
             return run
         except _PoolUnavailable as exc:
             # No pool at all (e.g. a platform without working
-            # multiprocessing): degrade the whole run to threads.
+            # multiprocessing): degrade the whole run to inline.
             _PROCESS_RUN_OWNER = None
             _PROCESS_RUN_LOCK.release()
-            run = ThreadBackend().run(partitions, batch_size, token, trace)
-            run.stats["degraded_to"] = "thread"
-            run.stats["degraded_partitions"] = len(partitions)
-            run.stats.setdefault("retries", 0)
-            run.stats["degraded_reason"] = str(exc)
+            run = InlineBackend().run(partitions, batch_size, token, trace)
+            run.stats.update(
+                retries=0,
+                degraded_partitions=len(partitions),
+                degraded_to="inline",
+                degraded_reason=str(exc),
+            )
             return run
         except BaseException:
             _PROCESS_RUN_OWNER = None
@@ -1419,7 +1091,6 @@ class ProcessBackend(ExchangeBackend):
 
 _BACKEND_INSTANCES: Dict[str, ExchangeBackend] = {
     "inline": InlineBackend(),
-    "thread": ThreadBackend(),
     "process": ProcessBackend(),
 }
 
@@ -1457,7 +1128,7 @@ class Exchange(Operator):
         partitions: Sequence[Operator],
         workers: Optional[int] = None,
         subtree: Optional[Operator] = None,
-        backend: Optional[str] = None,
+        backend: str = DEFAULT_BACKEND,
         contiguous: bool = False,
     ) -> None:
         partitions = list(partitions)
@@ -1470,8 +1141,8 @@ class Exchange(Operator):
         self.partitions: List[Operator] = partitions
         self.workers = workers
         self.subtree = subtree
-        self.backend = backend if backend is not None else DEFAULT_BACKEND
-        get_backend(self.backend)  # validate eagerly
+        self.backend = backend
+        get_backend(backend)  # validate eagerly
         #: Planner-built exchanges are contiguous: the partition_clone
         #: contract guarantees the streams concatenate (in index order)
         #: to the serial stream.
@@ -1574,7 +1245,12 @@ class UnionExchange(Exchange):
     kind = "union"
 
     def __init__(
-        self, partitions, workers=None, subtree=None, backend=None, contiguous=False
+        self,
+        partitions,
+        workers=None,
+        subtree=None,
+        backend=DEFAULT_BACKEND,
+        contiguous=False,
     ) -> None:
         super().__init__(partitions, workers, subtree, backend, contiguous)
         # Concatenation makes no ordering promise: even if the partitions
@@ -1615,7 +1291,7 @@ class MergeExchange(Exchange):
         partitions: Sequence[Operator],
         workers: Optional[int] = None,
         subtree: Optional[Operator] = None,
-        backend: Optional[str] = None,
+        backend: str = DEFAULT_BACKEND,
         contiguous: bool = False,
         keys: Optional[Sequence[str]] = None,
     ) -> None:
@@ -1667,7 +1343,7 @@ def insert_exchanges(
     root: Operator,
     workers: int,
     info=None,
-    backend: Optional[str] = None,
+    backend: str = DEFAULT_BACKEND,
     min_rows: int = 0,
     row_estimator=None,
 ) -> Operator:
@@ -1694,7 +1370,6 @@ def insert_exchanges(
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    backend = backend if backend is not None else DEFAULT_BACKEND
     get_backend(backend)  # validate
     return _place(root, workers, info, backend, min_rows, row_estimator)
 

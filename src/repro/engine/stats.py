@@ -29,10 +29,10 @@ a mode flip must invalidate them like any other catalog change.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..config import STATS_MODE
 from .histogram import (
     EquiDepthHistogram,
     KMVSketch,
@@ -64,7 +64,7 @@ DEFAULT_SELECTIVITY = 0.33
 #: Estimation mode: ``"histogram"`` (full subsystem) or ``"uniform"``
 #: (the pre-histogram baseline).  Module state rather than a parameter so
 #: every estimate in one planning reads the same model.
-_MODE = os.environ.get("REPRO_STATS_MODE", "histogram")
+_MODE = STATS_MODE
 
 
 def estimation_mode() -> str:

@@ -14,16 +14,10 @@ Three layers, all pay-as-you-go:
   failures, timings) and the slow-query ring buffer behind
   ``Database.stats_snapshot()``.
 
-Environment knobs, read once at import like the rest of the engine:
-
-* ``REPRO_TRACE`` — truthy value traces every ``Database.execute`` call
-  by default (per-call ``trace=`` still wins).
-* ``REPRO_SLOW_QUERY_MS`` — threshold for the slow-query log
-  (default 100 ms).
+Its two environment variables (``REPRO_TRACE``, ``REPRO_SLOW_QUERY_MS``)
+are read in :mod:`repro.config`.
 """
 from __future__ import annotations
-
-import os
 
 from .registry import EngineMetrics, SlowQuery
 from .tracer import Span, Tracer
@@ -33,17 +27,4 @@ __all__ = [
     "SlowQuery",
     "Span",
     "Tracer",
-    "TRACE_DEFAULT",
-    "SLOW_QUERY_MS",
 ]
-
-#: Whether ``Database.execute`` traces when the caller doesn't say.
-TRACE_DEFAULT = os.environ.get("REPRO_TRACE", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-    "off",
-)
-
-#: Queries slower than this (wall milliseconds) enter the slow-query ring.
-SLOW_QUERY_MS = float(os.environ.get("REPRO_SLOW_QUERY_MS", "100"))

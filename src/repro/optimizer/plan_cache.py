@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..engine.logical import (
     LogicalAggregate,
@@ -111,24 +111,23 @@ class PlanCacheEntry:
 
     plan: object  # the root Operator, with .plan_info attached
     fingerprint: str
-    mode: str
+    plan_key: Hashable
     epoch: int
     #: How many times this entry has been served (beyond the storing plan).
     serves: int = 0
 
 
 class PlanCache:
-    """A bounded LRU of physical plans keyed on (fingerprint, mode).
+    """A bounded LRU of physical plans keyed on (fingerprint, plan_key).
 
-    The mode string carries every planning dimension that changes the
-    physical tree: reasoning mode (``"od"``/``"fd"``), join ordering
-    (``"od+syntactic"``), and parallel placement with its worker count
-    *and* exchange backend (``"od+w4+thread"``, ``"od+w4+proc"``) — so
-    serial/parallel plannings, different worker counts, and different
-    backends never serve each other's trees.
+    ``plan_key`` is :attr:`repro.engine.options.ExecOptions.plan_key` —
+    every option that changes the physical tree (reasoning mode, join
+    ordering, rewrites, worker count, exchange backend) — so plannings
+    that differ in any of them never serve each other's trees.  The
+    cache only needs it hashable.
 
     The epoch is *not* part of the key: at most one entry exists per
-    logical tree and mode, and a lookup under a newer epoch explicitly
+    logical tree and plan_key, and a lookup under a newer epoch explicitly
     drops the stale entry (counted) rather than letting it shadow-rot.
     """
 
@@ -136,7 +135,7 @@ class PlanCache:
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[str, str], PlanCacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, Hashable], PlanCacheEntry]" = OrderedDict()
         self._stats: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -146,13 +145,15 @@ class PlanCache:
         }
 
     # ------------------------------------------------------------------
-    def lookup(self, fp: str, mode: str, epoch: int) -> Optional[PlanCacheEntry]:
-        """The live entry for (fp, mode) at ``epoch``, or ``None``.
+    def lookup(
+        self, fp: str, plan_key: Hashable, epoch: int
+    ) -> Optional[PlanCacheEntry]:
+        """The live entry for (fp, plan_key) at ``epoch``, or ``None``.
 
         A hit bumps the entry's LRU position and serve count; an entry
         stamped with a different epoch is dropped and counted stale.
         """
-        key = (fp, mode)
+        key = (fp, plan_key)
         entry = self._entries.get(key)
         if entry is None:
             self._stats["misses"] += 1
@@ -167,11 +168,15 @@ class PlanCache:
         self._stats["hits"] += 1
         return entry
 
-    def store(self, fp: str, mode: str, epoch: int, plan: object) -> PlanCacheEntry:
+    def store(
+        self, fp: str, plan_key: Hashable, epoch: int, plan: object
+    ) -> PlanCacheEntry:
         """Memoize a freshly planned tree, evicting LRU entries past capacity."""
-        entry = PlanCacheEntry(plan=plan, fingerprint=fp, mode=mode, epoch=epoch)
-        self._entries[(fp, mode)] = entry
-        self._entries.move_to_end((fp, mode))
+        entry = PlanCacheEntry(
+            plan=plan, fingerprint=fp, plan_key=plan_key, epoch=epoch
+        )
+        self._entries[(fp, plan_key)] = entry
+        self._entries.move_to_end((fp, plan_key))
         self._stats["stores"] += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

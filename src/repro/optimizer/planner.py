@@ -46,6 +46,7 @@ from ..engine.logical import (
     LogicalScan,
     LogicalSort,
 )
+from ..engine.options import ExecOptions
 from ..engine.operators import (
     Filter,
     TopN,
@@ -175,8 +176,7 @@ class PlanInfo:
     execution: str = "row (iterator)"
     #: Parallel planning: the worker count exchanges were placed for
     #: (``None`` — serial plan), the exchange backend they drain through
-    #: (``"inline"``/``"thread"``/``"process"``), and one record per
-    #: placed exchange:
+    #: (``"inline"``/``"process"``), and one record per placed exchange:
     #: ``(kind, partitions, ordering keys, partitioned subtree label)``.
     workers: Optional[int] = None
     backend: Optional[str] = None
@@ -215,8 +215,7 @@ class PlanInfo:
         lines.append(f"execution: {self.execution}")
         if self.workers is not None:
             lines.append(
-                f"parallel: {self.workers} workers, "
-                f"{self.backend or 'thread'} backend"
+                f"parallel: {self.workers} workers, {self.backend} backend"
             )
             if self.exchanges:
                 for kind, partitions, keys, label in self.exchanges:
@@ -306,7 +305,6 @@ class Planner:
         workers: Optional[int] = None,
         join_order: str = "cost",
         backend: Optional[str] = None,
-        parallel_min_rows: Optional[int] = None,
         rewrites: str = "on",
         tracer: Optional[object] = None,
     ):
@@ -315,25 +313,13 @@ class Planner:
             mode = "od" if optimize else "fd"
         if mode not in ("naive", "fd", "od"):
             raise ValueError(f"unknown planning mode {mode!r}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if join_order not in ("cost", "syntactic"):
-            raise ValueError(f"unknown join_order {join_order!r}")
-        if rewrites not in ("on", "off"):
-            raise ValueError(f"unknown rewrites setting {rewrites!r}")
         self.mode = mode
-        self.workers = workers
-        self.join_order = join_order
-        #: The logical rewrite pack switch ("on"/"off"); the pack itself
-        #: only runs in "od" mode (see :mod:`repro.optimizer.rewrite_pack`).
-        self.rewrites = rewrites
-        #: Exchange backend for placed exchanges (None → the parallel
-        #: module's default); validated at placement time.
-        self.backend = backend
-        #: Cost gate for exchange placement (None → the module default,
-        #: read at plan time so env/monkeypatch overrides apply).  Tests
-        #: pass 0 to force placement on tiny tables.
-        self.parallel_min_rows = parallel_min_rows
+        #: The resolved options: the one place join_order / rewrites /
+        #: workers / backend are checked and defaulted.  (The rewrite pack
+        #: itself only runs in "od" mode.)
+        self.options = ExecOptions(
+            join_order=join_order, rewrites=rewrites, workers=workers, backend=backend
+        )
         self.info = PlanInfo(mode=mode)
         #: Optional :class:`~repro.obs.tracer.Tracer` (duck-typed): each
         #: optimizer phase gets its own span under the caller's open span.
@@ -369,7 +355,7 @@ class Planner:
                 self.info.date_rewrites = applied
                 if applied:
                     logical = push_filters(logical, self.resolver)
-            if self.rewrites == "on":
+            if self.options.rewrites == "on":
                 # The rewrite pack (eager aggregation, scan consolidation,
                 # FD join elimination) runs after the date rewrite so an
                 # eliminated date join never blocks aggregate placement.
@@ -397,7 +383,7 @@ class Planner:
         except (TypeError, KeyError, ValueError) as exc:
             self.info.estimate = None
             self.info.notes.append(f"estimate unavailable: {exc}")
-        if self.workers is not None:
+        if self.options.workers is not None:
             # Physical parallelization: wrap maximal partitionable chains
             # in exchanges whose kind the declared order property decides
             # (merge preserves it, union suffices without one).  Purely a
@@ -407,20 +393,16 @@ class Planner:
             # counts: chains over small (dimension) tables stay serial.
             from ..engine import parallel  # lazy: avoids cycle
 
-            self.info.workers = self.workers
-            self.info.backend = self.backend or parallel.DEFAULT_BACKEND
-            min_rows = (
-                self.parallel_min_rows
-                if self.parallel_min_rows is not None
-                else parallel.PARALLEL_MIN_ROWS
-            )
+            self.info.workers = self.options.workers
+            self.info.backend = self.options.backend
             with self._span("exchange-placement"):
                 op = parallel.insert_exchanges(
                     op,
-                    self.workers,
+                    self.options.workers,
                     self.info,
-                    backend=self.backend,
-                    min_rows=min_rows,
+                    backend=self.options.backend,
+                    # Read at plan time so test patches of the gate apply.
+                    min_rows=parallel.PARALLEL_MIN_ROWS,
                     row_estimator=self._estimated_rows,
                 )
         op.plan_info = self.info  # type: ignore[attr-defined]
@@ -588,7 +570,7 @@ class Planner:
         """Join planning: cost-based ordering by default, parse order as
         the fallback (``join_order="syntactic"``, ``naive`` mode, or a
         join block the search cannot extract/beat)."""
-        if self.join_order == "cost" and self.mode != "naive":
+        if self.options.join_order == "cost" and self.mode != "naive":
             from .joinorder import search_join_order  # lazy: module cycle
 
             with self._span("join-order"):

@@ -40,9 +40,8 @@ same multiset:
 
 The pack runs in ``"od"`` mode only (the optimized regime, like the date
 rewrite) and is switched by the ``rewrites="on"|"off"`` knob threaded
-through ``Database.plan/execute/explain``; plans cache under
-rewrite-qualified mode keys (``"od+norw"``) so the two regimes never
-serve each other's trees.
+through ``Database.plan/execute/explain``; the setting is part of the
+plan-cache key, so the two regimes never serve each other's trees.
 """
 from __future__ import annotations
 

@@ -8,13 +8,11 @@ raises one of the typed errors — never a wrong answer, and never a pool
 poisoned for the next query.  The chaos-matrix leg lives in
 ``tests/harness/test_differential.py``; this file covers the unit
 surface: fault-plan parsing, the cancel token, retry/degradation
-accounting, error propagation per backend, channel/pool lifecycle, and
-the EXPLAIN/``QueryResult`` reporting.
+accounting, error propagation per backend, pool lifecycle, and the
+EXPLAIN/``QueryResult`` reporting.
 """
 from __future__ import annotations
 
-import queue as queue_module
-import threading
 import time
 
 import pytest
@@ -173,7 +171,7 @@ def test_typed_errors_are_query_errors():
 
 
 # ----------------------------------------------------------------------
-# Worker recovery: retry, then the degradation ladder
+# Worker recovery: retry, then degrade process → inline
 # ----------------------------------------------------------------------
 def test_killed_worker_is_retried_and_result_is_identical(db, serial):
     _install("kill_worker:partition=0,attempts=1")
@@ -183,12 +181,12 @@ def test_killed_worker_is_retried_and_result_is_identical(db, serial):
     assert result.degraded_to is None
 
 
-def test_persistent_kill_degrades_to_thread_backend(db, serial):
+def test_persistent_kill_degrades_to_inline(db, serial):
     _install("kill_worker:partition=0,attempts=99")
     result = db.execute(SQL, workers=2, backend="process", batch_size=256)
     assert_parity(result, serial)
     assert result.retries == parallel_mod.RETRY_LIMIT
-    assert result.degraded_to == "thread"
+    assert result.degraded_to == "inline"
     # The pool is rebuilt transparently: the next query is fault-free.
     faults.clear()
     again = db.execute(SQL, workers=2, backend="process", batch_size=256)
@@ -196,44 +194,41 @@ def test_persistent_kill_degrades_to_thread_backend(db, serial):
     assert again.retries == 0 and again.degraded_to is None
 
 
-def test_transient_raise_on_thread_backend_is_retried(db, serial):
+def test_transient_raise_is_retried(db, serial):
     _install("raise:partition=1,attempts=1")
-    result = db.execute(SQL, workers=2, backend="thread", batch_size=256)
+    result = db.execute(SQL, workers=2, backend="process", batch_size=256)
     assert_parity(result, serial)
     assert result.retries == 1
-
-
-def test_dropped_result_stream_is_detected_and_retried(db, serial):
-    _install("drop_results:partition=1,attempts=1")
-    result = db.execute(SQL, workers=2, backend="thread", batch_size=256)
-    assert_parity(result, serial)
-    assert result.retries == 1
-
-
-def test_persistent_drop_degrades_to_inline(db, serial):
-    # drop_results cannot fire on the inline seam, so the ladder's last
-    # rung completes the partition.
-    _install("drop_results:partition=1,attempts=99")
-    result = db.execute(SQL, workers=2, backend="thread", batch_size=256)
-    assert_parity(result, serial)
-    assert result.degraded_to == "inline"
 
 
 def test_fault_on_every_rung_raises_execution_failed(db):
-    # `raise` fires on every backend, so retries and the whole ladder
-    # fail: the typed error carries the first failure's traceback.
+    # `raise` fires on every backend, so the retries and the inline
+    # fallback all fail: the typed error carries the first failure's
+    # (worker-side) traceback.
     _install("raise:partition=0,attempts=99")
     with pytest.raises(ExecutionFailed) as excinfo:
-        db.execute(SQL, workers=2, backend="thread", batch_size=256)
+        db.execute(SQL, workers=2, backend="process", batch_size=256)
     assert "InjectedFault" in str(excinfo.value)
-    assert excinfo.value.worker_traceback is not None
+    assert "InjectedFault" in excinfo.value.worker_traceback
+
+
+def test_unbuildable_pool_degrades_the_whole_run_to_inline(db, serial, monkeypatch):
+    def no_pool(needed):
+        raise OSError("no multiprocessing here")
+
+    monkeypatch.setattr(parallel_mod, "_ensure_process_pool", no_pool)
+    result = db.execute(SQL, workers=2, backend="process", batch_size=256)
+    assert_parity(result, serial)
+    assert result.backend == "process"
+    assert result.degraded_to == "inline" and result.retries == 0
+    assert result.exchange_stats["degraded_partitions"] == 2
 
 
 def test_recovery_accounting_stays_out_of_metrics(db, serial):
     """The parity invariant: retries/degradation never leak into the
     query's Metrics counters — they live in exchange_stats alone."""
     _install("raise:partition=0,attempts=1")
-    result = db.execute(SQL, workers=2, backend="thread", batch_size=256)
+    result = db.execute(SQL, workers=2, backend="process", batch_size=256)
     assert result.metrics.counters == serial.metrics.counters
     info = result.plan.plan_info
     assert info.recovery["retries"] == 1
@@ -243,7 +238,7 @@ def test_recovery_accounting_stays_out_of_metrics(db, serial):
 # ----------------------------------------------------------------------
 # Deadlines and cancellation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_deadline_raises_query_timeout_and_pool_survives(db, serial, backend):
     _install("delay:delay=1.0")
     started = time.monotonic()
@@ -273,10 +268,10 @@ def test_timeout_is_recorded_for_explain(db):
     _install("delay:delay=1.0")
     with pytest.raises(QueryTimeout):
         db.execute(
-            SQL, workers=2, backend="thread", batch_size=256, timeout_s=0.2
+            SQL, workers=2, backend="inline", batch_size=256, timeout_s=0.2
         )
     # The cached plan's info records the post-mortem for EXPLAIN.
-    plan = db.plan(SQL, workers=2, backend="thread")
+    plan = db.plan(SQL, workers=2, backend="inline")
     recovery = plan.plan_info.recovery
     assert recovery["timed_out"] is True
     assert recovery["failed"] == "QueryTimeout"
@@ -304,66 +299,37 @@ def test_inline_backend_propagates_raw_errors(db):
         db.execute(ERROR_SQL, workers=2, backend="inline", batch_size=256)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_worker_errors_surface_with_traceback(db, serial, backend):
+def test_worker_errors_surface_with_traceback(db, serial):
     with pytest.raises(ExecutionFailed) as excinfo:
-        db.execute(ERROR_SQL, workers=2, backend=backend, batch_size=256)
+        db.execute(ERROR_SQL, workers=2, backend="process", batch_size=256)
     assert "ZeroDivisionError" in str(excinfo.value)
     assert "ZeroDivisionError" in (excinfo.value.worker_traceback or "")
     # The pool is not poisoned: the next query on the same backend works.
-    again = db.execute(SQL, workers=2, backend=backend, batch_size=256)
+    again = db.execute(SQL, workers=2, backend="process", batch_size=256)
     assert_parity(again, serial)
 
 
 # ----------------------------------------------------------------------
-# Channel hardening: bounded queues + consumer-close early termination
+# Abandonment: a consumer that stops mid-stream
 # ----------------------------------------------------------------------
-def test_channel_close_unblocks_a_full_producer():
-    channel = parallel_mod._Channel(depth=1)
-    channel.put(("m", "first"))  # fills the queue
-    blocked = threading.Event()
-    done = threading.Event()
-
-    def producer():
-        blocked.set()
-        try:
-            channel.put(("m", "second"))  # blocks: queue full
-        except parallel_mod._ConsumerClosed:
-            pass
-        done.set()
-
-    thread = threading.Thread(target=producer, daemon=True)
-    thread.start()
-    assert blocked.wait(2.0)
-    time.sleep(0.05)  # let the producer actually park on the full queue
-    channel.close()
-    assert done.wait(2.0), "close() must unblock a parked producer"
-    thread.join(2.0)
-
-
-def test_abandoned_exchange_with_tiny_channel_bound(monkeypatch):
+def test_abandoned_exchange_leaves_a_healthy_pool():
     """A consumer that stops mid-stream (without exhausting the
-    exchange) must not wedge producers on the bounded channels — and the
-    shared pool must still serve a full follow-up run."""
-    monkeypatch.setattr(parallel_mod, "_STREAM_QUEUE_DEPTH", 1)
+    exchange) must not wedge workers on the bounded result queue — and
+    the pool must still serve a full follow-up run."""
     table = Table("t", Schema.of(("a", DataType.INT)))
     for value in range(5_000):
         table.insert((value,))
-    chain = Filter(SeqScan(table), Cmp(">=", Col("t.a"), Lit(0)))
-    exchange = insert_exchanges(chain, 4, backend="thread")
-    stream = exchange.execute_batches(Metrics(), 64)
+
+    def chain():
+        return Filter(SeqScan(table), Cmp(">=", Col("t.a"), Lit(0)))
+
+    stream = insert_exchanges(chain(), 4, backend="process").execute_batches(
+        Metrics(), 64
+    )
     next(stream)
     stream.close()  # abandon: GeneratorExit → abort path
-    # Follow-up: a complete run over the same shared pool.
-    serial_rows, serial_metrics = Filter(
-        SeqScan(table), Cmp(">=", Col("t.a"), Lit(0))
-    ).run_batches(64)
-    exchange2 = insert_exchanges(
-        Filter(SeqScan(table), Cmp(">=", Col("t.a"), Lit(0))),
-        4,
-        backend="thread",
-    )
-    rows, metrics = exchange2.run_batches(64)
+    serial_rows, serial_metrics = chain().run_batches(64)
+    rows, metrics = insert_exchanges(chain(), 4, backend="process").run_batches(64)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
 

@@ -108,7 +108,7 @@ def test_merge_exchange_conforms_to_declared_order(instance):
     """Randomly partitioned, randomly ordered input: the merged stream
     must conform to the declared OrderSpec (the operator conformance
     contract) and preserve the row multiset — in both execution modes,
-    at boundary batch sizes, threaded and not."""
+    at boundary batch sizes."""
     rows, assignment, partition_count, key_width, workers = instance
     keys = ("a", "b", "c")[:key_width]
     positions = [SCHEMA.position(key) for key in keys]
@@ -160,8 +160,8 @@ def backend_instances(draw):
 def test_merge_exchange_identical_across_backends(instance):
     """The backend is an execution detail, never a semantic one: over
     randomly partitioned morsel streams (empty partitions and
-    single-morsel partitions included), every backend — inline, thread,
-    process — produces bit-identical rows and identical Metrics counters,
+    single-morsel partitions included), both backends — inline and
+    process — produce bit-identical rows and identical Metrics counters,
     across repeated runs, and the merged stream conforms to the declared
     OrderSpec."""
     rows, assignment, partition_count, key_width = instance
@@ -549,23 +549,28 @@ def test_database_rejects_bad_backends(tax_db):
         tax_db.plan(GROUPED_SQL, backend="process")
 
 
-def test_backends_cache_under_their_own_mode(tax_db):
-    """Backend-qualified mode keys (od+w2+thread / od+w2+proc /
-    od+w2+inline): backends never serve each other's plans — the
-    exchange operators carry their backend."""
+def test_backends_cache_under_their_own_plan_key(tax_db):
+    """The backend is part of the options' plan_key: backends never
+    serve each other's plans — the exchange operators carry their
+    backend — and the unspecified backend *is* the default one."""
     tax_db.plan_cache.clear()
-    thread_plan = tax_db.plan(ORDERED_SQL, workers=2)
+    default_plan = tax_db.plan(ORDERED_SQL, workers=2)
     process_plan = tax_db.plan(ORDERED_SQL, workers=2, backend="process")
-    inline_plan = tax_db.plan(ORDERED_SQL, workers=2, backend="inline")
-    assert thread_plan is not process_plan
-    assert process_plan is not inline_plan
-    assert thread_plan is not inline_plan
+    assert default_plan is not process_plan
     assert tax_db.plan(ORDERED_SQL, workers=2, backend="process") is process_plan
-    assert tax_db.plan(ORDERED_SQL, workers=2, backend="thread") is thread_plan
-    assert tax_db.plan(ORDERED_SQL, workers=2) is thread_plan
+    assert (
+        tax_db.plan(ORDERED_SQL, workers=2, backend=parallel_mod.DEFAULT_BACKEND)
+        is default_plan
+    )
+    assert tax_db.plan(ORDERED_SQL, workers=2) is default_plan
 
 
-def test_parallel_plans_cache_under_their_own_mode(tax_db):
+def test_backends_are_inline_and_process():
+    assert BACKENDS == ("inline", "process")
+    assert parallel_mod.DEFAULT_BACKEND == "inline"
+
+
+def test_parallel_plans_cache_under_their_own_plan_key(tax_db):
     tax_db.plan_cache.clear()
     serial = tax_db.plan(ORDERED_SQL)
     parallel = tax_db.plan(ORDERED_SQL, workers=2)
@@ -594,7 +599,7 @@ def test_explain_reports_the_backend(tax_db):
     assert "parallel: 4 workers, process backend" in text
     assert "parallel (4 workers, batch size 1024, process backend)" in text
     default = tax_db.explain(ORDERED_SQL, workers=4, verbose=True)
-    assert "parallel: 4 workers, thread backend" in default
+    assert "parallel: 4 workers, inline backend" in default
 
 
 # ----------------------------------------------------------------------

@@ -36,12 +36,12 @@ Completing the mode matrix, every query also runs **parallel**
 (``workers=K`` — partitioned chains behind order-preserving exchanges)
 at every count in ``REPRO_DIFF_WORKERS`` (default ``2``; the
 ``parallel-correctness`` CI job runs ``1,2,4``) on every exchange
-backend in ``REPRO_DIFF_BACKEND`` (default ``thread``; CI runs a
-``thread`` × ``process`` matrix with the spawn start method pinned),
+backend in ``REPRO_DIFF_BACKEND`` (default ``inline``; CI runs an
+``inline`` × ``process`` matrix with the spawn start method pinned),
 both plan-cache-cold (fresh exchange placement) and plan-cache-warm
 (the cached parallel tree re-executed, which doubles as a determinism
 check).  Every parallel leg must be bit-identical to the serial rows
-with exactly the serial counter totals — partitioning, thread/process
+with exactly the serial counter totals — partitioning, process
 scheduling, morsel reassembly, and result shipping must be invisible.
 The parallel legs force the placement gate to 0 so even the small
 differential workloads genuinely exercise exchanges (the gate's own
@@ -50,8 +50,8 @@ behaviour is pinned by its regression test in
 
 Finally the **join-order leg**: every query is re-planned with
 ``join_order="syntactic"`` (the parse order — the pre-search planner).
-The syntactic plan must cache under its own join-order-qualified mode
-key (never sharing a tree with the cost-based default), produce the same
+The syntactic plan must cache under its own plan key (never sharing a
+tree with the cost-based default), produce the same
 columns and row multiset, respect the query's ORDER BY, and behave like
 any plan across the execution modes (batch and parallel runs of the
 syntactic tree bit- and counter-identical to its row run).  The
@@ -63,7 +63,7 @@ differ in the last bits across fold orders).
 
 And the **rewrites-off leg**: every query is re-planned with
 ``rewrites="off"`` (the logical rewrite pack disabled), which must cache
-under its own rewrite-qualified mode key (``od+norw``), record no
+under its own plan key, record no
 rewrite-pack rules, and agree with the default plan on columns, row
 multiset, and ORDER BY.  The rewrite_pack workload
 (``repro.workloads.rewrite_pack``) makes this leg a real on-vs-off
@@ -133,11 +133,11 @@ WORKER_COUNTS = tuple(
 
 #: Exchange backends the parallel legs drain through; override with a
 #: comma-separated ``REPRO_DIFF_BACKEND`` (the parallel-correctness CI
-#: job runs a ``thread`` × ``process`` matrix).  Empty disables the
+#: job runs an ``inline`` × ``process`` matrix).  Empty disables the
 #: parallel legs.
 BACKENDS = tuple(
     backend.strip()
-    for backend in os.environ.get("REPRO_DIFF_BACKEND", "thread").split(",")
+    for backend in os.environ.get("REPRO_DIFF_BACKEND", "inline").split(",")
     if backend.strip()
 )
 
@@ -213,10 +213,9 @@ def run_differential(database, sql, order_keys=()):
 
     # Parallel mode: the same query over partitioned chains behind
     # order-preserving exchanges, on every configured backend.  Cold
-    # first (fresh exchange placement — parallel plans cache under their
-    # own backend-qualified "od+wK+backend" mode key, so this never
-    # evicts or serves the serial entries, and backends never serve each
-    # other's trees), then warm (the cached parallel tree re-executed:
+    # first (fresh exchange placement — workers and backend are part of
+    # the options' plan_key, so this never evicts or serves the serial
+    # entries, and backends never serve each other's trees), then warm (the cached parallel tree re-executed:
     # also a determinism check).  Every leg must reproduce the serial
     # rows bit-for-bit with the serial counter totals.  The placement
     # gate is forced to 0 here so even the small workloads genuinely
@@ -268,7 +267,7 @@ def run_differential(database, sql, order_keys=()):
                     )
 
     # Join-order leg: the parse (syntactic) order, planned under its own
-    # join-order-qualified mode key, must agree with the cost-based
+    # plan key, must agree with the cost-based
     # default on columns, row multiset, and ORDER BY — and its tree must
     # behave like any plan across the execution modes.
     syn_cold = database.execute(sql, optimize=True, join_order="syntactic")
@@ -309,9 +308,8 @@ def run_differential(database, sql, order_keys=()):
         )
 
     # Rewrite-pack leg: the same query with the logical rewrite pack
-    # disabled (``rewrites="off"``) must plan under its own
-    # rewrite-qualified mode key (``od+norw`` — never sharing a tree
-    # with the default), carry no rewrite-pack records, and agree with
+    # disabled (``rewrites="off"``) must plan under its own plan key
+    # (never sharing a tree with the default), carry no rewrite-pack records, and agree with
     # the default plan on columns, row multiset, and ORDER BY.  Where no
     # rule fires the two trees are the same shape anyway; where one does
     # (the rewrite_pack workload), this is the on-vs-off differential.
@@ -619,8 +617,8 @@ def test_random_no_stale_plan_after_table():
 #   exhausted, ``QueryTimeout`` when the scenario pairs the fault with a
 #   deadline (the process backend cannot distinguish a silently-dropped
 #   result stream from a slow worker, so its drop scenario *must* carry
-#   a deadline; the thread backend detects the drop directly and
-#   recovers).
+#   a deadline).  The inline backend has nothing to recover with — its
+#   scenario pins that a deadline still lands there.
 #
 # After every scenario the same backend must serve a fault-free run with
 # full parity — no pool is ever left poisoned.  ``REPRO_CHAOS_BACKENDS``
@@ -632,7 +630,7 @@ from repro.engine.errors import ExecutionFailed, QueryTimeout
 CHAOS_BACKENDS = tuple(
     backend.strip()
     for backend in os.environ.get(
-        "REPRO_CHAOS_BACKENDS", "thread,process"
+        "REPRO_CHAOS_BACKENDS", "inline,process"
     ).split(",")
     if backend.strip()
 )
@@ -644,15 +642,11 @@ CHAOS_SQL = (
 
 #: (id, backend, fault spec, timeout_s, expected outcome)
 CHAOS_SCENARIOS = (
-    ("thread-raise-once", "thread", "raise:partition=0,attempts=1", None, "recovered"),
-    ("thread-raise-seeded", "thread", "raise:partition=seeded,seed=3,attempts=1", None, "recovered"),
-    ("thread-drop-once", "thread", "drop_results:partition=1,attempts=1", None, "recovered"),
-    ("thread-drop-persistent", "thread", "drop_results:partition=1,attempts=99", None, "recovered"),
-    ("thread-raise-persistent", "thread", "raise:partition=0,attempts=99", None, "failed"),
-    ("thread-delay-deadline", "thread", "delay:delay=1.0", 0.25, "timeout"),
+    ("inline-delay-deadline", "inline", "delay:delay=1.0", 0.25, "timeout"),
     ("process-kill-once", "process", "kill_worker:partition=0,attempts=1", None, "recovered"),
     ("process-kill-persistent", "process", "kill_worker:partition=0,attempts=99", None, "recovered"),
     ("process-raise-once", "process", "raise:partition=0,attempts=1", None, "recovered"),
+    ("process-raise-seeded", "process", "raise:partition=seeded,seed=3,attempts=1", None, "recovered"),
     ("process-raise-persistent", "process", "raise:partition=0,attempts=99", None, "failed"),
     ("process-delay-deadline", "process", "delay:delay=1.0", 0.25, "timeout"),
     ("process-drop-deadline", "process", "drop_results:partition=0,attempts=99", 1.0, "timeout"),

@@ -100,7 +100,7 @@ def test_parallel_analyze_sums_partitions_and_skips_exchange_estimate(db):
     """Exchange nodes are un-costed (estimate_plan rejects them): they
     report actuals only, while the nodes below still Q-error audit —
     and partition actuals sum to the serial row counts."""
-    text = db.explain(SQL, workers=2, backend="thread", analyze=True)
+    text = db.explain(SQL, workers=2, backend="process", analyze=True)
     exchange_lines = [l for l in text.splitlines() if "Exchange" in l]
     assert exchange_lines
     for line in exchange_lines:

@@ -42,7 +42,7 @@ def test_plan_cache_line_across_hit_miss_bypass(db):
     assert "plan cache:" not in bypass
 
 
-@pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_parallel_line_names_workers_and_backend(db, backend):
     text = db.explain(SQL, verbose=True, workers=2, backend=backend)
     assert f"parallel: 2 workers, {backend} backend" in text
@@ -60,8 +60,8 @@ def test_rewrites_line_is_stable():
 
 def test_fault_tolerance_line_after_recovery(db):
     faults.install(faults.parse_plans("raise:partition=1,attempts=1"))
-    db.execute(SQL, workers=2, backend="thread")
-    text = db.explain(SQL, verbose=True, workers=2, backend="thread")
+    db.execute(SQL, workers=2, backend="process")
+    text = db.explain(SQL, verbose=True, workers=2, backend="process")
     assert "fault tolerance: 1 retried attempt(s)" in text
 
 
@@ -74,7 +74,7 @@ def test_analyze_line_appears_only_after_analyze(db):
     assert "max q-err " in analyzed
 
 
-@pytest.mark.parametrize("backend", ["inline", "thread"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_analyze_composes_with_backends(db, backend):
     text = db.explain(SQL, verbose=True, analyze=True,
                       workers=2, backend=backend)

@@ -85,16 +85,17 @@ def test_slow_query_ring_is_bounded():
 
 def test_exchange_totals_accumulate_across_parallel_runs(db):
     assert db.stats_snapshot()["exchange"] == {"parallel_runs": 0}
-    db.execute(SQL, workers=2, backend="thread")
-    db.execute(SQL, workers=2, backend="thread")
+    first = db.execute(SQL, workers=2, backend="process")
+    db.execute(SQL, workers=2, backend="process")
     db.execute(SQL)  # serial: not a parallel run
     totals = db.stats_snapshot()["exchange"]
     assert totals["parallel_runs"] == 2
     assert totals["retries"] == 0
+    assert totals["rows_shipped"] == 2 * first.exchange_stats["rows_shipped"] > 0
 
 
 def test_result_exchange_stats_is_read_only_and_merged(db):
-    result = db.execute(SQL, workers=2, backend="thread")
+    result = db.execute(SQL, workers=2, backend="process")
     stats = result.exchange_stats
     assert stats["exchanges"] == 1
     assert stats["retries"] == 0 and stats["degraded_to"] is None

@@ -79,8 +79,8 @@ def test_retried_partition_yields_single_span_tree(db):
 
 
 def test_degraded_run_keeps_trace_and_parity(db):
-    """Persistent kill: the process rung degrades to threads; the trace
-    stays one tree and the adopted spans come from the surviving rung."""
+    """Persistent kill: the partition degrades to inline; the trace stays
+    one tree and the adopted spans come from the surviving attempt."""
     faults.install(faults.parse_plans("kill_worker:partition=0,attempts=99"))
     serial = db.execute(SQL, batch_size=256)
     result = db.execute(
@@ -88,7 +88,7 @@ def test_degraded_run_keeps_trace_and_parity(db):
     )
     assert result.rows == serial.rows
     assert result.metrics.counters == serial.metrics.counters
-    assert result.degraded_to == "thread"
+    assert result.degraded_to == "inline"
     _assert_single_well_nested_tree(result.trace)
     json.dumps(result.trace)  # still a valid Chrome export
 

@@ -78,9 +78,9 @@ def test_trace_flag_overrides_default(db):
         {},
         {"batch_size": 256},
         {"workers": 2, "backend": "inline"},
-        {"workers": 2, "backend": "thread"},
+        {"workers": 2, "backend": "process"},
     ],
-    ids=["row", "batch", "inline", "thread"],
+    ids=["row", "batch", "inline", "process"],
 )
 def test_tracing_never_perturbs_results_or_counters(db, serial, kwargs):
     plain = db.execute(SQL, **kwargs)
@@ -130,7 +130,7 @@ def test_optimizer_phases_are_traced_on_cache_miss(db):
 # ----------------------------------------------------------------------
 # Worker spans: shipped back and re-parented under the exchange
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["inline", "thread"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_worker_spans_graft_under_the_exchange(db, backend):
     result = db.execute(SQL, workers=3, backend=backend, trace=True)
     events = result.trace["traceEvents"]
@@ -154,7 +154,7 @@ def test_worker_spans_graft_under_the_exchange(db, backend):
 # Chrome export
 # ----------------------------------------------------------------------
 def test_chrome_export_is_valid_trace_event_json(db):
-    result = db.execute(SQL, workers=2, backend="thread", trace=True)
+    result = db.execute(SQL, workers=2, backend="process", trace=True)
     blob = json.dumps(result.trace)  # must serialize
     parsed = json.loads(blob)
     assert parsed["displayTimeUnit"] == "ms"

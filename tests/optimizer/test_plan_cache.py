@@ -7,6 +7,7 @@ import pytest
 from repro.core.dependency import od
 from repro.engine.database import Database
 from repro.engine.epoch import bump_epoch, current_epoch
+from repro.engine.options import ExecOptions
 from repro.engine.schema import Schema
 from repro.engine.types import DataType
 from repro.optimizer.plan_cache import PlanCache, canonical_tuple, fingerprint
@@ -88,10 +89,13 @@ class TestPlanCache:
         entry = cache.lookup("f1", "od", 0)
         assert entry is not None and entry.plan == "P" and entry.serves == 1
 
-    def test_modes_do_not_share_entries(self):
+    def test_plan_keys_do_not_share_entries(self):
         cache = PlanCache(capacity=4)
-        cache.store("f1", "od", 0, plan="od-plan")
-        assert cache.lookup("f1", "fd", 0) is None
+        od, fd = ExecOptions().plan_key, ExecOptions(optimize=False).plan_key
+        cache.store("f1", od, 0, plan="od-plan")
+        assert cache.lookup("f1", fd, 0) is None
+        entry = cache.lookup("f1", ExecOptions().plan_key, 0)
+        assert entry.plan == "od-plan" and entry.plan_key == od
 
     def test_epoch_mismatch_invalidates(self):
         cache = PlanCache(capacity=4)
@@ -154,6 +158,43 @@ class TestDatabaseIntegration:
         assert od_plan is not fd_plan
         assert database.plan(sql, optimize=True) is od_plan
         assert database.plan(sql, optimize=False) is fd_plan
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"optimize": False},
+            {"join_order": "syntactic"},
+            {"rewrites": "off"},
+            {"workers": 2},
+            {"workers": 4},
+            {"workers": 2, "backend": "process"},
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_entries_are_keyed_by_the_options_plan_key(self, kwargs):
+        """Options with different plan_keys never share a cached plan;
+        equal keys (however the kwargs spell them) do."""
+        database = _db()
+        sql = "SELECT a, b FROM t ORDER BY a, b"
+        base = database.plan(sql)
+        assert ExecOptions(**kwargs).plan_key != ExecOptions().plan_key
+        other = database.plan(sql, **kwargs)
+        assert other is not base
+        assert database.plan(sql, **kwargs) is other
+        assert database.plan(sql) is base
+        keys = {entry.plan_key for entry in database.plan_cache._entries.values()}
+        assert keys == {ExecOptions().plan_key, ExecOptions(**kwargs).plan_key}
+
+    def test_batch_size_is_not_part_of_the_plan_key(self):
+        database = _db()
+        sql = "SELECT a, b FROM t ORDER BY a, b"
+        assert ExecOptions(batch_size=7).plan_key == ExecOptions().plan_key
+        assert database.execute(sql, batch_size=7).plan is database.plan(sql)
+        # ...and the spelled-out default backend is the unspecified one.
+        assert (
+            ExecOptions(workers=2, backend="inline").plan_key
+            == ExecOptions(workers=2).plan_key
+        )
 
     def test_bypass_neither_reads_nor_fills(self):
         database = _db()
