@@ -47,10 +47,9 @@ def main() -> None:
     except ConstraintViolation as violation:
         print("rejected:", violation)
 
-    # clean up the offending row so the table stays consistent
-    taxes.rows.pop()
+    # a rejected load is undone: the table is as consistent as before
     taxes.check_constraints()
-    print("table consistent again ✓")
+    print("table still consistent ✓")
 
     # ------------------------------------------------------------------
     # Where did the ODs come from?  They are *discoverable* from the data.

@@ -10,15 +10,19 @@ table iff the table contains
 * a **swap**: two tuples strictly ordered one way by ``X`` and the opposite
   way by ``Y`` (this falsifies the order-compatibility facet ``X ~ Y``).
 
-Two implementations are provided: a naive O(n²) pairwise check (the
-definitional oracle, used to validate the fast path in tests) and an
-O(n log n) check that sorts by ``X`` once.
+Three implementations are provided: a naive O(n²) pairwise check (the
+definitional oracle, used to validate the fast path in tests), an
+O(n log n) check that sorts by ``X`` once, and :class:`AppendChecker`,
+which keeps that ``X`` order and admits each further row in O(log n).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .attrs import AttrList
 from .dependency import (
     FunctionalDependency,
     OrderDependency,
@@ -35,6 +39,7 @@ __all__ = [
     "find_swap",
     "find_witness",
     "explain_violation",
+    "AppendChecker",
 ]
 
 
@@ -176,3 +181,81 @@ def explain_violation(relation: Relation, statement: Statement) -> Optional[str]
             f"{dependency.lhs!r} but follows it on {dependency.rhs!r}"
         )
     return None
+
+
+# ----------------------------------------------------------------------
+# Satisfaction maintained under appends
+# ----------------------------------------------------------------------
+def _projection(positions: Tuple[int, ...]) -> Callable[[Row], object]:
+    """``row ↦ row[X]`` as a value that compares like the list ``X``."""
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)  # one position: the bare value
+
+
+class AppendChecker:
+    """Do rows appended to a satisfying instance keep it satisfying?
+
+    Built over rows that satisfy every statement.  For each distinct
+    left-hand side ``X`` among the statements' component ODs it keeps one
+    row per distinct ``X`` value, in ``X`` order.  A new row is bisected
+    into that order: a row with the same ``X`` value must agree with it
+    on every ``Y`` (else the pair is a split); otherwise its ``Y`` must
+    lie between its predecessor's and its successor's (else a swap).  The
+    neighbours suffice because ``Y`` is already non-decreasing along the
+    order and ``≼`` is transitive.  FDs cannot swap (Theorem 13's
+    encoding ``X ↦ XY`` is ordered by ``X`` first), so they take the
+    split half only.
+
+    The verdict agrees with :func:`explain_violation` being ``None`` on
+    all the rows; which pair falsifies what is left to that full pass.
+    """
+
+    def __init__(
+        self,
+        attributes: AttrList,
+        statements: Sequence[Statement],
+        rows: Sequence[Row],
+    ) -> None:
+        position = {name: i for i, name in enumerate(attributes)}
+        by_lhs: Dict[tuple, list] = {}
+        for statement in statements:
+            can_swap = not isinstance(statement, FunctionalDependency)
+            for dependency in to_ods(statement):
+                lhs = tuple(position[a] for a in dependency.lhs)
+                rhs = tuple(position[a] for a in dependency.rhs)
+                by_lhs.setdefault(lhs, []).append((_projection(rhs), can_swap))
+        #: (``row[X]``, [(``row[Y]``, can it swap)], one row per ``X`` value in ``X`` order)
+        self._orders: List[Tuple[Callable, list, List[Row]]] = []
+        for lhs, dependents in by_lhs.items():
+            x_of = _projection(lhs)
+            first: Dict[object, Row] = {}
+            for row in rows:
+                first.setdefault(x_of(row), row)
+            self._orders.append(
+                (x_of, dependents, [first[x] for x in sorted(first)])
+            )
+
+    def admit(self, row: Row) -> bool:
+        """Add ``row``; ``False`` if it splits or swaps with an earlier
+        row — after which this checker must be discarded (the row may
+        already stand in some of its orders)."""
+        for x_of, dependents, order in self._orders:
+            x = x_of(row)
+            at = bisect_left(order, x, key=x_of)
+            successor = order[at] if at < len(order) else None
+            if successor is not None and x_of(successor) == x:
+                if any(y_of(successor) != y_of(row) for y_of, _ in dependents):
+                    return False  # split
+                continue
+            predecessor = order[at - 1] if at else None
+            for y_of, can_swap in dependents:
+                if not can_swap:
+                    continue
+                y = y_of(row)
+                if predecessor is not None and y < y_of(predecessor):
+                    return False  # swap
+                if successor is not None and y_of(successor) < y:
+                    return False  # swap
+            order.insert(at, row)
+        return True

@@ -27,7 +27,7 @@ from .index import SortedIndex
 from .operators.base import Metrics, Operator
 from .options import ExecOptions
 from .schema import Schema
-from .stats import TableStats, collect_stats
+from .stats import MaintainedStats, TableStats, estimation_mode
 from .table import Table
 
 #: Stable empty mapping for fault-free/serial results' ``exchange_stats``.
@@ -42,13 +42,24 @@ class ForeignKey:
     ``child_table`` appears among ``parent_columns`` in ``parent_table``.
 
     Declared via :meth:`Database.declare_foreign_key` (containment checked
-    at declaration) and re-verified at the current catalog epoch before
+    at declaration) and re-verified against the rows written since before
     any rewrite relies on it (:meth:`Database.verified_foreign_key`)."""
 
     child_table: str
     child_columns: Tuple[str, ...]
     parent_table: str
     parent_columns: Tuple[str, ...]
+
+
+@dataclass
+class _FkCoverage:
+    """A containment verdict and what it covers: the parent's key set and
+    how many child and parent rows went into it."""
+
+    parent_keys: set
+    child_rows: int
+    parent_rows: int
+    contained: bool
 
 
 @dataclass
@@ -123,11 +134,9 @@ class Database:
         self.name = name
         self.tables: Dict[str, Table] = {}
         self.indexes: Dict[str, SortedIndex] = {}
-        #: table name → (catalog epoch at collection, stats).  Epoch-keyed
-        #: like the plan cache: inserts and DDL bump the epoch, so a
-        #: post-mutation ``stats()`` call always recollects instead of
-        #: serving row counts from before the mutation.
-        self._stats: Dict[str, Tuple[int, TableStats]] = {}
+        #: table name → its statistics and what they cover; see
+        #: :meth:`stats`.
+        self._stats: Dict[str, MaintainedStats] = {}
         #: Whole-plan memoization: logical fingerprint + the options'
         #: ``plan_key`` → physical plan, invalidated by catalog-epoch
         #: mismatch (see
@@ -139,9 +148,15 @@ class Database:
         #: the parse/bind/fingerprint work.
         self._logical_memo: "OrderedDict[str, object]" = OrderedDict()
         #: Declared referential constraints (see :class:`ForeignKey`) and
-        #: the epoch-keyed memo of their containment re-verifications.
+        #: what each one's latest containment verdict covers.
         self._foreign_keys: List[ForeignKey] = []
-        self._fk_checks: Dict[ForeignKey, Tuple[int, bool]] = {}
+        self._fk_checks: Dict[ForeignKey, _FkCoverage] = {}
+        #: Times statistics / FK verdicts were extended by appended rows
+        #: vs rebuilt by a full pass (monotonic; :meth:`stats_snapshot`
+        #: adds the indexes' and tables' own counters).
+        self._maintenance: Dict[str, Dict[str, int]] = {
+            kind: {"extended": 0, "rebuilt": 0} for kind in ("stats", "fk")
+        }
         #: Cumulative query/timing counters + slow-query ring (see
         #: :mod:`repro.obs.registry`); surfaced by :meth:`stats_snapshot`.
         self._registry = EngineMetrics(SLOW_QUERY_MS)
@@ -232,17 +247,23 @@ class Database:
 
     def _fk_contained(self, fk: ForeignKey) -> bool:
         """One O(|child| + |parent|) set-containment pass."""
+        return self._fk_cover(fk).contained
+
+    @staticmethod
+    def _fk_keys(table: Table, columns: Sequence[str], start: int = 0):
+        """The key tuples of ``table.rows[start:]``."""
+        positions = [table.schema.position(c) for c in columns]
+        return (tuple(row[p] for p in positions) for row in table.rows[start:])
+
+    def _fk_cover(self, fk: ForeignKey) -> _FkCoverage:
+        """The full containment pass, keeping what later appends extend."""
         child = self.table(fk.child_table)
         parent = self.table(fk.parent_table)
-        child_positions = [child.schema.position(c) for c in fk.child_columns]
-        parent_positions = [parent.schema.position(c) for c in fk.parent_columns]
-        parent_keys = {
-            tuple(row[p] for p in parent_positions) for row in parent.rows
-        }
-        return all(
-            tuple(row[p] for p in child_positions) in parent_keys
-            for row in child.rows
+        parent_keys = set(self._fk_keys(parent, fk.parent_columns))
+        contained = all(
+            key in parent_keys for key in self._fk_keys(child, fk.child_columns)
         )
+        return _FkCoverage(parent_keys, len(child.rows), len(parent.rows), contained)
 
     def verified_foreign_key(
         self,
@@ -254,9 +275,12 @@ class Database:
         """Is a matching declared FK still valid on the current data?
 
         Matches the declared constraint by its (child, parent) column
-        *pairs* regardless of order, then re-verifies containment —
-        memoized per catalog epoch, so repeated plannings of one template
-        pay the O(n) pass once until the next mutation.
+        *pairs* regardless of order, then re-verifies containment over
+        the rows appended since the last verdict: new child rows are
+        looked up in the retained parent key set, new parent rows add
+        keys to it.  More keys can only turn a false verdict true, so
+        after a parent append a false one re-checks the child from row 0.
+        A table that shrank gets the full pass again.
         """
         want = frozenset(zip(child_columns, parent_columns))
         for fk in self._foreign_keys:
@@ -265,33 +289,69 @@ class Database:
                 and fk.parent_table == parent_table
                 and frozenset(zip(fk.child_columns, fk.parent_columns)) == want
             ):
-                epoch = current_epoch()
-                cached = self._fk_checks.get(fk)
-                if cached is None or cached[0] != epoch:
-                    cached = (epoch, self._fk_contained(fk))
-                    self._fk_checks[fk] = cached
-                return cached[1]
+                return self._fk_verdict(fk)
         return False
 
-    def stats(self, table_name: str, refresh: bool = False) -> TableStats:
-        """Cached table statistics, invalidated by the catalog epoch.
+    def _fk_verdict(self, fk: ForeignKey) -> bool:
+        """``fk``'s containment on the current rows, from its retained
+        coverage where only appends happened since."""
+        child = self.table(fk.child_table)
+        parent = self.table(fk.parent_table)
+        child_rows, parent_rows = len(child.rows), len(parent.rows)
+        cover = self._fk_checks.get(fk)
+        if (
+            cover is None
+            or child_rows < cover.child_rows
+            or parent_rows < cover.parent_rows
+        ):
+            cover = self._fk_checks[fk] = self._fk_cover(fk)
+            self._maintenance["fk"]["rebuilt"] += 1
+        elif (child_rows, parent_rows) != (cover.child_rows, cover.parent_rows):
+            recheck_from = cover.child_rows
+            if parent_rows > cover.parent_rows:
+                cover.parent_keys.update(
+                    self._fk_keys(parent, fk.parent_columns, cover.parent_rows)
+                )
+                if not cover.contained:
+                    recheck_from, cover.contained = 0, True
+            if cover.contained:
+                parent_keys = cover.parent_keys
+                cover.contained = all(
+                    key in parent_keys
+                    for key in self._fk_keys(child, fk.child_columns, recheck_from)
+                )
+            cover.child_rows, cover.parent_rows = child_rows, parent_rows
+            self._maintenance["fk"]["extended"] += 1
+        return cover.contained
 
-        One collection pass per (table, epoch): any mutation — insert,
-        DDL, constraint registration — bumps the shared epoch clock, so
-        cardinality estimates can never be computed from pre-mutation row
-        counts (the same staleness contract the plan cache honors).
+    def stats(self, table_name: str, refresh: bool = False) -> TableStats:
+        """Cached table statistics, current with the table's rows.
+
+        The cached :class:`~repro.engine.stats.MaintainedStats` is stamped
+        with the row count, constraint count, index count and estimation
+        mode it was brought up to; while those read the same — one tuple
+        comparison, this is called ~80× per cold planning — it is served
+        as is.  Otherwise it is extended by the appended rows or rebuilt
+        (see ``MaintainedStats.refresh``), so cardinality estimates are
+        never computed from pre-mutation row counts, and writes to *other*
+        tables cost this one nothing.
         """
-        epoch = current_epoch()
         entry = self._stats.get(table_name)
-        if refresh or entry is None or entry[0] != epoch:
-            entry = (
-                epoch,
-                collect_stats(
-                    self.table(table_name), indexes=self.indexes_on(table_name)
-                ),
-            )
-            self._stats[table_name] = entry
-        return entry[1]
+        if entry is None:
+            entry = self._stats[table_name] = MaintainedStats(self.table(table_name))
+        table = entry.table
+        stamp = (
+            len(table.rows),
+            len(table.constraints),
+            len(self.indexes),
+            estimation_mode(),
+        )
+        if stamp != entry.stamp or refresh:
+            outcome = entry.refresh(self.indexes_on(table_name), force=refresh)
+            if outcome is not None:
+                self._maintenance["stats"][outcome] += 1
+            entry.stamp = stamp
+        return entry.stats
 
     # ------------------------------------------------------------------
     # Query entry points
@@ -431,17 +491,33 @@ class Database:
           oracle-work gauges summed over the live theories;
         * ``exchange`` — lifetime parallel-execution totals (retries,
           degradations, process-backend serialization bytes);
+        * ``maintenance`` — per kind of derived state (``stats``,
+          ``index``, ``fk``, ``constraints``), how often a read after a
+          write ``extended`` it by the appended rows and how often it was
+          ``rebuilt`` by the full pass (first builds included).  A
+          workload whose ``rebuilt`` keeps pace with its writes is
+          falling back every time;
         * ``logical_memo_size`` / ``epoch`` — parse-memo occupancy and
           the current catalog epoch.
         """
         from ..optimizer.context import theory_cache_stats
 
+        maintenance = {kind: dict(v) for kind, v in self._maintenance.items()}
+        for kind, owners in (
+            ("index", self.indexes.values()),
+            ("constraints", self.tables.values()),
+        ):
+            maintenance[kind] = {
+                outcome: sum(owner.maintenance[outcome] for owner in owners)
+                for outcome in ("extended", "rebuilt")
+            }
         return {
             "epoch": current_epoch(),
             "engine": self._registry.snapshot(),
             "plan_cache": self.plan_cache.stats(),
             "theory_cache": theory_cache_stats(),
             "exchange": dict(self._exchange_totals),
+            "maintenance": maintenance,
             "logical_memo_size": len(self._logical_memo),
         }
 

@@ -1,26 +1,55 @@
-"""The catalog epoch: one monotone counter behind every optimizer cache.
+"""The catalog epoch: the clock behind the plan cache and the worker pool.
 
-Whole-plan memoization (and the interned query-scoped theories backing it)
-is only sound while the facts planning consumed stay true.  In this engine
-those facts are:
+A cached physical plan is only sound while the facts planning consumed
+stay true.  In this engine those facts are:
 
 * the **catalog** — which tables and indexes exist (index choice is baked
   into a physical plan);
 * the **constraint registry** — declared ODs/FDs drive sort elimination,
   join elimination, and stream-aggregate selection;
-* the **data**, in one narrow but important way: the Section 2.3 date
-  rewrite translates a natural-date range into *surrogate-key bounds read
-  from the dimension's rows*, so a cached plan embeds data-derived
-  literals.
+* the **data**, in two ways: the Section 2.3 date rewrite translates a
+  natural-date range into *surrogate-key bounds read from the dimension's
+  rows*, and join orders are chosen from cardinality estimates — so a
+  cached plan embeds data-derived literals and decisions.
 
-Every mutation of any of the three bumps the global epoch.  Caches stamp
-entries with the epoch current when they were filled and treat a stamp
-mismatch as a miss — so the plan cache and the theory cache invalidate
-from the *same* clock and can never disagree about what is stale.
+Every mutation of any of the three bumps the global epoch, and a plan
+stamped with another epoch is a miss.  The counter is deliberately global
+(not per-database): cross-database bumps only cost a spurious re-plan,
+never a stale answer.
 
-The counter is deliberately global (not per-database): cross-database
-bumps only cost a spurious re-plan, never a stale answer, and a single
-clock keeps the invalidation contract trivial to reason about.
+Everything *else* derived from a table follows that table alone.  An
+append is not DDL: each piece of derived state records how many rows of
+its own table it covers; a read that finds more rows folds the new ones
+in, and a read that finds anything else changed runs the full pass again.
+``len(table.rows)`` is the staleness signal throughout, so ``rows`` may be
+appended to (or truncated) directly, but not edited in place.
+
+==================  =========================  ==========================  =====================
+derived state       depends on                 refreshed by                reference (full pass)
+==================  =========================  ==========================  =====================
+cached plan         catalog, constraints and   any epoch bump: re-plan     ``plan(use_cache=
+                    data of every table                                    False)``
+process pool image  data of every table        any epoch bump: re-fork     ``backend="inline"``
+interned theory     its statement tuple        nothing (``M ⊨ φ`` is over  ``build_theory(
+                                               all instances); a           reuse=False)``
+                                               ``declare`` is a new key
+``Database.stats``  the table's rows,          append: extended; shrink,   ``collect_stats``
+                    constraint count, indexes  ``declare``, new index,
+                    and the estimation mode    mode flip, unorderable
+                                               value: rebuilt
+``SortedIndex``     its table's rows           append: new entries merged  ``SortedIndex.build``
+                                               in; shrink: rebuilt
+FK verdict          child and parent rows      append: new rows / new      ``Database.
+                                               keys only; shrink: rebuilt  _fk_contained``
+constraint check    the table's rows and       append: each new row        ``explain_violation``
+                    constraints                against its neighbours; a
+                                               violation, ``declare`` or
+                                               shrink: full pass
+``Table.columnar``  the table's row count      any change: re-transposed   —
+==================  =========================  ==========================  =====================
+
+``Database.stats_snapshot()["maintenance"]`` counts, per kind, how often a
+read extended and how often it rebuilt.
 """
 from __future__ import annotations
 
@@ -39,7 +68,7 @@ def current_epoch() -> int:
 
 
 def bump_epoch(reason: str = "unspecified") -> int:
-    """Advance the epoch (invalidating every epoch-stamped cache entry).
+    """Advance the epoch (invalidating every cached plan).
 
     ``reason`` is a short tag (``"create-table"``, ``"declare"``, ...)
     recorded in :func:`epoch_log` so tests can assert *which* mutations

@@ -21,9 +21,10 @@ This module supplies the two summaries that fix that:
 
 Both are built inside :func:`repro.engine.stats.collect_stats` (one pass
 per column, shared with min/max/NDV collection) and live on
-:class:`~repro.engine.stats.ColumnStats`, so they inherit the epoch-keyed
-staleness contract of ``TableStats`` — any catalog or data mutation bumps
-the epoch and the next ``Database.stats`` call recollects.
+:class:`~repro.engine.stats.ColumnStats`, so they inherit the staleness
+contract of ``TableStats``: the next ``Database.stats`` call after an
+append re-walks the histogram over the retained sorted values and folds
+only the new values' hashes into the sketch (:func:`extend_sketch`).
 
 :func:`merge_join_rows` is the interleaved-merge join estimator: both
 histograms' bucket boundaries are merged into one ordered sequence of
@@ -47,6 +48,7 @@ __all__ = [
     "KMVSketch",
     "build_histogram",
     "build_sketch",
+    "extend_sketch",
     "merge_join_rows",
 ]
 
@@ -332,6 +334,26 @@ def build_sketch(values: Sequence[Any], k: int = SKETCH_SIZE) -> KMVSketch:
     """Sketch a column's value set (hash once per *distinct* value)."""
     hashes = {_stable_hash(value) for value in set(values)}
     if len(hashes) <= k:
+        return KMVSketch(tuple(sorted(hashes)), k, exact=True)
+    return KMVSketch(tuple(sorted(hashes)[:k]), k, exact=False)
+
+
+def extend_sketch(sketch: Optional[KMVSketch], new_values: Sequence[Any]) -> KMVSketch:
+    """The sketch of a value set grown by ``new_values``, hashing only those.
+
+    Equal to :func:`build_sketch` over the union: an exact sketch holds
+    every hash, so the union's hashes are all there; an inexact one holds
+    the ``k`` smallest, and the ``k`` smallest of a union lie among each
+    part's ``k`` smallest.
+    """
+    if sketch is None:
+        return build_sketch(new_values)
+    if not new_values:
+        return sketch
+    k = sketch.k
+    hashes = set(sketch.hashes)
+    hashes.update(_stable_hash(value) for value in new_values)
+    if sketch.exact and len(hashes) <= k:
         return KMVSketch(tuple(sorted(hashes)), k, exact=True)
     return KMVSketch(tuple(sorted(hashes)[:k]), k, exact=False)
 

@@ -45,20 +45,43 @@ class SortedIndex:
         self._entries: List[Tuple[tuple, int]] = []
         self._keys: List[tuple] = []
         self._built_row_count = -1
+        #: Times the entries were extended by appended rows vs rebuilt.
+        self.maintenance = {"extended": 0, "rebuilt": 0}
 
     # ------------------------------------------------------------------
+    def _entries_of(self, start: int) -> Iterator[Tuple[tuple, int]]:
+        """``(key, rowid)`` for the table's rows from ``start`` on."""
+        positions = self._positions
+        return (
+            (tuple(row[i] for i in positions), rowid)
+            for rowid, row in enumerate(self.table.rows[start:], start)
+        )
+
     def build(self) -> "SortedIndex":
         """(Re)build from the table's current rows."""
-        self._entries = sorted(
-            (tuple(row[i] for i in self._positions), rowid)
-            for rowid, row in enumerate(self.table.rows)
-        )
-        self._keys = [entry[0] for entry in self._entries]
-        self._built_row_count = len(self.table.rows)
+        self._install(sorted(self._entries_of(0)))
+        self.maintenance["rebuilt"] += 1
         return self
 
+    def _install(self, entries: List[Tuple[tuple, int]]) -> None:
+        self._entries = entries
+        self._keys = [entry[0] for entry in entries]
+        self._built_row_count = len(self.table.rows)
+
     def _ensure_built(self) -> None:
-        if self._built_row_count != len(self.table.rows):
+        built = self._built_row_count
+        if built == len(self.table.rows):
+            return
+        if 0 <= built < len(self.table.rows):
+            # Rows were appended: the old entries are one long sorted run
+            # and the new ones a short tail, which is what list.sort()
+            # merges fastest.  A copy, so a key that does not compare
+            # leaves the index as it was.
+            entries = self._entries + list(self._entries_of(built))
+            entries.sort()
+            self._install(entries)
+            self.maintenance["extended"] += 1
+        else:
             self.build()
 
     def __len__(self) -> int:

@@ -10,10 +10,12 @@ declared constraints through the FD facet of the OD theory (Lemma 1:
 every OD ``X ↦ Y`` implies the FD ``X → Y``).
 
 Everything is collected in the single :func:`collect_stats` pass and
-cached per (table, epoch) by :meth:`repro.engine.database.Database.stats`,
-so histograms and sketches inherit exactly the staleness contract of
-``TableStats``: any catalog or data mutation bumps the epoch and the next
-estimate recollects.
+cached per table by :meth:`repro.engine.database.Database.stats` as a
+:class:`MaintainedStats`, which records how many rows of its table (and
+which constraints, indexes and estimation mode) it covers: a read that
+finds more rows folds the new ones in, a read that finds anything else
+changed runs the full pass again.  Writes to other tables and unrelated
+DDL leave it alone.
 
 Two estimation modes exist, selected by :func:`set_estimation_mode` (or
 the ``REPRO_STATS_MODE`` environment variable):
@@ -29,6 +31,7 @@ a mode flip must invalidate them like any other catalog change.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,6 +41,7 @@ from .histogram import (
     KMVSketch,
     build_histogram,
     build_sketch,
+    extend_sketch,
     merge_join_rows,
 )
 from .table import Table
@@ -47,6 +51,7 @@ __all__ = [
     "ColumnStats",
     "TableStats",
     "collect_stats",
+    "MaintainedStats",
     "equijoin_rows",
     "estimate_equijoin",
     "JoinKeyStats",
@@ -76,7 +81,7 @@ def set_estimation_mode(mode: str) -> str:
 
     Bumps the catalog epoch on change — cached plans embed join orders
     chosen from the previous model's estimates, and the epoch clock is
-    the one staleness signal every cache (plan, theory, stats) honors.
+    the plan cache's staleness signal.
     """
     global _MODE
     if mode not in ("histogram", "uniform"):
@@ -422,6 +427,14 @@ def collect_stats(table: Table, indexes: Sequence = ()) -> TableStats:
     additionally mark each index's leading key column as OD-ordered — a
     sorted index is a physically materialized OD declaration.
     """
+    return _collect(table, indexes, None)
+
+
+def _collect(
+    table: Table, indexes: Sequence, runs: Optional[List[list]]
+) -> TableStats:
+    """:func:`collect_stats`; a list passed as ``runs`` additionally
+    receives each column's sorted values, for later appends to extend."""
     keys, ordered = _dependency_facts(table)
     index_ordered = {
         index.key_columns[0] for index in indexes if index.key_columns
@@ -448,6 +461,7 @@ def collect_stats(table: Table, indexes: Sequence = ()) -> TableStats:
                 od_ordered=column.name in ordered or column.name in index_ordered,
             )
         else:
+            ordered_values = []
             columns[column.name] = ColumnStats(
                 0,
                 None,
@@ -455,4 +469,95 @@ def collect_stats(table: Table, indexes: Sequence = ()) -> TableStats:
                 is_key=column.name in keys,
                 od_ordered=column.name in ordered or column.name in index_ordered,
             )
+        if runs is not None:
+            runs.append(ordered_values)
     return TableStats(row_count=len(table.rows), columns=columns)
+
+
+class MaintainedStats:
+    """One table's statistics, extended by appended rows.
+
+    ``rows`` and ``shape`` record what ``stats`` covers: how many of the
+    table's rows, and its constraint count, indexes and the estimation
+    mode.  :meth:`refresh` folds rows past ``rows`` into the retained
+    sorted column values; a shrunken table, any other ``shape`` or a
+    value that does not compare with its column goes through
+    :func:`collect_stats` again.  The result always equals
+    ``collect_stats(table, indexes)``.
+
+    Nothing is retained by the first collection — most tables are
+    collected once and never written — so the first append to a table
+    pays one more full pass, which keeps its sorted values.
+    """
+
+    __slots__ = ("table", "stats", "rows", "shape", "stamp", "_runs")
+
+    def __init__(self, table: Table) -> None:
+        self.table = table
+        self.stats: Optional[TableStats] = None
+        self.rows = -1
+        self.shape: Optional[tuple] = None
+        #: What :meth:`Database.stats` compares on every call; set there.
+        self.stamp: Optional[tuple] = None
+        #: Sorted values per column, once a second collection was needed.
+        self._runs: Optional[List[list]] = None
+
+    def refresh(self, indexes: Sequence, force: bool = False) -> Optional[str]:
+        """Bring ``stats`` up to the table's current state; returns
+        ``"extended"``, ``"rebuilt"`` or ``None`` (nothing it depends on
+        changed)."""
+        table = self.table
+        shape = (len(table.constraints), tuple(indexes), _MODE)
+        row_count = len(table.rows)
+        if shape == self.shape and not force:
+            if row_count == self.rows:
+                return None
+            if row_count > self.rows and self._extend(row_count):
+                return "extended"
+        kept: Optional[List[list]] = None if self.stats is None else []
+        self.stats = _collect(table, indexes, kept)
+        self._runs, self.rows, self.shape = kept, row_count, shape
+        return "rebuilt"
+
+    def _extend(self, row_count: int) -> bool:
+        """Fold rows ``[self.rows, row_count)`` in; ``False`` (and nothing
+        retained any more) when there is nothing to extend or a new value
+        does not compare with its column."""
+        runs, self._runs = self._runs, None
+        if runs is None:
+            return False
+        try:
+            self.stats = self._extended(runs, row_count)
+        except TypeError:
+            return False
+        self._runs, self.rows = runs, row_count
+        return True
+
+    def _extended(self, runs: List[list], row_count: int) -> TableStats:
+        """Statistics over the first ``row_count`` rows, from the covered
+        ones plus ``runs`` — each new value is bisected into its column's
+        sorted run, which tells whether it is a new distinct value, keeps
+        min/max at the ends and is what the histogram walks."""
+        table = self.table
+        new_rows = table.rows[self.rows:row_count]
+        columns: Dict[str, ColumnStats] = {}
+        for position, (column, run) in enumerate(zip(table.schema, runs)):
+            covered = self.stats.columns[column.name]
+            unseen = []
+            for row in new_rows:
+                value = row[position]
+                # After its equals, where a stable sort of all rows puts it.
+                at = bisect_right(run, value)
+                if not at or run[at - 1] != value:
+                    unseen.append(value)
+                run.insert(at, value)
+            columns[column.name] = ColumnStats(
+                distinct=covered.distinct + len(unseen),
+                minimum=run[0],
+                maximum=run[-1],
+                histogram=build_histogram(run),
+                sketch=extend_sketch(covered.sketch, unseen),
+                is_key=covered.is_key,
+                od_ordered=covered.od_ordered,
+            )
+        return TableStats(row_count=row_count, columns=columns)

@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.attrs import AttrList
 from ..core.dependency import Statement
 from ..core.relation import Relation
-from ..core.satisfaction import explain_violation, satisfies
+from ..core.satisfaction import AppendChecker, explain_violation, satisfies
 from .epoch import bump_epoch
 from .schema import Schema
 from .types import validate_value
@@ -35,6 +35,12 @@ class Table:
         self.constraints: List[Statement] = []
         self._columnar: Optional[List[list]] = None
         self._columnar_row_count = -1
+        #: The constraints and row count the last passed check covered,
+        #: and the checker that admits further rows one at a time.
+        self._checked: Optional[Tuple[List[Statement], int, AppendChecker]] = None
+        #: Times a constraint check only looked at the appended rows vs
+        #: ran the full pass over the table.
+        self.maintenance = {"extended": 0, "rebuilt": 0}
 
     # ------------------------------------------------------------------
     # Data manipulation
@@ -56,11 +62,22 @@ class Table:
         bump_epoch("insert")
 
     def load(self, rows: Iterable[Sequence[Any]], check: bool = True) -> "Table":
-        """Bulk insert; validates declared constraints afterwards."""
+        """Bulk insert; validates declared constraints afterwards.
+
+        A load the constraints reject is undone before the
+        :class:`ConstraintViolation` is raised: the optimizer trusts
+        declared ODs, so a falsifying row must not stay behind.
+        """
+        before = len(self.rows)
         for row in rows:
             self.insert(row)
         if check and self.constraints:
-            self.check_constraints()
+            try:
+                self.check_constraints()
+            except ConstraintViolation:
+                del self.rows[before:]
+                bump_epoch("load-rejected")
+                raise
         return self
 
     def insert_dicts(self, dicts: Iterable[Dict[str, Any]], check: bool = True) -> "Table":
@@ -103,12 +120,36 @@ class Table:
         return self
 
     def check_constraints(self) -> None:
-        """Re-validate every declared constraint against current data."""
+        """Validate every declared constraint against current data.
+
+        When the last check passed on the same constraints and rows have
+        only been appended since, just the new rows are examined (see
+        :class:`~repro.core.satisfaction.AppendChecker`).  A new row that
+        fails there, a new constraint or a shrunken table goes through
+        the full :func:`explain_violation` pass, which also words the
+        error.
+        """
+        checked, self._checked = self._checked, None  # kept only by a pass
+        if checked is not None:
+            constraints, row_count, checker = checked
+            if constraints == self.constraints and row_count <= len(self.rows):
+                appended = self.rows[row_count:]
+                if all(checker.admit(row) for row in appended):
+                    self._checked = (constraints, len(self.rows), checker)
+                    if appended:
+                        self.maintenance["extended"] += 1
+                    return
+        self.maintenance["rebuilt"] += 1
         relation = self.as_relation()
         for statement in self.constraints:
             reason = explain_violation(relation, statement)
             if reason is not None:
                 raise ConstraintViolation(f"{self.name}: {reason}")
+        self._checked = (
+            list(self.constraints),
+            len(self.rows),
+            AppendChecker(relation.attributes, self.constraints, self.rows),
+        )
 
     # ------------------------------------------------------------------
     # Bridging to the theory layer

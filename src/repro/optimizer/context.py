@@ -30,7 +30,6 @@ from ..core.dependency import (
     Statement,
 )
 from ..core.inference import ODTheory
-from ..engine.epoch import current_epoch
 
 __all__ = [
     "qualify_statement",
@@ -89,15 +88,13 @@ def constant_statement(column: str) -> Statement:
     return OrderDependency(EMPTY, AttrList([column]))
 
 
-#: Interned theories keyed on (catalog epoch, exact statement tuple),
-#: LRU-bounded.  Repeated plannings of the same query template assemble
-#: identical statement lists, so they get the *same* ``ODTheory`` instance
-#: back — and with it the theory's memoized implication results.  The
-#: epoch component (see :mod:`repro.engine.epoch`) is the invalidation
-#: hook: after any catalog/constraint/data mutation the old keys can never
-#: match again, so a post-mutation planning assembles a fresh theory and
-#: the theory cache can't disagree with the plan cache about staleness.
-#: Pre-mutation entries age out through the LRU bound.
+#: Interned theories keyed on the exact statement tuple, LRU-bounded.
+#: Repeated plannings of the same query template assemble identical
+#: statement lists, so they get the *same* ``ODTheory`` instance back —
+#: and with it the theory's memoized implication results.  The statements
+#: are the whole key because ``M ⊨ φ`` quantifies over *all* instances: no
+#: insert can change a verdict, and a ``declare`` changes what
+#: :func:`alias_constraints` returns and with it the key.
 _THEORY_CACHE_SIZE = 256
 _theory_cache: "OrderedDict[tuple, ODTheory]" = OrderedDict()
 
@@ -105,21 +102,20 @@ _theory_cache: "OrderedDict[tuple, ODTheory]" = OrderedDict()
 def build_theory(statements: Iterable[Statement], reuse: bool = True) -> ODTheory:
     """Assemble the query-scoped theory (bounded for big schemas).
 
-    ``reuse=True`` (the default) interns theories by (epoch, statement
-    tuple) so the oracle's result cache survives across queries but never
-    across a catalog/constraint change; pass ``reuse=False`` for a fresh,
-    isolated instance (tests, one-off analyses).
+    ``reuse=True`` (the default) interns theories by statement tuple, so
+    the oracle's result cache survives across queries and across writes
+    (a changed constraint set is a different tuple); pass ``reuse=False``
+    for a fresh, isolated instance (tests, one-off analyses).
     """
     statements = tuple(statements)
     if not reuse:
         return ODTheory(statements, max_attributes=20)
-    key = (current_epoch(), statements)
-    theory = _theory_cache.get(key)
+    theory = _theory_cache.get(statements)
     if theory is None:
         theory = ODTheory(statements, max_attributes=20)
-        _theory_cache[key] = theory
+        _theory_cache[statements] = theory
     else:
-        _theory_cache.move_to_end(key)
+        _theory_cache.move_to_end(statements)
     while len(_theory_cache) > _THEORY_CACHE_SIZE:
         _theory_cache.popitem(last=False)
     return theory

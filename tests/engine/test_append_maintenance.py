@@ -1,0 +1,254 @@
+"""Derived state extended by appended rows equals the from-scratch pass.
+
+Statistics, index entries, foreign-key verdicts and constraint checks each
+record how many rows they cover and fold further rows in.  The full passes
+— ``collect_stats``, ``SortedIndex.build``, ``Database._fk_contained``,
+``explain_violation`` — are the references here: after every step of a
+random history the maintained value must equal what the full pass computes
+from the same rows.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.attrs import EMPTY, AttrList
+from repro.core.dependency import OrderDependency, compat, equiv, fd, od
+from repro.core.satisfaction import explain_violation
+from repro.engine.database import Database
+from repro.engine.histogram import SKETCH_SIZE
+from repro.engine.index import SortedIndex
+from repro.engine.schema import Schema
+from repro.engine.stats import collect_stats, estimation_mode, set_estimation_mode
+from repro.engine.table import ConstraintViolation, Table
+from repro.engine.types import DataType
+
+ROW = st.tuples(
+    st.integers(0, 12),
+    st.floats(0, 4, allow_nan=False).map(lambda x: round(x, 1)),
+    st.sampled_from(["p", "q", "r", "s"]),
+)
+STEP = st.one_of(
+    st.tuples(st.just("append"), st.lists(ROW, min_size=1, max_size=6)),
+    st.tuples(st.just("declare"), st.sampled_from([fd("a", "b"), od("a", "b"), equiv("c", "a")])),
+    st.tuples(st.just("index"), st.sampled_from([["a"], ["c", "a"], ["b"]])),
+    st.tuples(st.just("flip-mode"), st.none()),
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("mixed-type"), st.none()),
+)
+
+
+def _database():
+    db = Database()
+    table = db.create_table(
+        "t", Schema.of(("a", DataType.INT), ("b", DataType.FLOAT), ("c", DataType.STR))
+    )
+    return db, table
+
+
+def _assert_current(db: Database, table: Table) -> None:
+    assert db.stats("t") == collect_stats(table, db.indexes_on("t"))
+    for index in db.indexes_on("t"):
+        fresh = SortedIndex("fresh", table, index.key_columns).build()
+        assert len(index) == len(table.rows)  # brings the index up to date
+        assert index._entries == fresh._entries
+        assert index._keys == fresh._keys
+
+
+class TestStatsAndIndexes:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(STEP, min_size=1, max_size=14))
+    def test_any_history_reads_like_a_fresh_pass(self, steps):
+        db, table = _database()
+        db.create_index("t_a", "t", ["a"], clustered=True)
+        mode = estimation_mode()
+        try:
+            _assert_current(db, table)  # empty table, first collection
+            for number, (kind, argument) in enumerate(steps):
+                if kind == "append":
+                    table.load(argument, check=False)
+                elif kind == "declare":
+                    table.declare(argument, check=False)
+                elif kind == "index":
+                    db.create_index(f"ix{number}", "t", argument)
+                elif kind == "flip-mode":
+                    set_estimation_mode(
+                        "uniform" if estimation_mode() == "histogram" else "histogram"
+                    )
+                elif kind == "pop":
+                    if table.rows:
+                        table.rows.pop()
+                elif table.rows:
+                    # A value its column cannot order: the full pass raises,
+                    # and so must the maintained one — then recover from it.
+                    table.rows.append(("x", 0.0, "p"))
+                    with pytest.raises(TypeError):
+                        collect_stats(table, db.indexes_on("t"))
+                    with pytest.raises(TypeError):
+                        db.stats("t")
+                    with pytest.raises(TypeError):
+                        len(db.indexes["t_a"])
+                    table.rows.pop()
+                _assert_current(db, table)
+        finally:
+            set_estimation_mode(mode)
+
+    def test_sketch_stays_equal_across_the_exactness_boundary(self):
+        """Below ``SKETCH_SIZE`` distinct values the sketch holds every
+        hash, above it the smallest ones; appends cross from one to the
+        other."""
+        db, table = _database()
+        bounds = [0, 10, 20, SKETCH_SIZE - 40, SKETCH_SIZE + 40, 2 * SKETCH_SIZE]
+        for start, stop in zip(bounds, bounds[1:]):
+            table.load(
+                [(v, float(v % 7), "pqrs"[v % 4]) for v in range(start, stop)],
+                check=False,
+            )
+            _assert_current(db, table)
+            assert db.stats("t").column("a").sketch.exact == (stop <= SKETCH_SIZE)
+        # The first collection keeps nothing, the second keeps the sorted
+        # values, the other three — one of them across the boundary — extend.
+        counters = db.stats_snapshot()["maintenance"]["stats"]
+        assert counters == {"extended": 3, "rebuilt": 2}
+
+    def test_first_appends_to_an_empty_table(self):
+        db, table = _database()
+        db.create_index("t_a", "t", ["a"])
+        _assert_current(db, table)
+        table.load([(3, 0.5, "q"), (1, 0.5, "p")], check=False)
+        _assert_current(db, table)
+        table.load([(2, 1.5, "q")], check=False)
+        _assert_current(db, table)
+        maintenance = db.stats_snapshot()["maintenance"]
+        assert maintenance["stats"] == {"extended": 1, "rebuilt": 2}
+        assert maintenance["index"] == {"extended": 2, "rebuilt": 1}
+
+
+# ----------------------------------------------------------------------
+# Foreign keys
+# ----------------------------------------------------------------------
+FK_STEP = st.one_of(
+    st.tuples(st.sampled_from(["child", "parent"]), st.lists(st.integers(0, 8), min_size=1, max_size=4)),
+    st.tuples(st.sampled_from(["pop-child", "pop-parent"]), st.none()),
+)
+
+
+def _fk_database():
+    db = Database()
+    db.create_table("parent", Schema.of(("k", DataType.INT)))
+    db.create_table("child", Schema.of(("k", DataType.INT)))
+    fk = db.declare_foreign_key("child", ["k"], "parent", ["k"])
+    return db, fk
+
+
+def _verified(db: Database) -> bool:
+    return db.verified_foreign_key("child", ["k"], "parent", ["k"])
+
+
+class TestForeignKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(FK_STEP, min_size=1, max_size=16))
+    def test_verdict_equals_the_containment_pass(self, steps):
+        db, fk = _fk_database()
+        for kind, keys in steps:
+            if kind in ("child", "parent"):
+                db.table(kind).load([(k,) for k in keys])
+            else:
+                rows = db.table(kind[len("pop-"):]).rows
+                if rows:
+                    rows.pop()
+            assert _verified(db) == db._fk_contained(fk)
+
+    def test_false_to_true_and_back(self):
+        db, fk = _fk_database()
+        db.table("parent").load([(1,), (2,)])
+        db.table("child").load([(1,), (2,)])
+        assert _verified(db)
+        db.table("child").insert((3,))          # an orphan
+        assert not _verified(db)
+        db.table("child").insert((1,))          # more children cannot help
+        assert not _verified(db)
+        db.table("parent").insert((4,))         # nor can the wrong parent
+        assert not _verified(db)
+        db.table("parent").insert((3,))         # the parent catches up
+        assert _verified(db)
+        db.table("child").insert((5,))
+        assert not _verified(db)
+        assert db.stats_snapshot()["maintenance"]["fk"] == {"extended": 5, "rebuilt": 1}
+
+
+# ----------------------------------------------------------------------
+# OD check constraints
+# ----------------------------------------------------------------------
+STATEMENTS = [
+    od("a", "b"),
+    od("a,b", "c"),
+    od("b", "a,c"),
+    equiv("a", "b"),
+    compat("a", "c"),
+    fd("a", "c"),
+    fd("a,b", "c"),
+    OrderDependency(EMPTY, AttrList(["c"])),  # empty left-hand side: c is constant
+]
+INT_ROW = st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 1))
+CHECK_STEP = st.one_of(
+    st.tuples(st.just("load"), st.lists(INT_ROW, min_size=1, max_size=4)),
+    st.tuples(st.just("declare"), st.sampled_from(STATEMENTS)),
+    st.tuples(st.just("pop"), st.none()),
+)
+
+
+def _reference(table: Table, rows) -> str | None:
+    """What the full pass says about the table's rows plus ``rows``."""
+    candidate = Table(table.name, table.schema)
+    candidate.rows = table.rows + [tuple(row) for row in rows]
+    relation = candidate.as_relation()
+    for statement in table.constraints:
+        reason = explain_violation(relation, statement)
+        if reason is not None:
+            return f"{table.name}: {reason}"
+    return None
+
+
+class TestConstraintChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(STATEMENTS), min_size=1, max_size=3),
+        st.lists(CHECK_STEP, min_size=1, max_size=10),
+    )
+    def test_load_raises_iff_the_full_pass_finds_a_witness(self, statements, steps):
+        table = Table(
+            "t", Schema.of(("a", DataType.INT), ("b", DataType.INT), ("c", DataType.INT))
+        )
+        for statement in statements:
+            table.declare(statement)
+        for kind, argument in steps:
+            if kind == "declare":
+                table.declare(argument, check=False)
+            elif kind == "pop" and table.rows:
+                table.rows.pop()
+            # After a declare or a pop, an empty load: it checks all the same.
+            rows = argument if kind == "load" else []
+            before = list(table.rows)
+            expected = _reference(table, rows)
+            if expected is None:
+                table.load(rows)
+                assert table.rows == before + [tuple(row) for row in rows]
+            else:
+                with pytest.raises(ConstraintViolation) as excinfo:
+                    table.load(rows)
+                assert str(excinfo.value) == expected
+                assert table.rows == before
+
+    def test_appends_are_checked_without_the_full_pass(self):
+        table = Table("t", Schema.of(("a", DataType.INT), ("b", DataType.INT)))
+        table.declare(od("a", "b"))
+        table.check_constraints()               # first check: the full pass
+        table.load([(2, 2)])                    # first append to an empty table
+        table.load([(1, 1), (3, 3)])
+        table.load([(2, 2)])
+        assert table.maintenance == {"extended": 3, "rebuilt": 1}
+        with pytest.raises(ConstraintViolation):
+            table.load([(0, 2)])                # words its error in the full pass
+        assert table.maintenance == {"extended": 3, "rebuilt": 2}

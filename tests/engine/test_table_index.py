@@ -50,6 +50,42 @@ class TestTable:
         with pytest.raises(ConstraintViolation):
             table.load([(1, 2), (2, 1)])
 
+    def test_rejected_load_leaves_the_table_as_it_found_it(self):
+        """Regression: the rejected rows used to stay, and the optimizer
+        went on discharging sorts by an OD the data no longer satisfied."""
+        from repro.engine.database import Database
+
+        db = Database()
+        table = db.create_table(
+            "t", Schema.of(("a", DataType.INT), ("b", DataType.INT))
+        )
+        table.load([(1, 10), (2, 20), (3, 30)])
+        db.declare("t", od("a", "b"))
+        db.create_index("t_a", "t", ["a"], clustered=True)
+        sql = "SELECT a, b FROM t ORDER BY b"
+        assert db.execute(sql).rows == [(1, 10), (2, 20), (3, 30)]
+        with pytest.raises(ConstraintViolation) as excinfo:
+            table.load([(4, 5)])
+        assert "swap falsifies [a] |-> [b]" in str(excinfo.value)
+        assert len(table.rows) == 3
+        assert db.execute(sql).rows == [(1, 10), (2, 20), (3, 30)]
+
+    def test_load_after_a_rejected_one_is_still_validated(self):
+        table = make_table([(1, 10), (3, 30)])
+        table.declare(od("a", "b"))
+        table.load([(5, 50)])                  # checked row by row from here on
+        with pytest.raises(ConstraintViolation):
+            table.load([(2, 20), (4, 5)])      # (2, 20) alone would pass
+        assert table.rows == [(1, 10), (3, 30), (5, 50)]
+        table.load([(4, 40)])                  # fits between the survivors
+        with pytest.raises(ConstraintViolation) as excinfo:
+            table.load([(2, 35)])              # swaps with (3, 30)
+        assert "swap" in str(excinfo.value)
+        with pytest.raises(ConstraintViolation) as excinfo:
+            table.load([(4, 41)])              # splits with (4, 40)
+        assert "split" in str(excinfo.value)
+        assert table.rows == [(1, 10), (3, 30), (5, 50), (4, 40)]
+
     def test_declare_unknown_column(self):
         with pytest.raises(KeyError):
             make_table().declare(od("a", "zzz"))

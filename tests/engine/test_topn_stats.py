@@ -157,8 +157,9 @@ class TestStats:
 
     def test_database_stats_invalidated_by_insert(self):
         """Regression: stats used to be cached per table name forever, so
-        an insert left row counts stale until a manual refresh.  They are
-        epoch-keyed now — any mutation recollects on next request."""
+        an insert left row counts stale until a manual refresh.  They
+        record the row count they cover now — the next request after an
+        append brings them up to date."""
         from repro.engine.database import Database
 
         db = Database()
@@ -166,17 +167,34 @@ class TestStats:
         table.load([(1,)])
         first = db.stats("t")
         assert first.row_count == 1
-        table.load([(2,)])                       # bumps the catalog epoch
+        table.load([(2,)])
         assert db.stats("t").row_count == 2      # fresh, no refresh needed
         assert db.stats("t").column("a").maximum == 2
 
-    def test_database_stats_invalidated_by_ddl(self):
+    def test_database_stats_follow_their_own_table_only(self):
+        """Unrelated DDL and writes to another table leave a table's
+        statistics alone; an append, a ``declare`` or a ``create_index``
+        on the table itself each show up in the next reading."""
+        from repro.core.dependency import fd
         from repro.engine.database import Database
 
         db = Database()
         table = db.create_table("t", Schema.of(("a", DataType.INT)))
         table.load([(1,), (3,)])
         first = db.stats("t")
-        db.create_table("u", Schema.of(("b", DataType.INT)))  # epoch bump
-        assert db.stats("t") is not first        # recollected post-DDL
-        assert db.stats("t").row_count == 2      # same data, fresh pass
+        other = db.create_table("u", Schema.of(("b", DataType.INT)))
+        other.load([(7,)])
+        db.create_index("u_b", "u", ["b"])
+        db.declare("u", fd("b", "b"))
+        assert db.stats("t") is first
+        assert (first.row_count, first.column("a").is_key) == (2, False)
+        assert not first.column("a").od_ordered
+
+        table.insert((5,))
+        assert db.stats("t").row_count == 3
+        assert db.stats("t").column("a").maximum == 5
+        db.declare("t", fd("a", "a"))
+        assert db.stats("t").column("a").is_key
+        db.create_index("t_a", "t", ["a"])
+        assert db.stats("t").column("a").od_ordered
+        assert db.stats("t") == collect_stats(table, db.indexes_on("t"))

@@ -15,7 +15,7 @@ SQL = (
 )
 
 SECTIONS = ("epoch", "engine", "plan_cache", "theory_cache", "exchange",
-            "logical_memo_size")
+            "maintenance", "logical_memo_size")
 
 
 def test_snapshot_has_every_section(db):
@@ -27,6 +27,60 @@ def test_snapshot_has_every_section(db):
     }
     assert snap["theory_cache"]["capacity"] == 256
     assert snap["plan_cache"]["capacity"] == 128
+
+
+def test_maintenance_counts_every_kind_both_ways():
+    """No quiet fallback: each kind of derived state says how often a read
+    after a write extended it and how often it took the full pass."""
+    from repro.core.dependency import od
+    from repro.engine.database import Database
+    from repro.engine.schema import Schema
+    from repro.engine.types import DataType
+
+    db = Database()
+    parent = db.create_table("p", Schema.of(("k", DataType.INT), ("v", DataType.INT)))
+    child = db.create_table("c", Schema.of(("k", DataType.INT)))
+    parent.load([(1, 10), (2, 20)])
+    child.load([(1,)])
+    db.declare("p", od("k", "v"))
+    db.create_index("p_k", "p", ["k"], clustered=True)
+    db.declare_foreign_key("c", ["k"], "p", ["k"])
+
+    def reading():
+        db.stats("p")
+        len(db.indexes["p_k"])
+        db.verified_foreign_key("c", ["k"], "p", ["k"])
+        parent.check_constraints()
+        return db.stats_snapshot()["maintenance"]
+
+    def moved(before, after):
+        return {
+            (kind, outcome)
+            for kind in after
+            for outcome in after[kind]
+            if after[kind][outcome] > before[kind][outcome]
+        }
+
+    kinds = ("stats", "index", "fk", "constraints")
+    first = reading()
+    assert set(first) == set(kinds)
+    assert all(set(first[kind]) == {"extended", "rebuilt"} for kind in kinds)
+    assert first == {kind: {"extended": 0, "rebuilt": 1} for kind in kinds}
+
+    parent.load([(3, 30)], check=False)
+    second = reading()  # statistics keep nothing until they are collected twice
+    assert moved(first, second) == {
+        ("stats", "rebuilt"), ("index", "extended"), ("fk", "extended"),
+        ("constraints", "extended"),
+    }
+    parent.load([(4, 40)], check=False)
+    third = reading()
+    assert moved(second, third) == {(kind, "extended") for kind in kinds}
+
+    parent.rows.pop()  # a shrunken table: nothing can be extended
+    fourth = reading()
+    assert moved(third, fourth) == {(kind, "rebuilt") for kind in kinds}
+    assert reading() == fourth  # nothing written, nothing maintained
 
 
 def test_engine_counters_are_monotonic_across_queries(db):

@@ -63,38 +63,63 @@ class TestBuildingBlocks:
         assert statements == [od("x.a", "x.b")]
 
 
-class TestInterningEpoch:
-    """``build_theory(reuse=True)`` interning is epoch-invalidated: the
-    theory cache and the plan cache share the catalog clock, so they can
-    never disagree about which cached reasoning is stale."""
+class TestInterning:
+    """``build_theory(reuse=True)`` interns on the statements alone:
+    implication quantifies over all instances, so data changes leave every
+    verdict standing, and a new constraint is a different statement list."""
 
-    def test_same_epoch_interns_same_instance(self):
+    @staticmethod
+    def _db():
+        from repro.engine.database import Database
+        from repro.engine.schema import Schema
+        from repro.engine.types import DataType
+
+        db = Database()
+        table = db.create_table(
+            "t", Schema.of(("a", DataType.INT), ("b", DataType.INT))
+        )
+        table.load([(i, i // 2) for i in range(20)])
+        return db
+
+    def test_same_statements_intern_same_instance(self):
         from repro.optimizer.context import clear_theory_cache
 
         clear_theory_cache()
         statements = (od("ctx_a", "ctx_b"),)
         assert build_theory(statements) is build_theory(statements)
 
-    def test_epoch_bump_invalidates_interning(self):
-        from repro.engine.epoch import bump_epoch
+    def test_insert_keeps_theory_and_its_verdicts(self):
+        """After an insert the same statements give the same theory, and
+        re-planning the same query asks the oracle nothing new."""
         from repro.optimizer.context import clear_theory_cache
 
         clear_theory_cache()
-        statements = (od("ctx_a", "ctx_b"),)
-        stale = build_theory(statements)
-        bump_epoch("test-context")
-        assert build_theory(statements) is not stale
+        db = self._db()
+        db.declare("t", od("a", "b"))
+        sql = "SELECT a, b FROM t ORDER BY a, b"
+        theory = build_theory(alias_constraints(db, "t", "t"))
+        first = db.plan(sql).plan_info
+        assert first.oracle["enumerations"] > 0
+        db.table("t").insert((20, 10))
+        assert build_theory(alias_constraints(db, "t", "t")) is theory
+        second = db.plan(sql).plan_info
+        assert second is not first and second.cache_state == "miss"
+        assert second.oracle["cache_misses"] == 0
+        assert second.oracle["enumerations"] == 0
+        assert second.oracle_hit_rate == 1.0
 
-    def test_catalog_mutation_invalidates_interning(self):
-        """The end-to-end contract: a DDL statement, not a manual bump."""
-        from repro.engine.database import Database
-        from repro.engine.schema import Schema
-        from repro.engine.types import DataType
-
-        statements = (od("ctx_c", "ctx_d"),)
-        stale = build_theory(statements)
-        Database().create_table("ctx_t", Schema.of(("x", DataType.INT)))
-        assert build_theory(statements) is not stale
+    def test_declare_changes_the_next_plans_verdict(self):
+        """A goal the new constraint implies flips from refuted to implied
+        in the next plan: the sort it needed is discharged."""
+        db = self._db()
+        db.create_index("t_a", "t", ["a"], clustered=True)
+        sql = "SELECT a, b FROM t ORDER BY b"
+        goal = od("t.a", "t.b")
+        assert not build_theory(alias_constraints(db, "t", "t")).implies(goal)
+        assert db.plan(sql).plan_info.avoided_sorts == 0
+        db.declare("t", od("a", "b"))
+        assert build_theory(alias_constraints(db, "t", "t")).implies(goal)
+        assert db.plan(sql).plan_info.avoided_sorts == 1
 
 
 class TestComposedTheory:
