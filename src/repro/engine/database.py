@@ -23,6 +23,7 @@ from ..obs import EngineMetrics
 from ..obs.tracer import Tracer
 from .epoch import bump_epoch, current_epoch
 from .errors import CancelToken, QueryError, QueryTimeout
+from .histogram import pair_selectivity_stats
 from .index import SortedIndex
 from .operators.base import Metrics, Operator
 from .options import ExecOptions
@@ -497,6 +498,10 @@ class Database:
           ``rebuilt`` by the full pass (first builds included).  A
           workload whose ``rebuilt`` keeps pace with its writes is
           falling back every time;
+        * ``pair_selectivity`` — the join estimator's histogram-pair merge
+          walks ``computed`` and ``reused`` and their map's live ``size``
+          (process-wide, like ``theory_cache``); ``computed`` keeping
+          pace with plannings over unchanged data is a thrashing map;
         * ``logical_memo_size`` / ``epoch`` — parse-memo occupancy and
           the current catalog epoch.
         """
@@ -518,6 +523,7 @@ class Database:
             "theory_cache": theory_cache_stats(),
             "exchange": dict(self._exchange_totals),
             "maintenance": maintenance,
+            "pair_selectivity": pair_selectivity_stats(),
             "logical_memo_size": len(self._logical_memo),
         }
 

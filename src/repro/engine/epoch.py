@@ -37,6 +37,10 @@ interned theory     its statement tuple        nothing (``M ⊨ φ`` is over  ``
                     constraint count, indexes  ``declare``, new index,
                     and the estimation mode    mode flip, unorderable
                                                value: rebuilt
+pair selectivity    the two histogram objects  never: replaced with its    from-scratch merge
+                    (``merge_join_rows``)      statistics (new histogram   walk (``histogram.
+                                               = new entry; the old one    _merge_walk``)
+                                               ages out of a bounded map)
 ``SortedIndex``     its table's rows           append: new entries merged  ``SortedIndex.build``
                                                in; shrink: rebuilt
 FK verdict          child and parent rows      append: new rows / new      ``Database.
@@ -49,7 +53,8 @@ constraint check    the table's rows and       append: each new row        ``exp
 ==================  =========================  ==========================  =====================
 
 ``Database.stats_snapshot()["maintenance"]`` counts, per kind, how often a
-read extended and how often it rebuilt.
+read extended and how often it rebuilt; ``["pair_selectivity"]`` counts
+merge walks ``computed`` against walks ``reused``.
 """
 from __future__ import annotations
 

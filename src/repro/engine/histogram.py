@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import datetime
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -50,6 +51,7 @@ __all__ = [
     "build_sketch",
     "extend_sketch",
     "merge_join_rows",
+    "pair_selectivity_stats",
 ]
 
 #: Bucket budget per histogram.  Equi-depth buckets adapt their width to
@@ -194,9 +196,10 @@ class EquiDepthHistogram:
         """
         rows = 0.0
         distinct = 0.0
-        for i in range(len(self.counts)):
+        # Buckets that end below ``low`` add nothing: start past them.
+        for i in range(bisect_left(self.uppers, low), len(self.counts)):
             bucket_low, bucket_high = self.lowers[i], self.uppers[i]
-            if bucket_high < low or (bucket_high == low and not include_low):
+            if bucket_high == low and not include_low:
                 continue
             if bucket_low > high:
                 break
@@ -358,6 +361,54 @@ def extend_sketch(sketch: Optional[KMVSketch], new_values: Sequence[Any]) -> KMV
     return KMVSketch(tuple(sorted(hashes)[:k]), k, exact=False)
 
 
+#: Merge walks kept per ``(id(left), id(right))``.  An entry holds both
+#: histograms, so neither id is reused while it lives; histograms are
+#: immutable and replaced with their statistics, so an entry is never
+#: stale, only unreachable — the bound drops those, oldest first.
+PAIR_LIMIT = 64
+_pair_walks: "OrderedDict[Tuple[int, int], tuple]" = OrderedDict()
+_pair_counts = {"computed": 0, "reused": 0}
+
+
+def pair_selectivity_stats() -> Dict[str, int]:
+    """Merge walks ``computed`` and ``reused`` (monotonic, process-wide,
+    like the theory cache) and the live entry count."""
+    return {**_pair_counts, "size": len(_pair_walks)}
+
+
+def _merge_walk(
+    left_hist: EquiDepthHistogram, right_hist: EquiDepthHistogram
+) -> Optional[List[Tuple[float, float, float]]]:
+    """The part of :func:`merge_join_rows` that depends on the two
+    histograms alone: ``(l_rows, r_rows, max(l_ndv, r_ndv, 1.0))`` per
+    merged interval with mass on both sides, in boundary order (None:
+    incomparable domains, e.g. str keys vs int keys)."""
+    terms = []
+    try:
+        boundaries = sorted(
+            set(left_hist.lowers)
+            | set(left_hist.uppers)
+            | set(right_hist.lowers)
+            | set(right_hist.uppers)
+        )
+        previous = None
+        for boundary in boundaries:
+            # Half-open intervals (prev, b] — the first is the point
+            # [b0, b0] — tile the merged domain, so every row's mass is
+            # counted exactly once (interval_mass's invariant).
+            low = boundary if previous is None else previous
+            include_low = previous is None
+            previous = boundary
+            l_rows, l_ndv = left_hist.interval_mass(low, boundary, include_low)
+            r_rows, r_ndv = right_hist.interval_mass(low, boundary, include_low)
+            if l_rows <= 0.0 or r_rows <= 0.0:
+                continue
+            terms.append((l_rows, r_rows, max(l_ndv, r_ndv, 1.0)))
+    except TypeError:
+        return None
+    return terms
+
+
 def merge_join_rows(
     left_rows: float,
     right_rows: float,
@@ -373,36 +424,29 @@ def merge_join_rows(
     by only one side contribute nothing — disjoint or partially
     overlapping key domains, which global containment cannot see, fall
     out exactly.
+
+    The walk is made once per pair of live histogram objects
+    (:func:`_merge_walk`); the scaling by the caller's cardinalities is
+    replayed in the walk's order, so every estimate keeps its float bits.
     """
     if left_hist.total == 0 or right_hist.total == 0:
         return 0.0
-    try:
-        boundaries = sorted(
-            set(left_hist.lowers)
-            | set(left_hist.uppers)
-            | set(right_hist.lowers)
-            | set(right_hist.uppers)
-        )
-        left_scale = left_rows / left_hist.total
-        right_scale = right_rows / right_hist.total
-        rows = 0.0
-        previous = None
-        for boundary in boundaries:
-            # Half-open intervals (prev, b] — the first is the point
-            # [b0, b0] — tile the merged domain, so every row's mass is
-            # counted exactly once (interval_mass's invariant).
-            low = boundary if previous is None else previous
-            include_low = previous is None
-            previous = boundary
-            l_rows, l_ndv = left_hist.interval_mass(low, boundary, include_low)
-            r_rows, r_ndv = right_hist.interval_mass(low, boundary, include_low)
-            if l_rows <= 0.0 or r_rows <= 0.0:
-                continue
-            rows += (
-                (l_rows * left_scale)
-                * (r_rows * right_scale)
-                / max(l_ndv, r_ndv, 1.0)
-            )
-    except TypeError:  # incomparable domains (e.g. str keys vs int keys)
+    key = (id(left_hist), id(right_hist))
+    entry = _pair_walks.get(key)
+    if entry is None:
+        while len(_pair_walks) >= PAIR_LIMIT:
+            _pair_walks.popitem(last=False)
+        entry = (_merge_walk(left_hist, right_hist), left_hist, right_hist)
+        _pair_walks[key] = entry
+        _pair_counts["computed"] += 1
+    else:
+        _pair_counts["reused"] += 1
+    terms = entry[0]
+    if terms is None:
         return -1.0  # sentinel: caller falls back to the next model
+    left_scale = left_rows / left_hist.total
+    right_scale = right_rows / right_hist.total
+    rows = 0.0
+    for l_rows, r_rows, ndv in terms:
+        rows += (l_rows * left_scale) * (r_rows * right_scale) / ndv
     return rows

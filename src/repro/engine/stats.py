@@ -302,7 +302,8 @@ def estimate_equijoin(
        histograms: :func:`~repro.engine.histogram.merge_join_rows` walks
        the merged bucket boundaries, so disjoint or partially overlapping
        key ranges estimate (near) zero matches instead of containment's
-       full cross-probability;
+       full cross-probability; the walk is made once per pair of live
+       histogram objects, whatever cardinalities each caller scales it by;
     2. **sketch overlap** — both columns sketched: the matching
        probability is ``|A ∩ B| / (ndv_l · ndv_r)`` with the intersection
        measured by the KMV sketches (containment is the special case

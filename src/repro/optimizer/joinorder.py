@@ -43,7 +43,7 @@ syntactic estimate it beat.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -130,6 +130,10 @@ class JoinOrderDecision:
     chosen_cost: float
     syntactic: str
     syntactic_cost: float
+    #: ``(relation subset, order)`` classes put to the oracle / candidates
+    #: that took a class's answer: search effort, not part of the decision.
+    satisfied_evaluated: int = field(default=0, compare=False)
+    satisfied_reused: int = field(default=0, compare=False)
 
     def describe(self) -> str:
         report = (
@@ -138,10 +142,15 @@ class JoinOrderDecision:
             f"completed cost {self.chosen_cost:.1f}"
         )
         if self.chosen == self.syntactic:
-            return f"{report} (the syntactic order)"
+            report += " (the syntactic order)"
+        else:
+            report += (
+                f"; syntactic {self.syntactic} "
+                f"completed cost {self.syntactic_cost:.1f}"
+            )
         return (
-            f"{report}; syntactic {self.syntactic} "
-            f"completed cost {self.syntactic_cost:.1f}"
+            f"{report}; satisfied orders: {self.satisfied_evaluated} "
+            f"evaluated, {self.satisfied_reused} reused"
         )
 
 
@@ -159,7 +168,8 @@ class JoinOrderResult:
 # ----------------------------------------------------------------------
 def _interesting_orders(planner, graph: JoinGraph, desired) -> Tuple[_Interest, ...]:
     """The query's interesting orders: the consumer's desired order and
-    grouping, plus every join-key column (a merge join's appetite)."""
+    grouping (leading the tuple), plus every join-key column (a merge
+    join's appetite)."""
     interests = []
     if desired.order:
         interests.append(_Interest("order", planner._try_qualify(desired.order)))
@@ -196,6 +206,33 @@ def _satisfied(planner, op, statements, prop, interests) -> FrozenSet[_Interest]
     return frozenset(out)
 
 
+class _Interests:
+    """One search's interesting orders, and :func:`_satisfied` asked once
+    per ``(alias subset, provided order)``: every join tree over a subset
+    carries the same statements (its leaves' plus one equivalence per join
+    edge inside it — each crosses exactly one split) and ``M ⊨ X ↦ Y``
+    reads ``M`` as a set, so such candidates agree on the answer."""
+
+    def __init__(self, planner, orders: Tuple[_Interest, ...]) -> None:
+        self.planner = planner
+        self.orders = orders
+        self.evaluated = 0
+        self.reused = 0
+        self._memo: Dict[tuple, FrozenSet[_Interest]] = {}
+
+    def satisfied(self, aliases, op, statements, prop) -> FrozenSet[_Interest]:
+        key = (aliases, prop.order)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = _satisfied(
+                self.planner, op, statements, prop, self.orders
+            )
+            self.evaluated += 1
+        else:
+            self.reused += 1
+        return found
+
+
 def _prune(entries: List[_Entry]) -> List[_Entry]:
     """Dominance pruning: drop entries another entry beats on both cost
     and satisfied interesting orders; cap the frontier width."""
@@ -215,7 +252,7 @@ def _prune(entries: List[_Entry]) -> List[_Entry]:
 # Leaf access paths
 # ----------------------------------------------------------------------
 def _leaf_candidates(
-    planner, relation: BaseRelation, interests
+    planner, relation: BaseRelation, interests: _Interests
 ) -> List[_Entry]:
     """Access paths for one base relation: the sequential scan plus one
     candidate per index (sargable bounds from the local predicate when
@@ -254,7 +291,7 @@ def _leaf_candidates(
                 estimate=estimate_plan(database, op),
                 aliases=aliases,
                 label=relation.alias,
-                satisfied=_satisfied(planner, op, statements, prop, interests),
+                satisfied=interests.satisfied(aliases, op, statements, prop),
             )
         )
     return _prune(entries)
@@ -287,7 +324,7 @@ def _join_entries(
     probe: _Entry,
     build: _Entry,
     cross_edges: Sequence[JoinEdge],
-    interests,
+    interests: _Interests,
 ) -> _Entry:
     """Join two subplans with ``probe`` as the (order-preserving) left
     input, through the planner's shared join construction — the same
@@ -310,6 +347,7 @@ def _join_entries(
         probe_keys,
         build_keys,
     )
+    aliases = probe.aliases | build.aliases
     return _Entry(
         op=planned.op,
         statements=planned.statements,
@@ -317,10 +355,10 @@ def _join_entries(
         estimate=_join_estimate(
             planner.database, planned.op, probe.estimate, build.estimate
         ),
-        aliases=probe.aliases | build.aliases,
+        aliases=aliases,
         label=f"({probe.label} ⋈ {build.label})",
-        satisfied=_satisfied(
-            planner, planned.op, planned.statements, planned.prop, interests
+        satisfied=interests.satisfied(
+            aliases, planned.op, planned.statements, planned.prop
         ),
     )
 
@@ -330,7 +368,7 @@ def _combine(
     frontier_a: List[_Entry],
     frontier_b: List[_Entry],
     cross_edges: Sequence[JoinEdge],
-    interests,
+    interests: _Interests,
 ) -> List[_Entry]:
     """Every join of an entry from each frontier, in both directions."""
     out: List[_Entry] = []
@@ -349,7 +387,7 @@ def _combine(
 # Enumeration: exact DP (small blocks) and greedy (large blocks)
 # ----------------------------------------------------------------------
 def _dp_search(
-    planner, graph: JoinGraph, interests
+    planner, graph: JoinGraph, interests: _Interests
 ) -> Optional[List[_Entry]]:
     """DPsize over connected subsets, Pareto frontier per subset."""
     frontiers: Dict[FrozenSet[str], List[_Entry]] = {}
@@ -390,7 +428,7 @@ def _dp_search(
 
 
 def _greedy_search(
-    planner, graph: JoinGraph, interests
+    planner, graph: JoinGraph, interests: _Interests
 ) -> Optional[List[_Entry]]:
     """GOO-style greedy: repeatedly merge the connected component pair
     whose cheapest join is globally cheapest, keeping frontiers."""
@@ -430,31 +468,22 @@ def _greedy_search(
 # ----------------------------------------------------------------------
 # Final selection
 # ----------------------------------------------------------------------
-def _completed_cost(planner, op, statements, prop, estimate, desired) -> float:
-    """Entry cost plus what the consumer still has to pay: a sort if the
-    desired order is not provided, a hash pass if the desired grouping
-    cannot stream."""
+def _completed_cost(planner, op, statements, prop, estimate, want) -> float:
+    """Entry cost plus what the consumer (``want``: its desired order,
+    else its desired grouping, else None) still has to pay: a sort if the
+    order is not provided, a hash pass if the grouping cannot stream."""
     total = estimate.cost.total
-    if desired.order:
-        required = planner._try_qualify(desired.order)
-        try:
-            resolved = tuple(op.schema.resolve(c) for c in required)
-        except (KeyError, ValueError):
-            resolved = None
-        if resolved is not None and not planner._order_ok(
-            statements, prop.order, resolved
-        ):
+    if want is None:
+        return total
+    try:
+        resolved = tuple(op.schema.resolve(c) for c in want.columns)
+    except (KeyError, ValueError):
+        return total
+    if want.kind == "order":
+        if not planner._order_ok(statements, prop.order, resolved):
             total += sort_cost(estimate.rows).total
-    elif desired.partition:
-        required = planner._try_qualify(desired.partition)
-        try:
-            resolved = tuple(op.schema.resolve(c) for c in required)
-        except (KeyError, ValueError):
-            resolved = None
-        if resolved is not None and not planner._partition_ok(
-            statements, prop.order, resolved
-        ):
-            total += hash_cost(estimate.rows, 0).total
+    elif not planner._partition_ok(statements, prop.order, resolved):
+        total += hash_cost(estimate.rows, 0).total
     return total
 
 
@@ -481,7 +510,9 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
     graph = extract_join_graph(node, planner.resolver)
     if graph is None:
         return None
-    interests = _interesting_orders(planner, graph, desired)
+    interests = _Interests(planner, _interesting_orders(planner, graph, desired))
+    # What the consumer wants leads the tuple: its order, else its grouping.
+    want = interests.orders[0] if desired.order or desired.partition else None
     if len(graph.relations) <= DP_MAX_RELATIONS:
         algorithm = "dp"
         frontier = _dp_search(planner, graph, interests)
@@ -491,23 +522,11 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
     if not frontier:
         return None
 
-    best = min(
-        frontier,
-        key=lambda entry: (
-            _completed_cost(
-                planner,
-                entry.op,
-                entry.statements,
-                entry.prop,
-                entry.estimate,
-                desired,
-            ),
-            entry.label,
-        ),
-    )
-    best_completed = _completed_cost(
-        planner, best.op, best.statements, best.prop, best.estimate, desired
-    )
+    scored = [
+        (_completed_cost(planner, e.op, e.statements, e.prop, e.estimate, want), e)
+        for e in frontier
+    ]
+    best_completed, best = min(scored, key=lambda pair: (pair[0], pair[1].label))
 
     syntactic = planner._plan_join_syntactic(node, desired)
     syntactic_estimate = estimate_plan(planner.database, syntactic.op)
@@ -517,7 +536,7 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
         syntactic.statements,
         syntactic.prop,
         syntactic_estimate,
-        desired,
+        want,
     )
     syntactic_label = graph.syntactic_label()
 
@@ -550,5 +569,7 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
         chosen_cost=chosen_completed,
         syntactic=syntactic_label,
         syntactic_cost=syntactic_completed,
+        satisfied_evaluated=interests.evaluated,
+        satisfied_reused=interests.reused,
     )
     return JoinOrderResult(planned=planned, record=record)

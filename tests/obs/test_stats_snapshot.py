@@ -3,6 +3,8 @@ monotonic-counter contract, the slow-query ring, the lifetime exchange
 totals, and the ``Metrics.work`` recomputation cache."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.engine.errors import QueryTimeout
@@ -15,7 +17,7 @@ SQL = (
 )
 
 SECTIONS = ("epoch", "engine", "plan_cache", "theory_cache", "exchange",
-            "maintenance", "logical_memo_size")
+            "maintenance", "pair_selectivity", "logical_memo_size")
 
 
 def test_snapshot_has_every_section(db):
@@ -81,6 +83,61 @@ def test_maintenance_counts_every_kind_both_ways():
     fourth = reading()
     assert moved(third, fourth) == {(kind, "rebuilt") for kind in kinds}
     assert reading() == fourth  # nothing written, nothing maintained
+
+
+def test_pair_selectivity_reuse_and_thrash_are_visible(monkeypatch):
+    """Join estimates over unchanged statistics only reuse their merge
+    walks; an append prices the new histogram once; a map too small for
+    the working set shows up as ``computed`` keeping pace with plannings.
+    The search's own reuse is on the join-order line of EXPLAIN."""
+    from repro.engine import histogram
+    from repro.engine.database import Database
+    from repro.engine.schema import Schema
+    from repro.engine.types import DataType
+
+    db = Database()
+    for name, rows in (("a", 300), ("b", 200), ("c", 100)):
+        table = db.create_table(
+            name, Schema.of((f"{name}_k", DataType.INT), (f"{name}_v", DataType.INT))
+        )
+        table.load((i, i % 9) for i in range(rows))
+        db.create_index(f"{name}_pk", name, [f"{name}_k"], clustered=True)
+    sql = (
+        "SELECT a_k, b_v, c_v FROM a JOIN b ON a_k = b_k JOIN c ON b_k = c_k "
+        "ORDER BY a_k"
+    )
+
+    def planned():
+        before = db.stats_snapshot()["pair_selectivity"]
+        db.plan(sql, use_cache=False)
+        after = db.stats_snapshot()["pair_selectivity"]
+        assert set(after) == {"computed", "reused", "size"}
+        return {key: after[key] - before[key] for key in ("computed", "reused")}
+
+    first = planned()
+    assert first["computed"] == 4  # (a,b) and (b,c), each direction
+    assert first["reused"] > first["computed"]
+    second = planned()
+    assert second == {"computed": 0, "reused": sum(first.values())}
+
+    db.table("c").load([(100, 1)])
+    third = planned()  # c's histogram was replaced: its two pairs again
+    assert third == {"computed": 2, "reused": second["reused"] - 2}
+
+    monkeypatch.setattr(histogram, "PAIR_LIMIT", 1)  # four pairs, room for one
+    db.table("c").load([(101, 2)])
+    thrashing = planned()
+    assert thrashing["computed"] > 4 and thrashing["computed"] > thrashing["reused"]
+    assert db.stats_snapshot()["pair_selectivity"]["size"] == 1
+
+    line = next(
+        line for line in db.explain(sql, verbose=True).splitlines()
+        if line.startswith("join order:")
+    )
+    evaluated, reused = re.search(
+        r"satisfied orders: (\d+) evaluated, (\d+) reused$", line
+    ).groups()
+    assert int(evaluated) > 0 and int(reused) > 0
 
 
 def test_engine_counters_are_monotonic_across_queries(db):

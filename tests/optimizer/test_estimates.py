@@ -17,15 +17,21 @@ distribution-aware cases pin ``"histogram"`` mode.
 from __future__ import annotations
 
 import datetime
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.database import Database
 from repro.engine.histogram import (
+    EquiDepthHistogram,
     KMVSketch,
+    _ordinal,
     build_histogram,
     build_sketch,
     merge_join_rows,
+    pair_selectivity_stats,
 )
 from repro.engine.schema import Schema
 from repro.engine.stats import (
@@ -396,3 +402,202 @@ class TestMicrobenchSanity:
             pytest.skip("no join-order decision recorded")
         q = max(join_est / actual, actual / join_est)
         assert q < 3.0
+
+
+# ----------------------------------------------------------------------
+# Pair selectivities: one merge walk per pair of live histograms
+# ----------------------------------------------------------------------
+def _reference_interval_mass(hist, low, high, include_low):
+    """``interval_mass`` as first written: every bucket, from bucket 0."""
+    rows = 0.0
+    distinct = 0.0
+    for i in range(len(hist.counts)):
+        bucket_low, bucket_high = hist.lowers[i], hist.uppers[i]
+        if bucket_high < low or (bucket_high == low and not include_low):
+            continue
+        if bucket_low > high:
+            break
+        if bucket_low == bucket_high:
+            inside_low = low < bucket_low or (include_low and bucket_low == low)
+            if inside_low and bucket_low <= high:
+                rows += hist.counts[i]
+                distinct += hist.distincts[i]
+            continue
+        lo_ord, hi_ord = _ordinal(bucket_low), _ordinal(bucket_high)
+        if lo_ord is None or hi_ord is None or hi_ord <= lo_ord:
+            rows += hist.counts[i] * 0.5
+            distinct += hist.distincts[i] * 0.5
+            continue
+        window_lo = max(lo_ord, _ordinal(low))
+        window_hi = min(hi_ord, _ordinal(high))
+        fraction = (window_hi - window_lo) / (hi_ord - lo_ord)
+        fraction = max(0.0, min(1.0, fraction))
+        rows += hist.counts[i] * fraction
+        distinct += hist.distincts[i] * fraction
+    return rows, distinct
+
+
+def _reference_merge_join_rows(left_rows, right_rows, left_hist, right_hist):
+    """``merge_join_rows`` as first written: the whole walk per call."""
+    if left_hist.total == 0 or right_hist.total == 0:
+        return 0.0
+    try:
+        boundaries = sorted(
+            set(left_hist.lowers) | set(left_hist.uppers)
+            | set(right_hist.lowers) | set(right_hist.uppers)
+        )
+        left_scale = left_rows / left_hist.total
+        right_scale = right_rows / right_hist.total
+        rows = 0.0
+        previous = None
+        for boundary in boundaries:
+            low = boundary if previous is None else previous
+            include_low = previous is None
+            previous = boundary
+            l_rows, l_ndv = _reference_interval_mass(left_hist, low, boundary, include_low)
+            r_rows, r_ndv = _reference_interval_mass(right_hist, low, boundary, include_low)
+            if l_rows <= 0.0 or r_rows <= 0.0:
+                continue
+            rows += (l_rows * left_scale) * (r_rows * right_scale) / max(l_ndv, r_ndv, 1.0)
+    except TypeError:
+        return -1.0
+    return rows
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("d", value)
+
+
+_key_values = st.one_of(
+    st.lists(st.integers(-50, 400), min_size=1, max_size=300),
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=120),
+    st.lists(
+        st.integers(0, 500).map(lambda d: datetime.date(2020, 1, 1) + datetime.timedelta(d)),
+        min_size=1, max_size=200,
+    ),
+    st.lists(st.text("abcdef", min_size=1, max_size=3), min_size=1, max_size=80),
+)
+_cardinality = st.one_of(
+    st.integers(0, 10**6).map(float), st.floats(0.0, 1e9, allow_nan=False)
+)
+
+
+class TestPairSelectivity:
+    @given(
+        left=_key_values,
+        right=_key_values,
+        buckets=st.sampled_from([2, 7, 64]),
+        inputs=st.lists(st.tuples(_cardinality, _cardinality), min_size=1, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memoised_equals_from_scratch_walk_bit_for_bit(
+        self, left, right, buckets, inputs
+    ):
+        """Random histogram pairs (same and mixed domains) × random input
+        cardinalities: the first call (walk computed) and every later one
+        (walk replayed) have the float bits of the from-scratch walk."""
+        left_hist = build_histogram(sorted(left), buckets)
+        right_hist = build_histogram(sorted(right), buckets)
+        before = pair_selectivity_stats()
+        for left_rows, right_rows in inputs + inputs:
+            expected = _reference_merge_join_rows(left_rows, right_rows, left_hist, right_hist)
+            got = merge_join_rows(left_rows, right_rows, left_hist, right_hist)
+            assert _bits(got) == _bits(expected)
+        after = pair_selectivity_stats()
+        assert after["computed"] - before["computed"] == 1
+        assert after["reused"] - before["reused"] == 2 * len(inputs) - 1
+
+    @given(
+        values=_key_values,
+        buckets=st.sampled_from([2, 7, 64]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interval_mass_skips_only_buckets_that_add_nothing(
+        self, values, buckets, data
+    ):
+        hist = build_histogram(sorted(values), buckets)
+        probe = st.sampled_from(sorted(set(values)))
+        low, high = sorted((data.draw(probe), data.draw(probe)))
+        for include_low in (False, True):
+            got = hist.interval_mass(low, high, include_low)
+            expected = _reference_interval_mass(hist, low, high, include_low)
+            assert [_bits(x) for x in got] == [_bits(x) for x in expected]
+
+    def test_empty_histogram_is_zero_and_keeps_no_entry(self):
+        empty = EquiDepthHistogram((), (), (), (), 0)
+        full = build_histogram(sorted(range(100)))
+        before = pair_selectivity_stats()
+        assert merge_join_rows(10, 10, empty, full) == 0.0
+        assert merge_join_rows(10, 10, full, empty) == 0.0
+        assert pair_selectivity_stats() == before
+
+    def test_incomparable_sentinel_survives_a_comparable_call(self):
+        ints = build_histogram(sorted(range(100)))
+        strs = build_histogram(sorted("abcdefgh"))
+        more_ints = build_histogram(sorted(range(50, 150)))
+        assert merge_join_rows(100, 8, ints, strs) == -1.0
+        comparable = merge_join_rows(100, 100, ints, more_ints)
+        assert _bits(comparable) == _bits(
+            _reference_merge_join_rows(100, 100, ints, more_ints)
+        )
+        assert comparable > 0.0
+        assert merge_join_rows(100, 8, ints, strs) == -1.0  # from the entry
+        assert merge_join_rows(8, 100, strs, ints) == -1.0  # its own pair
+
+    def test_uniform_mode_never_consults_the_walks(self):
+        left, right = _stats(range(1000)), _stats(range(900, 1900))
+        ordered = [
+            ColumnStats(c.distinct, c.minimum, c.maximum, c.histogram, c.sketch,
+                        od_ordered=True)
+            for c in (left, right)
+        ]
+        keys = [JoinKeyStats(*ordered)]
+        set_estimation_mode("uniform")
+        before = pair_selectivity_stats()
+        assert estimate_equijoin(1000, 1000, keys) == 1000.0  # containment
+        assert pair_selectivity_stats() == before
+        set_estimation_mode("histogram")
+        assert estimate_equijoin(1000, 1000, keys) == pytest.approx(100, rel=0.3)
+        after = pair_selectivity_stats()
+        assert after["computed"] == before["computed"] + 1
+
+    def test_append_prices_the_new_histogram_afresh(self):
+        """``Table.load`` ⇒ ``Database.stats`` replaces the histogram
+        object ⇒ the next estimate walks the new pair and equals the
+        ``collect_stats`` reference; the old entry is never found again."""
+        db = Database("t")
+        left = db.create_table("l", Schema.of(("k", DataType.INT)))
+        right = db.create_table("r", Schema.of(("k", DataType.INT)))
+        left.load((i,) for i in range(1000))
+        right.load((i,) for i in range(900, 1900))
+        db.create_index("l_k", "l", ["k"], clustered=True)
+        db.create_index("r_k", "r", ["k"], clustered=True)
+
+        def estimate():
+            keys = [JoinKeyStats(db.stats("l").column("k"), db.stats("r").column("k"))]
+            return estimate_equijoin(len(left.rows), len(right.rows), keys)
+
+        def reference():
+            l = collect_stats(left, db.indexes_on("l")).column("k")
+            r = collect_stats(right, db.indexes_on("r")).column("k")
+            walked = _reference_merge_join_rows(
+                len(left.rows), len(right.rows), l.histogram, r.histogram
+            )
+            cross = float(len(left.rows)) * float(len(right.rows))
+            return max(1.0, cross * min(1.0, walked / cross))
+
+        start = pair_selectivity_stats()
+        first = estimate()
+        assert _bits(first) == _bits(reference())
+        assert _bits(estimate()) == _bits(first)
+        old_histogram = db.stats("l").column("k").histogram
+        for round_ in range(2):  # rebuilt, then extended
+            left.load((i,) for i in range(1000 + 400 * round_, 1400 + 400 * round_))
+            fresh = estimate()
+            assert db.stats("l").column("k").histogram is not old_histogram
+            assert _bits(fresh) == _bits(reference())
+            assert fresh > first
+        moved = pair_selectivity_stats()
+        assert moved["computed"] - start["computed"] == 3  # one walk per new pair
+        assert moved["reused"] - start["reused"] == 1

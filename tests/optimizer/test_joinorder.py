@@ -332,3 +332,129 @@ def test_random_join_graphs_equivalent(instance):
         other = db.execute(sql, **kwargs)
         assert other.rows == cost.rows
         assert other.metrics.counters == cost.metrics.counters
+
+
+# ----------------------------------------------------------------------
+# The (relation subset, provided order) memo of satisfied interesting
+# orders: same search, fewer oracle calls
+# ----------------------------------------------------------------------
+def _triangle() -> Database:
+    """Three relations joined pairwise — a cyclic join graph, so a split
+    can be crossed by two edges at once."""
+    db = Database("triangle")
+    for name, (left, right), rows in (
+        ("ab", ("a", "b"), 40), ("bc", ("b", "c"), 25), ("ca", ("c", "a"), 60),
+    ):
+        table = db.create_table(
+            name, Schema.of((f"{name}_{left}", DataType.INT), (f"{name}_{right}", DataType.INT))
+        )
+        table.load((i % 7, i % 5) for i in range(rows))
+        db.create_index(f"{name}_ix", name, [f"{name}_{left}"], clustered=False)
+    return db
+
+
+TRIANGLE_SQL = (
+    "SELECT ab_a, COUNT(*) AS n FROM ab "
+    "JOIN bc ON ab_b = bc_b "
+    "JOIN ca ON bc_c = ca_c AND ab_a = ca_a "
+    "GROUP BY ab_a ORDER BY ab_a"
+)
+SELF_JOIN_SQL = (
+    "SELECT a.f_date_sk, b.f_qty FROM sales a "
+    "JOIN sales b ON a.f_item_sk = b.f_item_sk "
+    "WHERE a.f_qty > 190 AND b.f_qty > 190 ORDER BY f_date_sk"
+)
+
+
+def _memo_cases():
+    from repro.workloads.rewrite_pack import REWRITE_PACK_QUERIES, build_rewrite_pack
+    from repro.workloads.snowflake import skewed_query_sql
+    from repro.workloads.tpcds_lite import DATE_QUERIES, build_tpcds_lite
+
+    snow = build_snowflake(days=150, sales_rows=4_000, items=60, brands=12, stores=8)
+    lo, hi = snow.date_range(30, 40)
+    for qid, template, _ in SNOWFLAKE_QUERIES:
+        yield qid, snow.database, template.format(lo=lo, hi=hi)
+    for qid, sql in skewed_query_sql(snow).items():
+        yield qid, snow.database, sql
+    yield "self-join", snow.database, SELF_JOIN_SQL
+    tpcds = build_tpcds_lite(days=120, sales_rows=3_000)
+    lo, hi = tpcds.date_range(20, 30)
+    for qid, template in DATE_QUERIES:
+        yield qid, tpcds.database, template.format(lo=lo, hi=hi)
+    pack = build_rewrite_pack(
+        fact_rows=2_000, wide_rows=1_500, order_rows=2_500, customers=1_200
+    )
+    for qid, sql, _ in REWRITE_PACK_QUERIES:
+        yield qid, pack, sql
+    yield "triangle", _triangle(), TRIANGLE_SQL
+
+
+def test_memoised_search_equals_direct_search(monkeypatch):
+    """Every workload statement, a cyclic join graph and a self-join, in
+    both planning modes: asking the oracle once per (subset, order) gives
+    the decision, operator tree and estimate of asking once per
+    candidate."""
+    from repro.optimizer import joinorder
+
+    def direct(self, aliases, op, statements, prop):
+        self.evaluated += 1
+        return joinorder._satisfied(self.planner, op, statements, prop, self.orders)
+
+    def facts(db, sql, optimize):
+        plan = db.plan(sql, optimize=optimize, use_cache=False)
+        info = plan.plan_info
+        return info.join_orders, plan.explain(), info.estimate
+
+    searched = reused = 0
+    covered = set()
+    for qid, db, sql in _memo_cases():
+        covered.add(qid)
+        for optimize in (True, False):
+            memoised = facts(db, sql, optimize)
+            with monkeypatch.context() as patch:
+                patch.setattr(joinorder._Interests, "satisfied", direct)
+                bypassed = facts(db, sql, optimize)
+            assert memoised == bypassed, (qid, optimize)
+            for with_memo, without in zip(memoised[0], bypassed[0]):
+                searched += 1
+                reused += with_memo.satisfied_reused
+                assert without.satisfied_reused == 0
+                assert (
+                    with_memo.satisfied_evaluated + with_memo.satisfied_reused
+                    == without.satisfied_evaluated
+                )
+    assert searched > 40 and reused > 0
+    assert {"triangle", "self-join", "SN6", "SK5", "RW2", "Q3"} <= covered
+
+
+def test_cold_sn6_prices_each_pair_once_and_asks_per_class():
+    """The two exact counts the issue pins (default-size snowflake, cold
+    theories): one merge walk per histogram pair however many candidates
+    the DP prices, and the oracle asked per (subset, order) class."""
+    from repro.engine.histogram import pair_selectivity_stats
+    from repro.engine.stats import set_estimation_mode
+    from repro.optimizer.context import clear_theory_cache
+
+    previous = set_estimation_mode("histogram")
+    try:
+        workload = build_snowflake()
+        sql = QUERIES["SN6"][0]
+        clear_theory_cache()
+        before = pair_selectivity_stats()
+        info = workload.database.plan(sql, use_cache=False).plan_info
+        after = pair_selectivity_stats()
+        # Only item_sk is OD-ordered on both sides: (item, sales) and
+        # (sales, item), priced 92 times between them.
+        assert after["computed"] - before["computed"] == 2
+        assert after["reused"] - before["reused"] == 90
+        decision = info.join_orders[0]
+        assert (decision.satisfied_evaluated, decision.satisfied_reused) == (51, 172)
+        assert info.oracle["implies_calls"] == 562
+
+        clear_theory_cache()
+        again = workload.database.plan(sql, use_cache=False).plan_info
+        assert again.oracle == info.oracle
+        assert pair_selectivity_stats()["computed"] == after["computed"]
+    finally:
+        set_estimation_mode(previous)
