@@ -46,7 +46,7 @@ def _record(benchmark, backend: str | None = None, **extra) -> None:
 def _process_run(fact):
     return insert_exchanges(
         scan_filter_aggregate(fact), WORKERS, backend="process"
-    ).run_batches(BATCH_SIZE)
+    ).run(BATCH_SIZE)
 
 
 def _faulted(fact, spec: str):
@@ -61,14 +61,14 @@ def _faulted(fact, spec: str):
 # Recovery overhead: fault-free vs kill-and-retry vs degrade-to-inline
 # ----------------------------------------------------------------------
 def test_fault_free_process(benchmark, fact):
-    serial_rows, _ = scan_filter_aggregate(fact).run_batches(BATCH_SIZE)
+    serial_rows, _ = scan_filter_aggregate(fact).run(BATCH_SIZE)
     rows, _ = benchmark(lambda: _process_run(fact))
     assert rows == serial_rows
     _record(benchmark, "process", scenario="fault_free")
 
 
 def test_kill_one_worker_and_retry(benchmark, fact):
-    serial_rows, serial_metrics = scan_filter_aggregate(fact).run_batches(
+    serial_rows, serial_metrics = scan_filter_aggregate(fact).run(
         BATCH_SIZE
     )
 
@@ -83,7 +83,7 @@ def test_kill_one_worker_and_retry(benchmark, fact):
 
 
 def test_degrade_to_inline(benchmark, fact):
-    serial_rows, serial_metrics = scan_filter_aggregate(fact).run_batches(
+    serial_rows, serial_metrics = scan_filter_aggregate(fact).run(
         BATCH_SIZE
     )
 
@@ -105,17 +105,17 @@ def test_cancellation_check_overhead_claim(benchmark, fact):
     on serial scan→filter→aggregate — best-of interleaved rounds so both
     sides see the same cache/noise regime.  Acceptance bar: <2%."""
     pipeline = scan_filter_aggregate(fact)
-    pipeline.run_batches(BATCH_SIZE)  # warm caches off the clock
+    pipeline.run(BATCH_SIZE)  # warm caches off the clock
 
     def best_pair(rounds: int = 9):
         bare = timed = float("inf")
         for _ in range(rounds):
             start = time.perf_counter()
-            pipeline.run_batches(BATCH_SIZE)
+            pipeline.run(BATCH_SIZE)
             bare = min(bare, time.perf_counter() - start)
             token = CancelToken(3600.0)  # live deadline: the real hot path
             start = time.perf_counter()
-            pipeline.run_batches(BATCH_SIZE, token=token)
+            pipeline.run(BATCH_SIZE, token=token)
             timed = min(timed, time.perf_counter() - start)
         return bare, timed
 

@@ -68,13 +68,13 @@ def test_tracing_disabled_overhead_claim(benchmark, fact):
     wrapped_pipeline = scan_filter_aggregate(fact)
     raw_pipeline = scan_filter_aggregate(fact)
     _bind_raw(raw_pipeline)
-    serial_rows, _ = wrapped_pipeline.run_batches(BATCH_SIZE)  # warm
-    raw_rows, _ = raw_pipeline.run_batches(BATCH_SIZE)  # warm
+    serial_rows, _ = wrapped_pipeline.run(BATCH_SIZE)  # warm
+    raw_rows, _ = raw_pipeline.run(BATCH_SIZE)  # warm
     assert raw_rows == serial_rows
 
     def _timed(pipeline):
         start = time.perf_counter()
-        rows, _ = pipeline.run_batches(BATCH_SIZE)
+        rows, _ = pipeline.run(BATCH_SIZE)
         elapsed = time.perf_counter() - start
         assert rows == serial_rows
         return elapsed
@@ -116,11 +116,11 @@ def test_tracing_disabled_overhead_claim(benchmark, fact):
 # ----------------------------------------------------------------------
 def test_tracing_enabled_overhead_claim(benchmark, fact):
     pipeline = scan_filter_aggregate(fact)
-    serial = pipeline.run_batches(BATCH_SIZE)  # warm
+    serial = pipeline.run(BATCH_SIZE)  # warm
 
     def _timed_bare():
         start = time.perf_counter()
-        run = pipeline.run_batches(BATCH_SIZE)
+        run = pipeline.run(BATCH_SIZE)
         elapsed = time.perf_counter() - start
         assert run[0] == serial[0]
         return elapsed
@@ -128,7 +128,7 @@ def test_tracing_enabled_overhead_claim(benchmark, fact):
     def _timed_traced():
         tracer = Tracer()
         start = time.perf_counter()
-        run = pipeline.run_batches(BATCH_SIZE, tracer=tracer)
+        run = pipeline.run(BATCH_SIZE, tracer=tracer)
         elapsed = time.perf_counter() - start
         assert run[0] == serial[0]
         assert run[1].counters == serial[1].counters
@@ -166,12 +166,12 @@ def test_tracing_enabled_overhead_claim(benchmark, fact):
 def test_traced_process_exchange(benchmark, fact):
     """Document the absolute cost of tracing across the process exchange
     (worker span shipping + adoption included)."""
-    serial_rows, _ = scan_filter_aggregate(fact).run_batches(BATCH_SIZE)
+    serial_rows, _ = scan_filter_aggregate(fact).run(BATCH_SIZE)
 
     def run():
         plan = insert_exchanges(scan_filter_aggregate(fact), 2, backend="process")
         tracer = Tracer()
-        rows, _ = plan.run_batches(BATCH_SIZE, tracer=tracer)
+        rows, _ = plan.run(BATCH_SIZE, tracer=tracer)
         assert rows == serial_rows
         return len(tracer.spans)
 

@@ -70,7 +70,7 @@ def _record(benchmark, rows: int, backend: str | None = None) -> None:
 # ----------------------------------------------------------------------
 def test_scan_filter_aggregate_serial(benchmark, fact):
     result = benchmark(
-        lambda: scan_filter_aggregate(fact).run_batches(BATCH_SIZE)
+        lambda: scan_filter_aggregate(fact).run(BATCH_SIZE)
     )
     assert len(result[0]) > 0
     _record(benchmark, ROWS)
@@ -81,7 +81,7 @@ def test_scan_filter_aggregate_parallel(benchmark, fact, backend, workers):
     result = benchmark(
         lambda: insert_exchanges(
             scan_filter_aggregate(fact), workers, backend=backend
-        ).run_batches(BATCH_SIZE)
+        ).run(BATCH_SIZE)
     )
     assert len(result[0]) > 0
     _record(benchmark, ROWS, backend)
@@ -91,7 +91,7 @@ def test_scan_filter_aggregate_parallel(benchmark, fact, backend, workers):
 # join → aggregate
 # ----------------------------------------------------------------------
 def test_join_aggregate_serial(benchmark, fact, dim):
-    result = benchmark(lambda: join_aggregate(fact, dim).run_batches(BATCH_SIZE))
+    result = benchmark(lambda: join_aggregate(fact, dim).run(BATCH_SIZE))
     assert len(result[0]) > 0
     _record(benchmark, ROWS)
 
@@ -101,7 +101,7 @@ def test_join_aggregate_parallel(benchmark, fact, dim, backend, workers):
     result = benchmark(
         lambda: insert_exchanges(
             join_aggregate(fact, dim), workers, backend=backend
-        ).run_batches(BATCH_SIZE)
+        ).run(BATCH_SIZE)
     )
     assert len(result[0]) > 0
     _record(benchmark, ROWS, backend)
@@ -136,10 +136,10 @@ def test_parallel_scaling_claim(benchmark, fact, backend):
     def run(workers):
         return insert_exchanges(
             scan_filter_aggregate(fact), workers, backend=backend
-        ).run_batches(BATCH_SIZE)
+        ).run(BATCH_SIZE)
 
     def measure():
-        serial_rows, serial_metrics = scan_filter_aggregate(fact).run_batches(
+        serial_rows, serial_metrics = scan_filter_aggregate(fact).run(
             BATCH_SIZE
         )
         for workers in (1, 4):

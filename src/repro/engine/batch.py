@@ -1,38 +1,35 @@
-"""Columnar batches: the unit of vectorized execution.
+"""Columnar batches: the unit of execution.
 
-The row-at-a-time iterator model charges a Python generator hop, a
-metrics update, and a closure chain *per row* — at laptop scale that
-interpreter overhead drowns the signal the paper's rewrites produce
-(sorts and joins that never run).  A :class:`ColumnBatch` amortizes all
-of it: operators move fixed-capacity chunks of column vectors, charge
+A row-at-a-time iterator would charge a Python generator hop, a metrics
+update, and a closure chain *per row* — at laptop scale that interpreter
+overhead drowns the signal the paper's rewrites produce (sorts and joins
+that never run).  A :class:`ColumnBatch` amortizes all of it: operators
+move fixed-capacity chunks of column vectors, charge
 :class:`~repro.engine.operators.base.Metrics` once per batch (with row
-counts, so totals stay comparable with the row path), and evaluate
+counts, so totals do not depend on the chunk size), and evaluate
 expressions through the compiled vectorized kernels of
 :mod:`repro.engine.expr`.
 
 Layout: one Python sequence per column (lists or the tuples ``zip``
 produces — anything sliceable), all of equal length, sharing the
-operator's :class:`~repro.engine.schema.Schema`.  ``rows()`` adapts a
-batch back to the iterator model's tuples, which is also how the two
-modes are compared bit-for-bit in the differential harness.
+operator's :class:`~repro.engine.schema.Schema`.  ``rows()`` turns a
+batch into row tuples, which is how results reach the caller.
 
-Ordering: a batch stream carries the same :class:`OrderSpec` guarantee
-as the row stream it replaces — *within* each batch rows are in stream
-order, and batches are emitted in stream order, so concatenating
-``rows()`` over the stream reproduces the row path exactly.
+Ordering: a batch stream carries an :class:`OrderSpec` guarantee —
+*within* each batch rows are in stream order, and batches are emitted in
+stream order, so concatenating ``rows()`` over the stream gives the
+ordered result.
 """
 from __future__ import annotations
 
-from itertools import chain, compress, islice
-from typing import Iterable, Iterator, List, Optional, Sequence
+from itertools import chain, compress
+from typing import Iterator, List, Optional, Sequence
 
 from .schema import Schema
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "ColumnBatch",
-    "batches_from_rows",
-    "rows_from_batches",
 ]
 
 #: Default chunk capacity.  Large enough that per-batch costs (one
@@ -99,7 +96,7 @@ class ColumnBatch:
         return self.columns[self.schema.position(self.schema.resolve(reference))]
 
     def rows(self) -> Iterator[tuple]:
-        """Adapt back to the iterator model: row tuples in stream order."""
+        """Row tuples in stream order."""
         if not self.columns:
             return iter(() for _ in range(self._length))
         return zip(*self.columns)
@@ -153,20 +150,3 @@ class ColumnBatch:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnBatch({len(self.columns)} cols x {self._length} rows)"
 
-
-def batches_from_rows(
-    schema: Schema, rows: Iterable[tuple], batch_size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[ColumnBatch]:
-    """Chunk a row iterator into batches (the row→batch adapter)."""
-    iterator = iter(rows)
-    while True:
-        chunk = list(islice(iterator, batch_size))
-        if not chunk:
-            return
-        yield ColumnBatch.from_rows(schema, chunk)
-
-
-def rows_from_batches(batches: Iterable[ColumnBatch]) -> Iterator[tuple]:
-    """Flatten a batch stream back into row tuples (the batch→row adapter)."""
-    for batch in batches:
-        yield from batch.rows()

@@ -71,7 +71,8 @@ class QueryResult:
     rows: List[tuple]
     metrics: Metrics
     plan: Operator
-    #: Vectorized-execution chunk size, ``None`` for the row path.
+    #: The batch size the execution streamed at (``None`` at the call
+    #: resolves to :data:`~repro.engine.batch.DEFAULT_BATCH_SIZE`).
     batch_size: Optional[int] = None
     #: Parallel worker count, ``None`` for serial execution.
     workers: Optional[int] = None
@@ -580,28 +581,30 @@ class Database:
     ) -> QueryResult:
         """Run a query to completion.
 
-        ``batch_size=None`` (default) executes row-at-a-time.  Any
-        positive ``batch_size`` selects the vectorized mode: operators
-        stream :class:`~repro.engine.batch.ColumnBatch` chunks of that
-        capacity through compiled expression kernels.  ``workers=K``
-        additionally partitions the plan's partitionable chains across a
-        exchange backend behind order-preserving exchanges (parallel
-        execution is batch execution — an unspecified ``batch_size``
-        defaults to :data:`~repro.engine.batch.DEFAULT_BATCH_SIZE`), and
-        ``backend=`` picks it: ``"inline"`` (default: no pool — the
-        deterministic floor) or ``"process"`` (true multicore).
-        Results and ``Metrics`` counter totals are identical across all
-        modes and backends (gated by the mode-matrix differential
-        harness); only the speed differs.
+        Operators stream :class:`~repro.engine.batch.ColumnBatch` chunks
+        of ``batch_size`` rows through compiled expression kernels;
+        ``batch_size=None`` (default) means
+        :data:`~repro.engine.batch.DEFAULT_BATCH_SIZE`, and the rows are
+        flattened from the batches at the end.  ``workers=K``
+        additionally partitions the plan's partitionable chains behind
+        order-preserving exchanges, and ``backend=`` picks the exchange
+        backend: ``"inline"`` (default: no pool — the deterministic
+        floor) or ``"process"`` (true multicore).  Results and
+        ``Metrics`` counter totals are identical across batch sizes,
+        worker counts and backends (gated by the differential harness);
+        only the speed differs.  The one exception is ``LIMIT``: a scan
+        under it is charged for the whole batches it produced, at most
+        one batch past the row that completes the limit.
 
         ``timeout_s`` sets a deadline: a :class:`CancelToken` rides the
-        execution's ``Metrics`` and every operator loop checks it
-        per-batch (per ~1k rows in row mode), so a past-deadline query
-        raises :class:`~repro.engine.errors.QueryTimeout` promptly and
-        the worker pool stays healthy for the next query.  Worker/partition failures are retried and
-        degraded transparently (see :mod:`repro.engine.parallel`); the
-        result's ``retries``/``degraded_to``/``exchange_stats`` report
-        what recovery ran.
+        execution's ``Metrics`` and every operator loop checks it once
+        per batch, so a past-deadline query raises
+        :class:`~repro.engine.errors.QueryTimeout` promptly and the
+        worker pool stays healthy for the next query.  Worker/partition
+        failures are retried and degraded transparently (see
+        :mod:`repro.engine.parallel`); the result's
+        ``retries``/``degraded_to``/``exchange_stats`` report what
+        recovery ran.
 
         ``trace=True`` (or ``REPRO_TRACE=1`` in the environment) records
         a hierarchical span trace of the optimizer phases and every
@@ -631,12 +634,9 @@ class Database:
                 plan = self._plan(sql, options, use_cache, tracer)
                 info = getattr(plan, "plan_info", None)
                 with tracer.span("execute", "execute") if tracer else nullcontext():
-                    if options.batch_size is not None:
-                        rows, metrics = plan.run_batches(
-                            options.batch_size, token=token, tracer=tracer
-                        )
-                    else:
-                        rows, metrics = plan.run(token=token, tracer=tracer)
+                    rows, metrics = plan.run(
+                        options.batch_size, token=token, tracer=tracer
+                    )
         except QueryError as exc:
             wall_ns = perf_counter_ns() - started
             self._registry.record(
@@ -739,9 +739,9 @@ class Database:
         ordering keys, how much oracle work was answered from the
         memoized result cache vs enumerated, whether this plan was a
         plan-cache hit, miss, or bypass (with its fingerprint prefix and
-        catalog epoch), and which execution mode the given
-        ``batch_size``/``workers`` select (row iterators, vectorized
-        batches, or parallel batches).
+        catalog epoch), and the execution the given ``batch_size``/
+        ``workers`` select (serial or parallel, with the resolved batch
+        size).
 
         ``analyze=True`` *runs the query* under a tracer and annotates
         every node with its measured actuals — rows, batches, wall time —
@@ -767,10 +767,7 @@ class Database:
             started = perf_counter_ns()
             with tracer.span("query", "query", sql=sql):
                 with tracer.span("execute", "execute"):
-                    if options.batch_size is not None:
-                        plan.run_batches(options.batch_size, tracer=tracer)
-                    else:
-                        plan.run(tracer=tracer)
+                    plan.run(options.batch_size, tracer=tracer)
             wall_ns = perf_counter_ns() - started
             tracer.finish()
             text, summary = annotate_plan(self, plan, tracer.spans)

@@ -10,9 +10,9 @@ tests) import it without cycles.
 
 Cancellation is **cooperative**: a :class:`CancelToken` rides on the
 execution's :class:`~repro.engine.operators.base.Metrics` and operators
-call ``metrics.check_cancel()`` once per batch (or per ~1k rows in row
-mode) — cheap enough to be unmeasurable (<2%, gated in
-``BENCH_bench_faults.json``), frequent enough that a deadline lands
+call ``metrics.check_cancel()`` once per batch — cheap enough to be
+unmeasurable (<2%, gated in ``BENCH_bench_faults.json``), frequent
+enough that a deadline lands
 within one batch of wall-clock truth.  Worker processes never see the
 token; the consumer side enforces deadlines while pumping morsels, so a
 timeout needs no cross-process signalling.

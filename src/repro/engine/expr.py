@@ -8,13 +8,15 @@ and the date extraction functions (``YEAR``/``QUARTER``/``MONTH``/``DAY``/
 Each expression compiles itself against a :class:`~repro.engine.schema.Schema`
 two ways:
 
-* ``compile_against`` — a plain Python closure, so per-row evaluation in
-  row-mode operator inner loops costs one function call;
 * ``compile_vectorized`` (also :func:`vectorized_kernel`) — a *generated*
-  list-comprehension kernel over whole column vectors for the batch
-  execution mode: the entire expression tree is fused into one Python
+  list-comprehension kernel over whole column vectors, which is what the
+  operators run: the entire expression tree is fused into one Python
   expression compiled once (and cached per ``(expression, schema)``), so
-  a batch of N rows costs one function call instead of N closure chains.
+  a batch of N rows costs one function call instead of N closure chains;
+* ``compile_against`` — a plain Python closure evaluating one row.  No
+  operator uses it; it is the kernels' test reference, built by a
+  separate code path from the kernel generator, so the two agreeing
+  element for element (value and type) checks the generated source.
 """
 from __future__ import annotations
 
@@ -238,7 +240,7 @@ class BoolOp(Expr):
         return lambda row: any(fn(row) for fn in compiled)
 
     def vector_source(self, ctx: "_VectorContext") -> str:
-        # ``bool(...)`` matches the row path's all()/any() return type while
+        # ``bool(...)`` matches the closure's all()/any() return type while
         # keeping Python's left-to-right short-circuit per row.
         joiner = " and " if self.op == "AND" else " or "
         inner = joiner.join(
@@ -409,7 +411,7 @@ def _build_kernel(expr: Expr, schema: Schema):
     """Fuse ``expr`` into one generated list comprehension.
 
     The whole tree becomes a single Python expression evaluated per row
-    inside one comprehension — preserving the row path's left-to-right,
+    inside one comprehension — preserving per-row left-to-right,
     short-circuit semantics — so a batch costs one function call plus a
     C-speed loop instead of a closure chain per row.
     """
@@ -502,7 +504,8 @@ def vectorized_kernel(
 
     Returns ``fn(columns, n) -> list`` where ``columns`` is a sequence of
     column vectors positioned as in ``schema`` and ``n`` their length;
-    the result vector matches row-at-a-time evaluation element-for-element.
+    the result vector matches per-row ``compile_against`` evaluation
+    element-for-element.
     """
     try:
         key = (expr, _literal_signature(expr), schema.names)

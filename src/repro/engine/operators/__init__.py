@@ -1,4 +1,4 @@
-"""Physical operators for the mini engine (iterator model + metrics)."""
+"""Physical operators for the mini engine (batch streams + metrics)."""
 from .aggregate import (
     HashAggregate,
     PartialHashAggregate,

@@ -6,18 +6,18 @@ fly* (:class:`StreamAggregate` — group boundaries are found in the stream),
 while an unordered input needs a partitioning operation
 (:class:`HashAggregate`) or an explicit sort.
 
-Both also have vectorized paths: :class:`HashAggregate` folds whole
-batches into per-aggregate accumulator dicts (``Counter`` for the shared
-row counts — also the first-seen emission order — plus one dict per
-SUM/AVG/MIN/MAX), :class:`StreamAggregate` splits each batch into
-contiguous key runs and folds each run in one ``update_many`` step.  Both
-reproduce the row path's results bit-for-bit (same per-group fold order,
-same float associativity).
+:class:`HashAggregate` folds whole batches into per-aggregate
+accumulator dicts (``Counter`` for the shared row counts — also the
+first-seen emission order — plus one dict per SUM/AVG/MIN/MAX);
+:class:`StreamAggregate` splits each batch into contiguous key runs and
+folds each run in one ``update_many`` step.  Both add a group's values
+left to right in stream order, so float results do not depend on the
+batch size.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from ..expr import vectorized_kernel
@@ -76,10 +76,6 @@ class _AggregateBase(Operator):
         self._group_positions = tuple(
             child.schema.position(column) for column in self.group_columns
         )
-        self._agg_fns = [
-            spec.expr.compile_against(child.schema) if spec.expr is not None else None
-            for spec in self.aggregates
-        ]
         self._agg_kernels: Optional[list] = None  # compiled on first batch
 
     def children(self) -> Sequence[Operator]:
@@ -126,15 +122,8 @@ class _AggregateBase(Operator):
                 )
         yield ColumnBatch.from_rows(self.schema, [self._emit((), states)])
 
-    def _key(self, row: tuple) -> tuple:
-        return tuple(row[i] for i in self._group_positions)
-
     def _fresh_states(self):
         return [spec.make_state() for spec in self.aggregates]
-
-    def _update(self, states, row) -> None:
-        for state, fn in zip(states, self._agg_fns):
-            state.update(fn(row) if fn is not None else 1)
 
     def _emit(self, key: tuple, states) -> tuple:
         return key + tuple(state.result() for state in states)
@@ -161,24 +150,6 @@ class HashAggregate(_AggregateBase):
 
     ordering: Tuple[str, ...] = ()
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        groups: Dict[tuple, list] = {}
-        for row in self.child.execute(metrics):
-            metrics.add("hash_build_rows")
-            key = self._key(row)
-            states = groups.get(key)
-            if states is None:
-                states = self._fresh_states()
-                groups[key] = states
-            self._update(states, row)
-        if not groups and not self.group_columns:
-            # SQL semantics: a global aggregate over zero rows yields one row
-            # (COUNT 0, SUM/MIN/MAX of nothing).
-            yield self._emit((), self._fresh_states())
-            return
-        for key, states in groups.items():
-            yield self._emit(key, states)
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
@@ -186,9 +157,8 @@ class HashAggregate(_AggregateBase):
 
         The shared ``Counter`` of group row counts serves COUNT and AVG
         *and* fixes the emission order (dicts keep first-insertion order,
-        so iteration reproduces the row path's first-seen group order);
-        SUM/AVG accumulate per key in row order, keeping float results
-        bit-identical to the incremental row-mode states.
+        so groups come out in first-seen order); SUM/AVG accumulate per
+        key in row order.
         """
         if not self.group_columns:
             yield from self._global_batches(metrics, batch_size, "hash_build_rows")
@@ -266,31 +236,13 @@ class StreamAggregate(_AggregateBase):
         # made of grouping columns.
         self.ordering = tuple(child.provides().restrict(self.group_columns))
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        current_key = None
-        states = None
-        for row in self.child.execute(metrics):
-            key = self._key(row)
-            if states is None:
-                current_key, states = key, self._fresh_states()
-            elif key != current_key:
-                yield self._emit(current_key, states)
-                current_key, states = key, self._fresh_states()
-            self._update(states, row)
-        if states is not None:
-            yield self._emit(current_key, states)
-        elif not self.group_columns:
-            # SQL semantics for a global aggregate over zero rows.
-            yield self._emit((), self._fresh_states())
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
         """Split each batch into contiguous key runs and fold each run in
-        one ``update_many`` step (bit-identical to the per-row fold).  A
-        run spanning a batch boundary keeps accumulating into the carried
-        states — the operator's contiguity precondition guarantees the key
-        never reappears later."""
+        one ``update_many`` step.  A run spanning a batch boundary keeps
+        accumulating into the carried states — the operator's contiguity
+        precondition guarantees the key never reappears later."""
         if not self.group_columns:
             yield from self._global_batches(metrics, batch_size, None)
             return

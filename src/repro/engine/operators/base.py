@@ -1,4 +1,10 @@
-"""Operator framework: the iterator model with work accounting.
+"""Operator framework: batch streams with work accounting.
+
+There is one execution engine: every physical operator streams
+:class:`~repro.engine.batch.ColumnBatch` chunks.  A caller that wants row
+tuples (``batch_size=None`` at the ``Database`` surface) gets them from
+:meth:`Operator.run`, which flattens the batch stream — rows are an
+adapter over batches, not a second implementation.
 
 Every physical operator exposes
 
@@ -8,12 +14,10 @@ Every physical operator exposes
   derived per operator from the input's spec via the
   :class:`~repro.optimizer.properties.OrderSpec` algebra and exposed to the
   planner as :meth:`Operator.provides`;
-* ``execute(metrics)`` — a generator of rows, charging its work to the
-  shared :class:`Metrics`;
-* ``execute_batches(metrics, batch_size)`` — the vectorized mode: a
-  generator of :class:`~repro.engine.batch.ColumnBatch` chunks, charging
-  the *same counter totals* per batch (with row counts) so ``work`` stays
-  comparable across modes;
+* ``execute_batches(metrics, batch_size)`` — a generator of
+  :class:`~repro.engine.batch.ColumnBatch` chunks, charging its work to
+  the shared :class:`Metrics` once per batch (with row counts), so the
+  totals of a fully drained plan do not depend on ``batch_size``;
 * ``explain_lines()`` — the pretty plan tree.
 
 ``Metrics`` totals are what the benchmark harness compares across plans:
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..batch import DEFAULT_BATCH_SIZE, ColumnBatch, batches_from_rows
+from ..batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from ..expr import Expr
 from ..schema import Schema
 
@@ -56,11 +60,10 @@ class Metrics:
 
     ``token`` is the execution's optional
     :class:`~repro.engine.errors.CancelToken`: operators call
-    :meth:`check_cancel` once per batch (and per ~1k rows in row-mode
-    scans) so deadlines and consumer-side cancellation land
-    cooperatively.  It is *not* a counter — parity comparisons look only
-    at :attr:`counters`, and worker-side Metrics never carry one (the
-    consumer enforces deadlines while pumping).
+    :meth:`check_cancel` once per batch so deadlines and consumer-side
+    cancellation land cooperatively.  It is *not* a counter — parity
+    comparisons look only at :attr:`counters`, and worker-side Metrics
+    never carry one (the consumer enforces deadlines while pumping).
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
@@ -112,12 +115,12 @@ class Metrics:
         return f"Metrics({inner}, work={self.work:.0f})"
 
 
-def _traced(fn: Callable, mode: str) -> Callable:
-    """Wrap an ``execute``/``execute_batches`` method for span capture.
+def _traced(fn: Callable) -> Callable:
+    """Wrap an ``execute_batches`` method for span capture.
 
     Pay-as-you-go contract: with no tracer on the ``Metrics`` the wrapper
     returns the raw stream — one attribute read and one ``is None`` test
-    per *stream creation* (never per row/batch), so the disabled-tracer
+    per *stream creation* (never per batch), so the disabled-tracer
     overhead is unmeasurable next to execution itself.
     """
 
@@ -126,11 +129,11 @@ def _traced(fn: Callable, mode: str) -> Callable:
         tracer = metrics.tracer
         if tracer is None:
             return stream
-        return tracer.wrap_stream(self, stream, mode)
+        return tracer.wrap_stream(self, stream)
 
     wrapper._obs_traced = True
     wrapper.__wrapped__ = fn
-    wrapper.__name__ = getattr(fn, "__name__", mode)
+    wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
 
@@ -139,14 +142,13 @@ class Operator:
     """Base class for physical operators."""
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Install trace wrappers on every subclass's own execution
-        methods — one hook instead of editing every operator module's
-        hot loops (which stay byte-for-byte untouched)."""
+        """Install the trace wrapper on every subclass's own
+        ``execute_batches`` — one hook instead of editing every operator
+        module's hot loops (which stay byte-for-byte untouched)."""
         super().__init_subclass__(**kwargs)
-        for name, mode in (("execute", "row"), ("execute_batches", "batch")):
-            fn = cls.__dict__.get(name)
-            if fn is not None and not getattr(fn, "_obs_traced", False):
-                setattr(cls, name, _traced(fn, mode))
+        fn = cls.__dict__.get("execute_batches")
+        if fn is not None and not getattr(fn, "_obs_traced", False):
+            cls.execute_batches = _traced(fn)
 
     #: Output schema; set by subclasses.
     schema: Schema
@@ -163,7 +165,7 @@ class Operator:
     #:   independence and relative order, so it can be cloned above each
     #:   partition (implements :meth:`partition_through`);
     #: * ``"barrier"`` — parallelism must not be introduced anywhere in
-    #:   this operator's subtree (``Limit``: early termination);
+    #:   this operator's subtree (``Limit``: it stops pulling early);
     #: * ``None`` — not partitionable itself; exchange placement recurses
     #:   into the children instead.
     partition_kind: Optional[str] = None
@@ -203,25 +205,19 @@ class Operator:
                 return
         raise ValueError(f"{self.label()}: {old.label()} is not a child")
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        raise NotImplementedError
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Vectorized execution: yield :class:`ColumnBatch` chunks.
+        """Yield this operator's output as :class:`ColumnBatch` chunks of
+        at most ``batch_size`` rows.
 
-        The batch stream carries the same :attr:`ordering` guarantee as
-        the row stream (batches in stream order, rows in order within
-        each batch) and charges the same counter *totals* to ``metrics``.
-        This default adapts the row path (exact metrics parity by
-        construction); operators with columnar fast paths override it.
+        The stream honors :attr:`ordering` (batches in stream order, rows
+        in order within each batch).  Counter totals of a drained stream
+        are the same at every ``batch_size``; a consumer that stops early
+        (``Limit``) leaves each streaming operator charged for the whole
+        batches it produced.
         """
-        for batch in batches_from_rows(
-            self.schema, self.execute(metrics), batch_size
-        ):
-            metrics.check_cancel()
-            yield batch
+        raise NotImplementedError
 
     def children(self) -> Sequence["Operator"]:
         return ()
@@ -247,26 +243,16 @@ class Operator:
         return "\n".join(self.explain_lines())
 
     def run(
-        self, token: Optional[Any] = None, tracer: Optional[Any] = None
-    ) -> "tuple[List[tuple], Metrics]":
-        """Execute to completion, returning (rows, metrics).  ``token``
-        is an optional :class:`~repro.engine.errors.CancelToken` enforced
-        cooperatively throughout; ``tracer`` an optional
-        :class:`~repro.obs.tracer.Tracer` capturing per-operator spans."""
-        if tracer is not None:
-            tracer.register_plan(self)
-        metrics = Metrics(token=token, tracer=tracer)
-        rows = list(self.execute(metrics))
-        return rows, metrics
-
-    def run_batches(
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
         token: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ) -> "tuple[List[tuple], Metrics]":
-        """Execute in vectorized mode to completion, flattening batches
-        back to row tuples — bit-identical to :meth:`run`."""
+        """Execute to completion, flattening the batch stream into row
+        tuples; returns (rows, metrics).  ``token`` is an optional
+        :class:`~repro.engine.errors.CancelToken` enforced cooperatively
+        throughout; ``tracer`` an optional
+        :class:`~repro.obs.tracer.Tracer` capturing per-operator spans."""
         if tracer is not None:
             tracer.register_plan(self)
         metrics = Metrics(token=token, tracer=tracer)
@@ -274,12 +260,6 @@ class Operator:
         for batch in self.execute_batches(metrics, batch_size):
             rows.extend(batch.rows())
         return rows, metrics
-
-
-# The base row→batch adapter is Operator's own method, so the subclass
-# hook never sees it — wrap it once here.  Subclasses overriding
-# ``execute_batches`` get their own wrapper from ``__init_subclass__``.
-Operator.execute_batches = _traced(Operator.__dict__["execute_batches"], "batch")
 
 
 @dataclass(frozen=True)
@@ -321,25 +301,13 @@ class _AggState:
         self.minimum: Any = None
         self.maximum: Any = None
 
-    def update(self, value: Any) -> None:
-        self.count += 1
-        if self.func in ("SUM", "AVG"):
-            self.total += value
-        elif self.func == "MIN":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func == "MAX":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-
     def update_many(self, values: Optional[Sequence[Any]], count: int) -> None:
         """Fold ``count`` rows in one step (``values`` is the evaluated
         argument vector, ``None`` for ``COUNT(*)``).
 
-        Bit-identical to ``count`` sequential :meth:`update` calls:
-        ``sum(values, start)`` adds left-to-right from the running total
-        (same float associativity), and min/max comparisons keep the
-        earlier element on ties exactly as the incremental loop does.
+        ``sum(values, start)`` adds left-to-right from the running total,
+        so a group's float result is the same however its rows are split
+        into runs; min/max keep the earlier element on ties.
         """
         if not count:
             return

@@ -2,9 +2,8 @@
 
 Each documents how it transforms the *order property* of its input — the
 bookkeeping that lets the optimizer know when a downstream sort is
-unnecessary — and provides both a row-at-a-time ``execute`` and a
-vectorized ``execute_batches`` (Filter/Project evaluate expressions
-through the fused kernels of :mod:`repro.engine.expr`).
+unnecessary.  Filter/Project evaluate expressions through the fused
+kernels of :mod:`repro.engine.expr`.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ class Filter(Operator):
         self.predicate = predicate
         self.schema = child.schema
         self.ordering = child.ordering  # order-preserving: same spec as input
-        self._compiled = predicate.compile_against(child.schema)
         self._kernel = None  # vectorized predicate, compiled on first batch
 
     def partition_through(self, child: Operator) -> "Filter":
@@ -43,13 +41,6 @@ class Filter(Operator):
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        compiled = self._compiled
-        for row in self.child.execute(metrics):
-            metrics.add("rows_filtered")
-            if compiled(row):
-                yield row
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
@@ -75,9 +66,9 @@ class Filter(Operator):
     def trace_args(self) -> dict:
         return {"predicate": self.predicate.render()}
 
-    # Picklable for process-backend shipping: the compiled row closure
-    # and vectorized kernel are code objects (unpicklable) *derived from*
-    # the predicate — ship the constructor args, recompile in the worker.
+    # Picklable for process-backend shipping: the vectorized kernel is a
+    # code object (unpicklable) *derived from* the predicate — ship the
+    # constructor args, recompile in the worker.
     def __getstate__(self):
         return (self.child, self.predicate)
 
@@ -115,7 +106,6 @@ class Project(Operator):
             Column(name, _infer_dtype(expr, child.schema))
             for name, expr in zip(self.names, self.exprs)
         )
-        self._compiled = [expr.compile_against(child.schema) for expr in self.exprs]
         self._kernels = None  # vectorized outputs, compiled on first batch
         self.ordering = self._propagate_ordering()
 
@@ -134,11 +124,6 @@ class Project(Operator):
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        compiled = self._compiled
-        for row in self.child.execute(metrics):
-            yield tuple(fn(row) for fn in compiled)
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
@@ -172,8 +157,8 @@ class Project(Operator):
     def trace_args(self) -> dict:
         return {"names": ", ".join(self.names)}
 
-    # Picklable for process-backend shipping: compiled closures/kernels
-    # are derived state — ship the constructor args, recompile in the
+    # Picklable for process-backend shipping: compiled kernels are
+    # derived state — ship the constructor args, recompile in the
     # worker (expressions themselves are frozen dataclasses, picklable).
     def __getstate__(self):
         return (self.child, self.exprs, self.names)
@@ -217,16 +202,16 @@ def _infer_dtype(expr: Expr, schema: Schema) -> DataType:
 class Limit(Operator):
     """First ``n`` rows; preserves ordering.
 
-    Deliberately has **no native batch path**: the base-class adapter runs
-    the subtree in row mode.  Limit is the one operator that stops pulling
-    its child early, and a columnar child would charge whole batches of
-    scan work the row path never does — the adapter keeps early-
-    termination (and therefore metrics parity between modes) exact, and a
-    LIMIT plan's output is bounded anyway.
+    Limit is the one operator that stops pulling its child early: it
+    truncates the batch that completes the count and closes the child
+    stream.  Counter contract: each streaming operator below is charged
+    for the whole batches it produced, so a scan is charged at most one
+    batch past the row that completes the limit (``LIMIT 0`` pulls
+    nothing).
 
-    For the same reason Limit is a parallelism **barrier**: exchange
-    placement never descends into its subtree — eagerly drained partitions
-    would charge scan work the early-terminating serial path never does.
+    Limit is a parallelism **barrier**: exchange placement never descends
+    into its subtree — eagerly drained partitions would charge scan work
+    the early-stopping serial path never does.
     """
 
     partition_kind = "barrier"
@@ -240,13 +225,24 @@ class Limit(Operator):
     def children(self) -> Sequence[Operator]:
         return (self.child,)
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        emitted = 0
-        for row in self.child.execute(metrics):
-            if emitted >= self.count:
-                break
-            emitted += 1
-            yield row
+    def execute_batches(
+        self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
+    ) -> Iterator[ColumnBatch]:
+        remaining = self.count
+        if remaining <= 0:
+            return
+        stream = self.child.execute_batches(metrics, batch_size)
+        try:
+            for batch in stream:
+                length = len(batch)
+                if length >= remaining:
+                    yield batch.slice(0, remaining)
+                    return
+                if length:
+                    remaining -= length
+                    yield batch
+        finally:
+            stream.close()
 
     def label(self) -> str:
         return f"Limit({self.count})"
@@ -268,14 +264,6 @@ class HashDistinct(Operator):
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        seen: set = set()
-        for row in self.child.execute(metrics):
-            metrics.add("hash_probe_rows")
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
@@ -318,13 +306,6 @@ class SortedDistinct(Operator):
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        previous: Optional[tuple] = None
-        for row in self.child.execute(metrics):
-            if row != previous:
-                yield row
-                previous = row
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE

@@ -20,10 +20,10 @@ class _JoinBase(Operator):
     """Joins are not partition-transparent (``partition_kind`` stays
     ``None``): they combine two streams, so exchange placement recurses
     into each side instead — either input may itself be a parallelized
-    chain, since all three joins drain their inputs wholesale in batch
-    mode.  (Partitioning the *probe* loop against a shared built table is
-    the natural next step; it needs a build-once barrier the current
-    exchange does not model.)"""
+    chain, since all three joins drain their inputs wholesale.
+    (Partitioning the *probe* loop against a shared built table is the
+    natural next step; it needs a build-once barrier the current exchange
+    does not model.)"""
 
     def __init__(
         self,
@@ -87,19 +87,6 @@ class HashJoin(_JoinBase):
     def __init__(self, left, right, left_keys, right_keys) -> None:
         super().__init__(left, right, left_keys, right_keys)
         self.ordering = left.ordering  # preserves the probe side's spec
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        table: Dict[tuple, List[tuple]] = {}
-        for row in self.right.execute(metrics):
-            metrics.add("hash_build_rows")
-            key = tuple(row[i] for i in self._right_positions)
-            table.setdefault(key, []).append(row)
-        for row in self.left.execute(metrics):
-            metrics.add("hash_probe_rows")
-            key = tuple(row[i] for i in self._left_positions)
-            for match in table.get(key, ()):
-                metrics.add("join_rows")
-                yield row + match
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
@@ -166,26 +153,15 @@ class MergeJoin(_JoinBase):
         self.ordering = left.ordering  # preserves the probe side's spec
 
     def _merge(
-        self,
-        left_rows: List[tuple],
-        right_rows: List[tuple],
-        metrics: Metrics,
-        batched: bool,
-    ) -> Iterator[tuple]:
-        """The two-pointer merge shared by both execution modes.
-
-        ``batched=False`` charges ``merge_steps``/``join_rows`` one at a
-        time as the row path always has (so an early-stopping consumer
-        sees partial counts); ``batched=True`` accumulates and charges
-        the totals once at exhaustion — same totals, one dict op.
-        """
-        steps = joined = 0
+        self, left_rows: List[tuple], right_rows: List[tuple], metrics: Metrics
+    ) -> List[tuple]:
+        """The two-pointer merge; ``merge_steps``/``join_rows`` are
+        charged once, with their totals."""
+        out: List[tuple] = []
+        steps = 0
         i = j = 0
         while i < len(left_rows) and j < len(right_rows):
-            if batched:
-                steps += 1
-            else:
-                metrics.add("merge_steps")
+            steps += 1
             left_key = tuple(left_rows[i][p] for p in self._left_positions)
             right_key = tuple(right_rows[j][p] for p in self._right_positions)
             if left_key < right_key:
@@ -203,32 +179,22 @@ class MergeJoin(_JoinBase):
                     left_rows[i][p] for p in self._left_positions
                 ) == left_key:
                     for k in range(j, j_end):
-                        if batched:
-                            joined += 1
-                        else:
-                            metrics.add("join_rows")
-                        yield left_rows[i] + right_rows[k]
+                        out.append(left_rows[i] + right_rows[k])
                     i += 1
                 j = j_end
         if steps:
             metrics.add("merge_steps", steps)
-        if joined:
-            metrics.add("join_rows", joined)
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        left_rows = list(self.left.execute(metrics))
-        right_rows = list(self.right.execute(metrics))
-        yield from self._merge(left_rows, right_rows, metrics, batched=False)
+        if out:
+            metrics.add("join_rows", len(out))
+        return out
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """The identical merge over inputs materialized batch-wise;
-        counters are charged once with the totals the row path
-        accumulates one at a time."""
+        """Merge the two inputs, each materialized from its batches."""
         left_rows = self._materialize(self.left, metrics, batch_size)
         right_rows = self._materialize(self.right, metrics, batch_size)
-        out = list(self._merge(left_rows, right_rows, metrics, batched=True))
+        out = self._merge(left_rows, right_rows, metrics)
         yield from self._emit_batches(out, batch_size)
 
 
@@ -239,17 +205,6 @@ class NestedLoopJoin(_JoinBase):
     def __init__(self, left, right, left_keys, right_keys) -> None:
         super().__init__(left, right, left_keys, right_keys)
         self.ordering = left.ordering  # preserves the probe side's spec
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        right_rows = list(self.right.execute(metrics))
-        for row in self.left.execute(metrics):
-            for other in right_rows:
-                metrics.add("nl_comparisons")
-                if tuple(row[i] for i in self._left_positions) == tuple(
-                    other[i] for i in self._right_positions
-                ):
-                    metrics.add("join_rows")
-                    yield row + other
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
@@ -268,7 +223,7 @@ class NestedLoopJoin(_JoinBase):
                     if left_key == other_key:
                         out.append(row + other)
                         produced += 1
-            if right_rows:  # row path never touches the counter otherwise
+            if right_rows:  # no comparison made, no counter key created
                 metrics.add("nl_comparisons", len(batch) * len(right_rows))
             if produced:
                 metrics.add("join_rows", produced)

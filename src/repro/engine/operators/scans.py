@@ -58,25 +58,12 @@ class SeqScan(Operator):
         index, count = self.partition
         return (index * total) // count, ((index + 1) * total) // count
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        if self.partition is None:
-            rows = self.table.rows
-        else:
-            start, stop = self._bounds()
-            rows = self.table.rows[start:stop]
-        for position, row in enumerate(rows):
-            if not position & 1023:  # cooperative cancel, ~per-1k rows
-                metrics.check_cancel()
-            metrics.add("rows_scanned")
-            yield row
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
         """Slice the table's cached columnar view; ``rows_scanned`` is
-        charged once per batch with the batch length (same total as the
-        per-row charges of the row path — and partition totals sum to the
-        unpartitioned scan's)."""
+        charged once per batch with the batch length (partition totals sum
+        to the unpartitioned scan's)."""
         columns = self.table.columnar()
         first, last = self._bounds()
         schema = self.schema
@@ -175,22 +162,12 @@ class IndexScan(Operator):
         width = max(0, stop - start)
         return start + (index * width) // count, start + ((index + 1) * width) // count
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        if self.partition is None or self.partition[0] == 0:
-            metrics.add("index_probes")
-        start, stop = self._position_bounds()
-        for position, row in enumerate(self.index.scan_positions(start, stop)):
-            if not position & 1023:  # cooperative cancel, ~per-1k rows
-                metrics.check_cancel()
-            metrics.add("rows_scanned")
-            yield row
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
         """Chunk the key-ordered range scan and transpose each chunk;
-        one ``index_probes`` plus per-batch ``rows_scanned`` charges, the
-        same totals as the row path.  Key order carries batch-to-batch."""
+        one ``index_probes`` plus per-batch ``rows_scanned`` charges.  Key
+        order carries batch-to-batch."""
         if self.partition is None or self.partition[0] == 0:
             metrics.add("index_probes")
         start, stop = self._position_bounds()
@@ -280,7 +257,7 @@ class ShippedScan(Operator):
     Holds plain column lists plus the (qualified) schema — no ``Table``
     or ``SortedIndex`` back-pointers, so pickling it costs exactly its
     data.  Metrics parity with the scan it replaced: ``rows_scanned``
-    per row/batch, and ``index_probes`` once when ``charge_probe`` (the
+    per batch, and ``index_probes`` once when ``charge_probe`` (the
     shipped form of "partition 0 owns the per-execute probe charge").
     ``ordering`` is the declared :class:`OrderSpec` the source scan
     guaranteed — an index partition's slice is in key order, so the
@@ -300,15 +277,6 @@ class ShippedScan(Operator):
         self.length = length
         self.ordering = tuple(ordering)
         self.charge_probe = charge_probe
-
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        if self.charge_probe:
-            metrics.add("index_probes")
-        for position, row in enumerate(zip(*self.columns)):
-            if not position & 1023:  # cooperative cancel, ~per-1k rows
-                metrics.check_cancel()
-            metrics.add("rows_scanned")
-            yield row
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE

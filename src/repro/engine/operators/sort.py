@@ -42,20 +42,11 @@ class Sort(Operator):
     def children(self) -> Sequence[Operator]:
         return (self.child,)
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        rows = list(self.child.execute(metrics))
-        metrics.add("sorts")
-        metrics.add("sort_rows", len(rows))
-        positions = self._positions
-        rows.sort(key=lambda row: tuple(row[i] for i in positions))
-        for row in rows:
-            yield row
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Materialize the child's batches, run the identical stable sort
-        (same key, same input order → same output), re-emit in chunks."""
+        """Materialize the child's batches, stable-sort the rows on the
+        key, re-emit in chunks."""
         rows: List[tuple] = []
         for batch in self.child.execute_batches(metrics, batch_size):
             metrics.check_cancel()

@@ -45,36 +45,15 @@ class TopN(Operator):
     def children(self) -> Sequence[Operator]:
         return (self.child,)
 
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        if self.count == 0:
-            # still drain nothing: no need to touch the child at all
-            return
-        positions = self._positions
-        # max-heap of the current best n: store negated comparison wrapper
-        heap: List[tuple] = []
-        for arrival, row in enumerate(self.child.execute(metrics)):
-            metrics.add("topn_rows")
-            key = tuple(row[i] for i in positions)
-            entry = (_Reverse((key, arrival)), row)
-            if len(heap) < self.count:
-                heapq.heappush(heap, entry)
-            elif (key, arrival) < heap[0][0].value:
-                heapq.heapreplace(heap, entry)
-        metrics.add("sorts")
-        metrics.add("sort_rows", len(heap))  # only the heap contents sort
-        ordered = sorted(heap, key=lambda entry: entry[0].value)
-        for _, row in ordered:
-            yield row
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """The same bounded heap fed batch-wise; arrival order (the
-        stable tiebreak) is counted globally across batches."""
+        """A bounded heap fed batch-wise; arrival order (the stable
+        tiebreak) is counted globally across batches."""
         if self.count == 0:
-            # as in the row path: no need to touch the child at all
-            return
+            return  # no need to touch the child at all
         positions = self._positions
+        # max-heap of the current best n: store negated comparison wrapper
         heap: List[tuple] = []
         arrival = 0
         for batch in self.child.execute_batches(metrics, batch_size):

@@ -4,8 +4,8 @@
 from their keyword arguments; everything downstream (the plan cache,
 the planner, EXPLAIN, ``QueryResult``) reads the resolved object.  Every
 check on those arguments lives in :meth:`ExecOptions.__post_init__`, so
-an instance that exists is valid, and the defaults ("parallel implies
-batch", the default backend) are applied in exactly one place.
+an instance that exists is valid, and the defaults (the batch size, the
+default backend) are applied in exactly one place.
 """
 from __future__ import annotations
 
@@ -22,15 +22,16 @@ __all__ = ["ExecOptions"]
 class ExecOptions:
     """How one statement is planned and run.
 
-    After construction ``backend`` is ``None`` exactly when ``workers``
-    is (serial execution), and a parallel run always has a
-    ``batch_size`` — parallel execution is batch execution.
+    After construction ``batch_size`` is always a positive int —
+    ``None`` resolves to :data:`~repro.engine.batch.DEFAULT_BATCH_SIZE`,
+    since every execution streams batches — and ``backend`` is ``None``
+    exactly when ``workers`` is (serial execution).
     """
 
     optimize: bool = True
     join_order: str = "cost"
     rewrites: str = "on"
-    batch_size: Optional[int] = None
+    batch_size: Optional[int] = None  # resolved to an int
     workers: Optional[int] = None
     backend: Optional[str] = None
 
@@ -39,7 +40,9 @@ class ExecOptions:
             raise ValueError(f"unknown join_order {self.join_order!r}")
         if self.rewrites not in ("on", "off"):
             raise ValueError(f"unknown rewrites setting {self.rewrites!r}")
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is None:
+            object.__setattr__(self, "batch_size", DEFAULT_BATCH_SIZE)
+        elif self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.workers is None:
             if self.backend is not None:
@@ -47,8 +50,6 @@ class ExecOptions:
             return
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.batch_size is None:
-            object.__setattr__(self, "batch_size", DEFAULT_BATCH_SIZE)
         if self.backend is None:
             object.__setattr__(self, "backend", DEFAULT_BACKEND)
         get_backend(self.backend)  # raises ValueError naming the valid ones
@@ -73,6 +74,4 @@ class ExecOptions:
                 f"parallel ({self.workers} workers, batch size "
                 f"{self.batch_size}, {self.backend} backend)"
             )
-        if self.batch_size is not None:
-            return f"vectorized (batch size {self.batch_size})"
-        return "row (iterator)"
+        return f"vectorized (batch size {self.batch_size})"

@@ -1114,10 +1114,9 @@ class Exchange(Operator):
     same schema, and each individually honoring the declared ordering).
     ``subtree`` — when built by the planner — is the serial chain the
     partitions were cloned from: it is what ``children()`` exposes for
-    EXPLAIN, and what row-mode ``execute`` runs (the deterministic serial
-    fallback, with exactly the serial plan's counters).  ``backend``
-    names the :class:`ExchangeBackend` batch execution drains through
-    (``workers <= 1`` or a single partition always degrades to inline).
+    EXPLAIN.  ``backend`` names the :class:`ExchangeBackend` execution
+    drains through (``workers <= 1`` or a single partition always
+    degrades to inline).
     """
 
     #: "merge" or "union" — also the EXPLAIN vocabulary.
@@ -1175,20 +1174,6 @@ class Exchange(Operator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, metrics: Metrics) -> Iterator[tuple]:
-        """Row mode: the deterministic serial fallback.
-
-        A planner-built exchange simply runs the serial subtree it
-        replaced — bit- and counter-identical to the unparallelized plan
-        by construction.  A bare exchange (test seam) drains its
-        partitions through the batch path instead.
-        """
-        if self.subtree is not None:
-            yield from self.subtree.execute(metrics)
-            return
-        for batch in self.execute_batches(metrics):
-            yield from batch.rows()
-
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:

@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
+from ..errors import QueryError
+
 __all__ = ["Token", "tokenize", "SqlSyntaxError"]
 
 KEYWORDS = {
@@ -20,8 +22,18 @@ SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*",
            "+", "-", "/", "%")
 
 
-class SqlSyntaxError(ValueError):
-    """Lexical or syntactic error in a query."""
+class SqlSyntaxError(QueryError, ValueError):
+    """Lexical or syntactic error in a query.
+
+    ``position`` is the character offset of the offending token in the
+    statement text.  A :class:`QueryError`, so ``Database.execute``
+    counts it as a failed query; still a ``ValueError`` for callers that
+    catch bad input that way.
+    """
+
+    def __init__(self, message: str, position: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -54,7 +66,7 @@ def tokenize(text: str) -> List[Token]:
             while j < n and text[j] != "'":
                 j += 1
             if j >= n:
-                raise SqlSyntaxError(f"unterminated string literal at {i}")
+                raise SqlSyntaxError(f"unterminated string literal at {i}", i)
             tokens.append(Token("STRING", text[i + 1:j], i))
             i = j + 1
             continue
@@ -92,6 +104,6 @@ def tokenize(text: str) -> List[Token]:
                 matched = True
                 break
         if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
+            raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}", i)
     tokens.append(Token("EOF", "", n))
     return tokens

@@ -50,19 +50,22 @@ class _Parser:
 
     def advance(self) -> Token:
         token = self.tokens[self.position]
-        self.position += 1
+        if token.kind != "EOF":  # EOF is sticky: peek() stays in bounds
+            self.position += 1
         return token
 
     def expect_keyword(self, word: str) -> Token:
         token = self.peek()
         if not token.is_keyword(word):
-            raise SqlSyntaxError(f"expected {word}, got {token.value!r}")
+            raise SqlSyntaxError(f"expected {word}, got {token.value!r}", token.position)
         return self.advance()
 
     def expect_symbol(self, symbol: str) -> Token:
         token = self.peek()
         if not token.is_symbol(symbol):
-            raise SqlSyntaxError(f"expected {symbol!r}, got {token.value!r}")
+            raise SqlSyntaxError(
+                f"expected {symbol!r}, got {token.value!r}", token.position
+            )
         return self.advance()
 
     def accept_keyword(self, *words: str) -> Optional[Token]:
@@ -104,11 +107,16 @@ class _Parser:
         limit = None
         if self.accept_keyword("LIMIT"):
             token = self.advance()
-            if token.kind != "NUMBER":
-                raise SqlSyntaxError(f"LIMIT expects a number, got {token.value!r}")
+            if token.kind != "NUMBER" or "." in token.value:
+                raise SqlSyntaxError(
+                    f"LIMIT expects an integer, got {token.value!r}", token.position
+                )
             limit = int(token.value)
-        if self.peek().kind != "EOF":
-            raise SqlSyntaxError(f"unexpected trailing input: {self.peek().value!r}")
+        token = self.peek()
+        if token.kind != "EOF":
+            raise SqlSyntaxError(
+                f"unexpected trailing input: {token.value!r}", token.position
+            )
         return SelectStatement(
             items=tuple(items),
             table=table,
@@ -135,7 +143,9 @@ class _Parser:
         if self.accept_keyword("AS"):
             token = self.advance()
             if token.kind != "IDENT":
-                raise SqlSyntaxError(f"expected alias, got {token.value!r}")
+                raise SqlSyntaxError(
+                    f"expected alias, got {token.value!r}", token.position
+                )
             alias = token.value
         elif self.peek().kind == "IDENT":
             alias = self.advance().value
@@ -144,10 +154,17 @@ class _Parser:
     def parse_table_ref(self) -> TableRef:
         token = self.advance()
         if token.kind != "IDENT":
-            raise SqlSyntaxError(f"expected table name, got {token.value!r}")
+            raise SqlSyntaxError(
+                f"expected table name, got {token.value!r}", token.position
+            )
         alias = token.value
         if self.accept_keyword("AS"):
-            alias = self.advance().value
+            named = self.advance()
+            if named.kind != "IDENT":
+                raise SqlSyntaxError(
+                    f"expected alias, got {named.value!r}", named.position
+                )
+            alias = named.value
         elif self.peek().kind == "IDENT":
             alias = self.advance().value
         return TableRef(token.value, alias)
@@ -178,12 +195,14 @@ class _Parser:
     def parse_column_name(self) -> str:
         token = self.advance()
         if token.kind != "IDENT":
-            raise SqlSyntaxError(f"expected column name, got {token.value!r}")
+            raise SqlSyntaxError(
+                f"expected column name, got {token.value!r}", token.position
+            )
         name = token.value
         if self.accept_symbol("."):
             part = self.advance()
             if part.kind != "IDENT":
-                raise SqlSyntaxError("expected column after '.'")
+                raise SqlSyntaxError("expected column after '.'", part.position)
             name = f"{name}.{part.value}"
         return name
 
@@ -195,10 +214,12 @@ class _Parser:
 
     def parse_order_item(self) -> OrderItem:
         column = self.parse_column_name()
-        if self.accept_keyword("DESC"):
+        desc = self.accept_keyword("DESC")
+        if desc is not None:
             raise SqlSyntaxError(
                 "DESC is not supported: the paper's OD framework (and this "
-                "reproduction) covers ascending lexicographic orders only"
+                "reproduction) covers ascending lexicographic orders only",
+                desc.position,
             )
         self.accept_keyword("ASC")
         return OrderItem(column)
@@ -270,11 +291,20 @@ class _Parser:
         if token.kind == "STRING":
             return token.value
         if token.is_keyword("DATE"):
-            value = self.advance()
-            if value.kind != "STRING":
-                raise SqlSyntaxError("DATE literal expects a quoted string")
-            return datetime.date.fromisoformat(value.value)
-        raise SqlSyntaxError(f"expected literal, got {token.value!r}")
+            return self.parse_date_string()
+        raise SqlSyntaxError(f"expected literal, got {token.value!r}", token.position)
+
+    def parse_date_string(self) -> datetime.date:
+        """The quoted ``yyyy-mm-dd`` string after a ``DATE`` keyword."""
+        token = self.advance()
+        if token.kind != "STRING":
+            raise SqlSyntaxError("DATE literal expects a quoted string", token.position)
+        try:
+            return datetime.date.fromisoformat(token.value)
+        except ValueError as exc:
+            raise SqlSyntaxError(
+                f"bad DATE literal {token.value!r}: {exc}", token.position
+            ) from None
 
     def parse_primary(self) -> Expr:
         token = self.peek()
@@ -296,10 +326,7 @@ class _Parser:
             return Lit(token.value)
         if token.is_keyword("DATE"):
             self.advance()
-            value = self.advance()
-            if value.kind != "STRING":
-                raise SqlSyntaxError("DATE literal expects a quoted string")
-            return Lit(datetime.date.fromisoformat(value.value))
+            return Lit(self.parse_date_string())
         if token.is_keyword("TRUE"):
             self.advance()
             return Lit(True)
@@ -313,19 +340,22 @@ class _Parser:
             if self.accept_symbol("."):
                 part = self.advance()
                 if part.kind != "IDENT":
-                    raise SqlSyntaxError("expected column after '.'")
+                    raise SqlSyntaxError("expected column after '.'", part.position)
                 return Col(f"{name}.{part.value}")
             return Col(name)
-        raise SqlSyntaxError(f"unexpected token {token.value!r} in expression")
+        raise SqlSyntaxError(
+            f"unexpected token {token.value!r} in expression", token.position
+        )
 
     def parse_call(self, name: str) -> Expr:
         self.expect_symbol("(")
         upper = name.upper()
         if upper in AGG_FUNCS:
-            if self.accept_symbol("*"):
+            star = self.accept_symbol("*")
+            if star is not None:
                 self.expect_symbol(")")
                 if upper != "COUNT":
-                    raise SqlSyntaxError(f"{upper}(*) is not valid")
+                    raise SqlSyntaxError(f"{upper}(*) is not valid", star.position)
                 return AggCall("COUNT", None)
             arg = self.parse_expr()
             self.expect_symbol(")")

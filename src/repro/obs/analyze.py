@@ -8,7 +8,7 @@ nodes) and render the tree with, per node:
 
 * ``actual rows`` — rows the node's stream(s) yielded, summed across
   loops and partitions;
-* ``batches`` — batch count in vectorized/parallel modes;
+* ``batches`` — batch count;
 * ``time`` — inclusive wall milliseconds (summed across partitions, so
   parallel nodes report aggregate lane time, not wall clock);
 * ``loops`` — stream count when a node was executed more than once
@@ -17,10 +17,6 @@ nodes) and render the tree with, per node:
   Q-error ``max(est/actual, actual/est)`` against it, the feedback loop
   the statistics subsystem was built for.  Nodes the cost model can't
   estimate (exchanges) show actuals only.
-
-When both a batch span and its internal row-adapter span exist for one
-node, the batch spans win — the adapter's rows are the same rows counted
-again.
 """
 from __future__ import annotations
 
@@ -37,26 +33,20 @@ def q_error(estimate: float, actual: float) -> float:
 
 
 def _collect_actuals(spans: Any) -> Dict[str, Dict[str, Any]]:
-    """Aggregate operator spans by node path (batch spans win over row)."""
-    per_path: Dict[str, Dict[str, Dict[str, Any]]] = {}
+    """Aggregate operator spans by node path."""
+    out: Dict[str, Dict[str, Any]] = {}
     for span in spans:
         args = span.args or {}
         node = args.get("node")
         if span.cat != "operator" or not isinstance(node, str):
             continue
-        mode = args.get("mode", "row")
-        bucket = per_path.setdefault(node, {}).setdefault(
-            mode, {"rows": 0, "batches": 0, "dur_ns": 0, "loops": 0}
+        bucket = out.setdefault(
+            node, {"rows": 0, "batches": 0, "dur_ns": 0, "loops": 0}
         )
         bucket["rows"] += int(args.get("rows", 0))
         bucket["batches"] += int(args.get("batches", 0))
         bucket["dur_ns"] += int(span.dur_ns or 0)
         bucket["loops"] += 1
-    out: Dict[str, Dict[str, Any]] = {}
-    for node, modes in per_path.items():
-        chosen = modes.get("batch") or modes.get("row")
-        if chosen is not None:
-            out[node] = chosen
     return out
 
 

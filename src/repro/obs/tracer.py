@@ -154,13 +154,7 @@ class Tracer:
                 stack.append((child, oid, f"{path}.{index}"))
 
     def _parent_for(self, op: Any) -> Optional[int]:
-        oid = id(op)
-        # A still-open span of the *same* op means the row adapter is
-        # running inside the op's batch span — nest under it.
-        own = self._op_open.get(oid)
-        if own:
-            return own[-1]
-        parent_id = self._op_parent.get(oid)
+        parent_id = self._op_parent.get(id(op))
         while parent_id is not None:
             open_stack = self._op_open.get(parent_id)
             if open_stack:
@@ -176,15 +170,15 @@ class Tracer:
             stack.remove(span_id)
         self.end(span_id)
 
-    def wrap_stream(self, op: Any, stream: Any, mode: str) -> Any:
-        """Wrap an operator's row/batch stream in a counting span driver.
+    def wrap_stream(self, op: Any, stream: Any) -> Any:
+        """Wrap an operator's batch stream in a counting span driver.
 
         The span opens *now* (stream creation) and closes when the driver
         is exhausted or closed; the driver closes the inner stream before
         ending its own span so descendant spans always end first.
         """
         oid = id(op)
-        args: Dict[str, Any] = {"mode": mode}
+        args: Dict[str, Any] = {}
         path = self._op_path.get(oid)
         if path is not None:
             args["node"] = path
@@ -193,24 +187,7 @@ class Tracer:
             args.update(extra)
         sid = self.begin(type(op).__name__, "operator", self._parent_for(op), args)
         self._op_open.setdefault(oid, []).append(sid)
-        if mode == "row":
-            return self._drive_rows(oid, sid, stream, args)
         return self._drive_batches(oid, sid, stream, args)
-
-    def _drive_rows(
-        self, op_id: int, span_id: int, stream: Any, args: Dict[str, Any]
-    ) -> Iterator[Any]:
-        rows = 0
-        try:
-            for item in stream:
-                rows += 1
-                yield item
-        finally:
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
-            args["rows"] = rows
-            self._end_op(op_id, span_id)
 
     def _drive_batches(
         self, op_id: int, span_id: int, stream: Any, args: Dict[str, Any]

@@ -168,12 +168,11 @@ class PlanInfo:
     cache_state: str = "uncached"
     cache_serves: int = 0
     #: How the plan was last *executed* (an execution-time fact, set by
-    #: ``Database.execute``/``explain``): ``"row (iterator)"``,
-    #: ``"vectorized (batch size N)"`` or ``"parallel (K workers, batch
-    #: size N)"``.  Like ``cache_state``, one PlanInfo is shared by every
-    #: holder of a cached plan — sample it right after the execution you
-    #: care about.
-    execution: str = "row (iterator)"
+    #: ``Database.execute``/``explain``): ``"vectorized (batch size N)"``
+    #: or ``"parallel (K workers, batch size N, B backend)"``.  Like
+    #: ``cache_state``, one PlanInfo is shared by every holder of a cached
+    #: plan — sample it right after the execution you care about.
+    execution: str = ExecOptions().describe()
     #: Parallel planning: the worker count exchanges were placed for
     #: (``None`` — serial plan), the exchange backend they drain through
     #: (``"inline"``/``"process"``), and one record per placed exchange:

@@ -8,9 +8,9 @@ bug, generalized to the whole aggregate matrix):
 * a **grouped** aggregate over zero rows emits zero rows (no groups —
   never a fabricated NULL group);
 
-and both must hold identically through row-at-a-time, vectorized, and
-parallel execution, through Hash and Stream aggregate operators, with
-the plan cache hot or bypassed, and with the rewrite pack on or off.
+and both must hold identically at every batch size and under parallel
+execution, through Hash and Stream aggregate operators, with the plan
+cache hot or bypassed, and with the rewrite pack on or off.
 """
 from __future__ import annotations
 
@@ -56,11 +56,11 @@ def db():
 
 def _all_modes(database, sql):
     """Execute ``sql`` every way the engine can and yield (label, rows)."""
-    yield "row", database.execute(sql).rows
-    yield "row_nocache", database.execute(sql, use_cache=False).rows
+    yield "default", database.execute(sql).rows
+    yield "nocache", database.execute(sql, use_cache=False).rows
     yield "fd", database.execute(sql, optimize=False).rows
     yield "norw", database.execute(sql, rewrites="off").rows
-    for batch_size in (1, 7, 256):
+    for batch_size in (1, 3, 1024):
         yield (
             f"batch[{batch_size}]",
             database.execute(sql, batch_size=batch_size).rows,
@@ -121,7 +121,7 @@ def test_operator_level_empty_input(operator, func):
     spec = AggSpec(func, expr, "x")
 
     rows, _ = operator(SeqScan(table), [], [spec]).run()
-    assert rows == [(0,)] if func == "COUNT" else [(None,)]
+    assert rows == ([(0,)] if func == "COUNT" else [(None,)])
 
     grouped_rows, _ = operator(SeqScan(table), ["a"], [spec]).run()
     assert grouped_rows == []
@@ -132,7 +132,7 @@ def test_operator_level_empty_input_batched(operator):
     table = Table("e", Schema.of(("a", DataType.INT), ("b", DataType.INT)))
     table.load((), check=False)
     specs = [AggSpec("COUNT", None, "n"), AggSpec("SUM", Col("b"), "s")]
-    rows, _ = operator(SeqScan(table), [], specs).run_batches(8)
+    rows, _ = operator(SeqScan(table), [], specs).run(8)
     assert rows == [(0, None)]
-    grouped, _ = operator(SeqScan(table), ["a"], specs).run_batches(8)
+    grouped, _ = operator(SeqScan(table), ["a"], specs).run(8)
     assert grouped == []

@@ -283,7 +283,7 @@ def test_cancel_token_rides_metrics(db):
     plan = db.plan(SQL)
     token.cancel()
     with pytest.raises(QueryCancelled):
-        plan.run_batches(64, token=token)
+        plan.run(64, token=token)
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +328,8 @@ def test_abandoned_exchange_leaves_a_healthy_pool():
     )
     next(stream)
     stream.close()  # abandon: GeneratorExit → abort path
-    serial_rows, serial_metrics = chain().run_batches(64)
-    rows, metrics = insert_exchanges(chain(), 4, backend="process").run_batches(64)
+    serial_rows, serial_metrics = chain().run(64)
+    rows, metrics = insert_exchanges(chain(), 4, backend="process").run(64)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
 

@@ -3,14 +3,15 @@
 Generates random (but valid) queries over a fixed schema with declared
 ODs, runs each through the naive / fd / od planners, and checks:
 
-* identical result multisets;
+* identical result multisets, equal to sqlite's on a mirror of the
+  table (an independent SQL implementation);
 * any ORDER BY is actually honored by every mode's output;
 * the od plan never does more work than the naive plan.
 
-On top of the planner-mode matrix, the *execution*-mode matrix: every
-generated query must be **bit- and counter-identical** across row,
-vectorized (drawn ``batch_size``), and parallel (drawn ``workers``)
-execution — including the degenerate databases (empty tables, tables
+On top of the planner-mode matrix, the *execution* matrix: every
+generated query must be **bit- and counter-identical** across batch
+sizes (1, 3, 1024 and a drawn one) and parallel execution (drawn
+``workers``) — including the degenerate databases (empty tables, tables
 smaller than the partition count) where partition slices go empty.
 
 This is the broadest correctness net over the whole engine + optimizer
@@ -19,6 +20,7 @@ stack: any unsound rewrite shows up as a row mismatch.
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -62,6 +64,14 @@ def build_db() -> Database:
 
 
 DB = build_db()
+
+SQLITE = sqlite3.connect(":memory:")
+SQLITE.execute(f"CREATE TABLE t ({', '.join(COLUMNS)})")
+SQLITE.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?)", DB.tables["t"].rows)
+
+
+def sqlite_rows(sql):
+    return sorted(SQLITE.execute(sql).fetchall())
 
 comparisons = st.sampled_from(["=", "<", "<=", ">", ">=", "<>"])
 columns = st.sampled_from(COLUMNS)
@@ -124,6 +134,7 @@ def test_modes_agree(query):
             keys = [tuple(row[i] for i in positions) for row in rows]
             assert keys == sorted(keys), f"{mode} violated ORDER BY for {sql}"
     naive_rows = sorted(outputs["naive"][0])
+    assert naive_rows == sqlite_rows(sql), sql
     assert sorted(outputs["fd"][0]) == naive_rows, sql
     assert sorted(outputs["od"][0]) == naive_rows, sql
 
@@ -139,20 +150,23 @@ def test_modes_agree(query):
     st.sampled_from([1, 7, 64]),
 )
 def test_parallel_mode_agrees(query, workers, batch_size):
-    """Row, vectorized, and parallel execution of one od plan template
-    must be bit-identical (same rows, same order) and counter-identical
-    at every drawn (workers, batch_size) combination."""
+    """Serial runs of one od plan at batch sizes 1, 3, 1024 and the drawn
+    one, and a parallel run at the drawn (workers, batch_size), must be
+    bit-identical (same rows, same order) and counter-identical — and
+    hold sqlite's row multiset."""
     sql, _ = query
     serial_plan = Planner(DB, mode="od").plan(bind(parse(sql)))
-    rows_row, metrics_row = serial_plan.run()
-    rows_batch, metrics_batch = serial_plan.run_batches(batch_size)
-    assert rows_batch == rows_row, sql
-    assert metrics_batch.counters == metrics_row.counters, sql
+    rows, metrics = serial_plan.run(1024)
+    assert sorted(rows) == sqlite_rows(sql), sql
+    for size in (1, 3, batch_size):
+        rows_at, metrics_at = serial_plan.run(size)
+        assert rows_at == rows, f"batch_size={size}: {sql}"
+        assert metrics_at.counters == metrics.counters, f"batch_size={size}: {sql}"
 
     parallel_plan = Planner(DB, mode="od", workers=workers).plan(bind(parse(sql)))
-    rows_parallel, metrics_parallel = parallel_plan.run_batches(batch_size)
-    assert rows_parallel == rows_row, f"workers={workers}: {sql}"
-    assert metrics_parallel.counters == metrics_row.counters, (
+    rows_parallel, metrics_parallel = parallel_plan.run(batch_size)
+    assert rows_parallel == rows, f"workers={workers}: {sql}"
+    assert metrics_parallel.counters == metrics.counters, (
         f"workers={workers}: {sql}"
     )
 

@@ -56,8 +56,8 @@ def dim():
 
 
 def assert_declared_order_observed(op):
-    """The output stream must actually be sorted by the declared spec —
-    in *both* execution modes, at boundary batch sizes — and provides()
+    """The output stream must actually be sorted by the declared spec at
+    boundary batch sizes, with the same rows at each — and provides()
     must agree with the legacy ``ordering`` attribute."""
     spec = op.provides()
     assert isinstance(spec, OrderSpec)
@@ -67,14 +67,14 @@ def assert_declared_order_observed(op):
     keys = [tuple(row[p] for p in positions) for row in rows]
     assert keys == sorted(keys), f"{op.label()} violates its declared order {spec!r}"
     for batch_size in (1, 7, 1024):
-        batch_rows, _ = op.run_batches(batch_size)
+        batch_rows, _ = op.run(batch_size)
         batch_keys = [tuple(row[p] for p in positions) for row in batch_rows]
         assert batch_keys == sorted(batch_keys), (
             f"{op.label()} violates its declared order {spec!r} "
-            f"in batch mode (batch_size={batch_size})"
+            f"(batch_size={batch_size})"
         )
         assert batch_rows == rows, (
-            f"{op.label()} batch output differs from row output "
+            f"{op.label()} output depends on the batch size "
             f"(batch_size={batch_size})"
         )
     return rows

@@ -25,11 +25,13 @@ BAD_KWARGS = [
 
 def test_defaults_resolve_once():
     serial = ExecOptions()
-    assert (serial.batch_size, serial.workers, serial.backend) == (None, None, None)
-    assert serial.describe() == "row (iterator)"
+    assert (serial.batch_size, serial.workers, serial.backend) == (
+        DEFAULT_BATCH_SIZE, None, None
+    )
+    assert serial.describe() == f"vectorized (batch size {DEFAULT_BATCH_SIZE})"
     assert ExecOptions(batch_size=64).describe() == "vectorized (batch size 64)"
     parallel = ExecOptions(workers=3)
-    assert parallel.batch_size == DEFAULT_BATCH_SIZE  # parallel implies batch
+    assert parallel.batch_size == DEFAULT_BATCH_SIZE
     assert parallel.backend == DEFAULT_BACKEND
     assert ExecOptions(workers=3, batch_size=7).batch_size == 7
     assert "3 workers" in parallel.describe()

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.batch import ColumnBatch
 from repro.engine.database import Database
 from repro.engine.operators import (
     AggSpec,
@@ -67,10 +68,11 @@ class StaticSource(Operator):
         self.static_rows = list(rows)
         self.ordering = tuple(ordering)
 
-    def execute(self, metrics: Metrics):
-        for row in self.static_rows:
-            metrics.add("rows_scanned")
-            yield row
+    def execute_batches(self, metrics: Metrics, batch_size: int = 1024):
+        for start in range(0, len(self.static_rows), batch_size):
+            chunk = self.static_rows[start:start + batch_size]
+            metrics.add("rows_scanned", len(chunk))
+            yield ColumnBatch.from_rows(self.schema, chunk)
 
 
 SCHEMA = Schema.of(("a", DataType.INT), ("b", DataType.INT), ("c", DataType.INT))
@@ -107,8 +109,7 @@ def merge_instances(draw):
 def test_merge_exchange_conforms_to_declared_order(instance):
     """Randomly partitioned, randomly ordered input: the merged stream
     must conform to the declared OrderSpec (the operator conformance
-    contract) and preserve the row multiset — in both execution modes,
-    at boundary batch sizes."""
+    contract) and preserve the row multiset, at boundary batch sizes."""
     rows, assignment, partition_count, key_width, workers = instance
     keys = ("a", "b", "c")[:key_width]
     positions = [SCHEMA.position(key) for key in keys]
@@ -194,7 +195,7 @@ def test_merge_exchange_identical_across_backends(instance):
     for backend in BACKENDS:
         exchange = build(backend)
         for _ in range(2):  # repeated runs: no scheduling leakage
-            out, metrics = exchange.run_batches(7)
+            out, metrics = exchange.run(7)
             if reference_rows is None:
                 reference_rows = out
                 reference_counters = metrics.counters
@@ -260,7 +261,7 @@ def test_seq_scan_partitions_cover_exactly(table, count):
     for index in range(count):
         clone = serial.partition_clone(index, count)
         rows, metrics = clone.run()
-        batch_rows, batch_metrics = clone.run_batches(8)
+        batch_rows, batch_metrics = clone.run(8)
         assert batch_rows == rows and batch_metrics.counters == metrics.counters
         gathered.extend(rows)
         for key, value in metrics.counters.items():
@@ -305,7 +306,7 @@ def test_partition_pipeline_clones_filters_and_projections(table):
         clone = partition_pipeline(chain, index, 3)
         assert clone.schema.names == chain.schema.names
         assert tuple(clone.ordering) == tuple(chain.ordering)
-        rows, metrics = clone.run_batches(16)
+        rows, metrics = clone.run(16)
         gathered.extend(rows)
         for key, value in metrics.counters.items():
             merged.add(key, value)
@@ -329,7 +330,7 @@ def test_placement_union_over_unordered_chain(table):
     assert isinstance(exchange, UnionExchange)
     assert len(exchange.partitions) == 4
     assert exchange_kind(exchange.subtree.provides()) == "union"
-    rows, metrics = parallel.run_batches(16)
+    rows, metrics = parallel.run(16)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
 
@@ -342,7 +343,7 @@ def test_placement_merge_over_ordered_chain(table):
     assert isinstance(parallel, MergeExchange)
     assert parallel.keys == ("t.a",)
     assert parallel.provides() == OrderSpec(["t.a"])
-    rows, metrics = parallel.run_batches(16)
+    rows, metrics = parallel.run(16)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
 
@@ -360,7 +361,7 @@ def test_placement_parallelizes_under_topn(table):
     serial_rows, serial_metrics = plan.run()
     parallel = insert_exchanges(plan, 4)
     assert isinstance(plan.child, UnionExchange), "TopN drains fully: safe"
-    rows, metrics = parallel.run_batches(16)
+    rows, metrics = parallel.run(16)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
 
@@ -373,7 +374,7 @@ def test_placement_reaches_both_join_sides(table):
     parallel = insert_exchanges(plan, 2)
     assert isinstance(plan.left, UnionExchange)
     assert isinstance(plan.right, UnionExchange)
-    rows, metrics = parallel.run_batches(32)
+    rows, metrics = parallel.run(32)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
 
@@ -384,7 +385,7 @@ def test_single_worker_is_the_inline_fallback(table):
     parallel = insert_exchanges(chain, 1)
     assert isinstance(parallel, UnionExchange)
     assert len(parallel.partitions) == 1
-    rows, metrics = parallel.run_batches(16)
+    rows, metrics = parallel.run(16)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
 
@@ -411,13 +412,13 @@ def test_process_backend_streams_multiple_morsels(table, monkeypatch):
     monkeypatch.setattr(parallel_mod, "MORSEL_ROWS", 8)
     serial_rows, serial_metrics = Filter(
         SeqScan(table), Cmp("<=", Col("t.a"), Lit(4))
-    ).run_batches(16)
+    ).run(16)
     exchange = insert_exchanges(
         Filter(SeqScan(table), Cmp("<=", Col("t.a"), Lit(4))),
         2,
         backend="process",
     )
-    rows, metrics = exchange.run_batches(16)
+    rows, metrics = exchange.run(16)
     assert rows == serial_rows
     assert metrics.counters == serial_metrics.counters
     stats = exchange.exchange_stats

@@ -74,15 +74,14 @@ def test_empty_column_batch_roundtrips():
 # Scan clones → ShippedScan
 # ----------------------------------------------------------------------
 def _parity(original, shipped, batch_size=16):
-    rows, metrics = original.run_batches(batch_size)
-    shipped_rows, shipped_metrics = shipped.run_batches(batch_size)
+    rows, metrics = original.run(batch_size)
+    shipped_rows, shipped_metrics = shipped.run(batch_size)
     assert shipped_rows == rows
     assert shipped_metrics.counters == metrics.counters
-    # And the row path agrees too.
-    row_rows, row_metrics = shipped.run()
-    base_rows, base_metrics = original.run()
-    assert row_rows == base_rows
-    assert row_metrics.counters == base_metrics.counters
+    # And at the default batch size too.
+    default_rows, default_metrics = shipped.run()
+    assert default_rows == rows
+    assert default_metrics.counters == metrics.counters
 
 
 @pytest.mark.parametrize("part", [None, (0, 3), (2, 3)])
@@ -116,8 +115,8 @@ def test_only_partition_zero_ships_the_probe_charge(table):
     zero = roundtrip(scan.partition_clone(0, 2))
     one = roundtrip(scan.partition_clone(1, 2))
     assert zero.charge_probe and not one.charge_probe
-    _, zero_metrics = zero.run_batches(16)
-    _, one_metrics = one.run_batches(16)
+    _, zero_metrics = zero.run(16)
+    _, one_metrics = one.run(16)
     assert zero_metrics.get("index_probes") == 1
     assert one_metrics.get("index_probes") == 0
 

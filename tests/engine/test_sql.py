@@ -5,6 +5,8 @@ import datetime
 
 import pytest
 
+from repro.engine.database import Database
+from repro.engine.errors import QueryError
 from repro.engine.expr import Between, BoolOp, Cmp, Col, Func, InList, Lit
 from repro.engine.logical import (
     BindError,
@@ -17,9 +19,11 @@ from repro.engine.logical import (
     LogicalSort,
     bind,
 )
+from repro.engine.schema import Schema
 from repro.engine.sql.ast import AggCall
 from repro.engine.sql.lexer import SqlSyntaxError, tokenize
 from repro.engine.sql.parser import parse
+from repro.engine.types import DataType
 
 
 class TestLexer:
@@ -218,3 +222,38 @@ class TestHaving:
     def test_having_without_groupby_is_global(self):
         node = bind(parse("SELECT COUNT(*) AS n FROM t HAVING COUNT(*) > 0"))
         assert isinstance(node.child, LogicalFilter)
+
+
+# ----------------------------------------------------------------------
+# Malformed statements fail typed, with a position, and are counted
+# ----------------------------------------------------------------------
+MALFORMED = [
+    # (statement, the text the error must point at)
+    ("SELECT a FROM t WHERE a = 'oops", "'oops"),
+    ("SELECT a FROM t WHERE d >= DATE '2020-13-01'", "'2020-13-01'"),
+    ("SELECT a FROM t WHERE", ""),
+    ("SELECT a FROM t WHERE d BETWEEN DATE '{lo}' AND DATE '{hi}'", "'{lo}'"),
+    ("SELECT a FROM t WHERE a BETWEEN {lo} AND {hi}", "{lo}"),
+    ("SELECT a FROM t AS", ""),
+    ("SELECT a FROM t LIMIT 1.5", "1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "sql,marker", MALFORMED,
+    ids=["unterminated-string", "bad-date", "trailing-where",
+         "unfilled-date-placeholder", "unfilled-placeholder",
+         "alias-missing-at-end", "fractional-limit"],
+)
+def test_malformed_sql_fails_typed_and_counted(sql, marker):
+    database = Database()
+    database.create_table("t", Schema.of(("a", DataType.INT), ("d", DataType.DATE)))
+    expected_position = sql.index(marker) if marker else len(sql)
+    for attempt in range(1, 4):
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            database.execute(sql)
+        error = excinfo.value
+        assert isinstance(error, QueryError) and isinstance(error, ValueError)
+        assert error.position == expected_position
+        counters = database.stats_snapshot()["engine"]["counters"]
+        assert counters["failures"] == attempt

@@ -9,10 +9,9 @@ a hot path does.
 
 Planning- and inference-time cases are checked against their committed
 absolute timings: they are independent of data volume, so tiny fixtures
-reproduce the baseline's regime.  The vectorized-execution case is
-volume-dependent, so its proxy checks the *ratio* (batch vs row rows/sec
-on a small fixture) instead of an absolute time — ratios survive CI-host
-speed differences — plus the committed baseline's own recorded ratio.
+reproduce the baseline's regime.  Volume-dependent execution cases check
+*ratios* on a small fixture instead of absolute times — ratios survive
+CI-host speed differences.
 """
 from __future__ import annotations
 
@@ -60,8 +59,8 @@ def _check(measured: float, baseline: float, label: str) -> None:
 
 
 def _fact_pipeline(seed: int, rows: int = 20_000):
-    """The small scan→filter→aggregate fixture the execution-mode proxies
-    share (vectorized and parallel): returns a zero-arg pipeline builder
+    """The small scan→filter→aggregate fixture the execution proxies
+    share: returns a zero-arg pipeline builder
     over a freshly generated fact table — the *same* workload shape the
     benchmarks measure (``repro.workloads.microbench``), so the committed
     baselines and these proxies can never drift apart."""
@@ -137,37 +136,6 @@ def test_oracle_chain_implication_not_regressed():
     _check(measured, baseline, "chain implication (width 8)")
 
 
-def test_vectorized_throughput_not_regressed():
-    """Proxy for bench_vectorized::test_scan_filter_aggregate_*.
-
-    Two gates: (1) the committed baseline must still document the ≥5×
-    batch-vs-row claim at batch_size=1024 (the file is the acceptance
-    record — a refresh that loses the edge should fail loudly); (2) a
-    small live fixture must reproduce a conservative 2.5× of it here, so
-    an accidental de-vectorization (e.g. an operator falling back to the
-    row adapter) trips CI even on slow, noisy hosts.
-    """
-    row_baseline = _baseline("bench_vectorized", "test_scan_filter_aggregate_row")
-    batch_baseline = _baseline(
-        "bench_vectorized", "test_scan_filter_aggregate_batch[1024]"
-    )
-    assert row_baseline >= 5.0 * batch_baseline, (
-        f"committed baseline lost the vectorized edge: row "
-        f"{row_baseline * 1e3:.1f}ms vs batch[1024] "
-        f"{batch_baseline * 1e3:.1f}ms (< 5x)"
-    )
-
-    pipeline = _fact_pipeline(seed=23)
-    assert pipeline().run_batches(1024)[0] == pipeline().run()[0]
-    row_s = _best_of(lambda: pipeline().run())
-    batch_s = _best_of(lambda: pipeline().run_batches(1024))
-    assert batch_s * 2.5 < row_s, (
-        f"vectorized execution lost its edge: batch[1024] "
-        f"{batch_s * 1e3:.2f}ms vs row {row_s * 1e3:.2f}ms "
-        f"({row_s / batch_s:.2f}x, gate 2.5x)"
-    )
-
-
 #: Process-backend overhead floors where the recording host had no spare
 #: core (mirroring ``benchmarks/bench_parallel.py::OVERHEAD_FLOOR`` with
 #: CI-noise slack): the backend still pays its full serialization bill
@@ -224,12 +192,12 @@ def test_parallel_execution_not_regressed():
     from repro.engine.parallel import insert_exchanges
 
     pipeline = _fact_pipeline(seed=29)
-    serial_rows, serial_metrics = pipeline().run_batches(1024)
+    serial_rows, serial_metrics = pipeline().run(1024)
 
     def run(workers):
         return insert_exchanges(
             pipeline(), workers, backend="process"
-        ).run_batches(1024)
+        ).run(1024)
 
     for workers in (1, 4):
         par_rows, par_metrics = run(workers)
@@ -525,13 +493,13 @@ def test_faults_not_regressed():
     from repro.engine.parallel import insert_exchanges
 
     pipeline = _fact_pipeline(seed=31)
-    serial_rows, serial_metrics = pipeline().run_batches(1024)
+    serial_rows, serial_metrics = pipeline().run(1024)
 
     # Live kill-recovery: bit- and counter-identical, and really retried.
     faults.install(faults.parse_plans("kill_worker:partition=0,attempts=1"))
     try:
         plan = insert_exchanges(pipeline(), 2, backend="process")
-        rows, metrics = plan.run_batches(1024)
+        rows, metrics = plan.run(1024)
     finally:
         faults.clear()
     assert rows == serial_rows, "kill-recovery: rows differ from serial"
@@ -553,14 +521,14 @@ def test_faults_not_regressed():
     # same load regime — a sequential best-of each is flaky when a noise
     # spike lands entirely inside one side's window.
     chain = pipeline()
-    chain.run_batches(1024)  # warm
+    chain.run(1024)  # warm
     bare_s = timed_s = float("inf")
     for _ in range(9):
         start = time.perf_counter()
-        chain.run_batches(1024)
+        chain.run(1024)
         bare_s = min(bare_s, time.perf_counter() - start)
         start = time.perf_counter()
-        chain.run_batches(1024, token=CancelToken(3600.0))
+        chain.run(1024, token=CancelToken(3600.0))
         timed_s = min(timed_s, time.perf_counter() - start)
     assert timed_s <= bare_s * 1.5, (
         f"cancellation checks regressed: {timed_s * 1e3:.2f}ms with a "
@@ -619,18 +587,18 @@ def test_observe_not_regressed():
     from repro.obs.tracer import Tracer
 
     pipeline = _fact_pipeline(seed=37)
-    serial_rows, serial_metrics = pipeline().run_batches(1024)
+    serial_rows, serial_metrics = pipeline().run(1024)
 
     def traced():
         tracer = Tracer()
-        rows, metrics = pipeline().run_batches(1024, tracer=tracer)
+        rows, metrics = pipeline().run(1024, tracer=tracer)
         assert rows == serial_rows, "traced run: rows differ from untraced"
         assert metrics.counters == serial_metrics.counters, (
             "traced run: counters differ — tracing leaked into Metrics"
         )
         assert tracer.spans, "traced run produced no spans"
 
-    bare_s = _best_of(lambda: pipeline().run_batches(1024))
+    bare_s = _best_of(lambda: pipeline().run(1024))
     traced_s = _best_of(traced)
     assert traced_s <= bare_s * 1.5, (
         f"tracing overhead regressed: {traced_s * 1e3:.2f}ms traced vs "

@@ -1,5 +1,5 @@
 """Differential correctness harness: optimized vs unoptimized, cached vs
-not, row-at-a-time vs vectorized.
+not, across batch sizes, serial vs parallel.
 
 Every query in every workload (taxes, datedim, tpcds_lite, and databases
 built from random_instances) is executed four ways:
@@ -24,13 +24,14 @@ The contract asserted for each:
 * after a catalog mutation the cached plan is never served again
   (the acceptance criterion: no stale plan across an epoch change).
 
-On top of the cache matrix, every query also runs **vectorized**
-(``batch_size=N``) both plan-cache-warm and plan-cache-cold, at every
-size in ``REPRO_DIFF_BATCH_SIZES`` (default ``7,256`` — a small odd size
-to stress batch-boundary carry logic, a large one for the production
-shape; CI adds ``1`` and ``1024``).  Batch results must be bit-identical
-to the row-mode rows — including ORDER BY prefixes — and the ``Metrics``
-row counters must match the row path's totals exactly.
+The cache matrix runs at the default batch size.  On top of it, every
+query also runs at every size in ``REPRO_DIFF_BATCH_SIZES`` (default
+``7,256`` — a small odd size to stress batch-boundary carry logic, a
+large one for the production shape; CI runs ``1,3,1024``), both
+plan-cache-warm and plan-cache-cold.  Results must be bit-identical to
+the default-size rows — including ORDER BY prefixes — and the
+``Metrics`` counter totals must match exactly, except in a plan with a
+``Limit``, whose scans are charged the whole batches they produced.
 
 Completing the mode matrix, every query also runs **parallel**
 (``workers=K`` — partitioned chains behind order-preserving exchanges)
@@ -41,7 +42,7 @@ backend in ``REPRO_DIFF_BACKEND`` (default ``inline``; CI runs an
 both plan-cache-cold (fresh exchange placement) and plan-cache-warm
 (the cached parallel tree re-executed, which doubles as a determinism
 check).  Every parallel leg must be bit-identical to the serial rows
-with exactly the serial counter totals — partitioning, process
+with exactly the serial counter totals at the same batch size — partitioning, process
 scheduling, morsel reassembly, and result shipping must be invisible.
 The parallel legs force the placement gate to 0 so even the small
 differential workloads genuinely exercise exchanges (the gate's own
@@ -53,8 +54,8 @@ Finally the **join-order leg**: every query is re-planned with
 The syntactic plan must cache under its own plan key (never sharing a
 tree with the cost-based default), produce the same
 columns and row multiset, respect the query's ORDER BY, and behave like
-any plan across the execution modes (batch and parallel runs of the
-syntactic tree bit- and counter-identical to its row run).  The
+any plan across batch sizes and worker counts (bit- and
+counter-identical runs of the syntactic tree).  The
 snowflake workload (``repro.workloads.snowflake``) exists to give this
 leg real reorderings to check: its templates are written with
 deliberately suboptimal parse orders and integer aggregate measures, so
@@ -81,6 +82,7 @@ import pytest
 from repro.core.dependency import fd, od
 from repro.engine import parallel as parallel_mod
 from repro.engine.database import Database
+from repro.engine.operators import Limit
 from repro.engine.schema import Schema
 from repro.engine.types import DataType
 from repro.workloads.datedim import build_date_dim
@@ -112,6 +114,28 @@ def _assert_respects_order(result, order_keys, label):
         positions.append(result.columns.index(key))
     values = [tuple(row[p] for p in positions) for row in result.rows]
     assert values == sorted(values), f"{label}: ORDER BY {order_keys} violated"
+
+
+def _has_limit(plan):
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Limit):
+            return True
+        stack.extend(node.children())
+    return False
+
+
+def _assert_same_counters(result, reference, label):
+    """Counter totals must not depend on the batch size.  The one
+    documented exception is a plan with a ``Limit``: the scans under it
+    are charged the whole batches they produced."""
+    if _has_limit(result.plan):
+        return
+    assert result.metrics.counters == reference.metrics.counters, (
+        f"{label}: counters differ ({result.metrics.counters} "
+        f"vs {reference.metrics.counters})"
+    )
 
 
 #: Vectorized-mode chunk sizes the harness exercises; override with a
@@ -177,25 +201,23 @@ def run_differential(database, sql, order_keys=()):
         _assert_respects_order(result, order_keys, label)
     _assert_respects_order(baseline, order_keys, "baseline")
 
-    # Vectorized mode, plan-cache-warm: the same memoized operator tree
-    # executed through execute_batches must be indistinguishable from the
-    # row path — bit-identical rows (ORDER BY prefixes included, since the
-    # rows are identical in order) and identical Metrics counter totals.
+    # Other batch sizes, plan-cache-warm: the same memoized operator tree
+    # must give bit-identical rows (ORDER BY prefixes included, since the
+    # rows are identical in order) and the same Metrics counter totals.
+    serial_at = {}
     for batch_size in BATCH_SIZES:
         batch_warm = database.execute(sql, optimize=True, batch_size=batch_size)
         label = f"batch_warm[{batch_size}]"
         assert batch_warm.plan is cold.plan, f"{label}: not the cached plan"
         assert batch_warm.columns == cold.columns, f"{label}: column mismatch"
         assert batch_warm.rows == cold.rows, (
-            f"{label}: vectorized rows differ from row-mode rows"
+            f"{label}: rows differ from the default batch size's"
         )
-        assert batch_warm.metrics.counters == cold.metrics.counters, (
-            f"{label}: counters differ (batch {batch_warm.metrics.counters} "
-            f"vs row {cold.metrics.counters})"
-        )
+        _assert_same_counters(batch_warm, cold, label)
+        serial_at[batch_size] = batch_warm
 
-    # Vectorized mode, plan-cache-cold: a freshly planned tree, first
-    # executed in batch mode, must produce the same bits too.  (An empty
+    # Plan-cache-cold: a freshly planned tree, first executed at another
+    # batch size, must produce the same bits too.  (An empty
     # REPRO_DIFF_BATCH_SIZES disables the vectorized matrix entirely.)
     if BATCH_SIZES:
         database.plan_cache.clear()
@@ -205,11 +227,9 @@ def run_differential(database, sql, order_keys=()):
         assert batch_cold.plan.plan_info.cache_state == "miss"
         assert batch_cold.columns == cold.columns, "batch_cold: column mismatch"
         assert batch_cold.rows == cold.rows, (
-            "batch_cold: vectorized rows differ from row-mode rows"
+            "batch_cold: rows differ from the default batch size's"
         )
-        assert batch_cold.metrics.counters == cold.metrics.counters, (
-            "batch_cold: counters differ"
-        )
+        _assert_same_counters(batch_cold, cold, "batch_cold")
 
     # Parallel mode: the same query over partitioned chains behind
     # order-preserving exchanges, on every configured backend.  Cold
@@ -222,6 +242,7 @@ def run_differential(database, sql, order_keys=()):
     # partition (the gate itself is pinned in tests/engine/test_parallel).
     if BATCH_SIZES and WORKER_COUNTS and BACKENDS:
         parallel_batch = BATCH_SIZES[0]
+        serial = serial_at[parallel_batch]
         with mock.patch.object(parallel_mod, "PARALLEL_MIN_ROWS", 0):
             for backend in BACKENDS:
                 for workers in WORKER_COUNTS:
@@ -244,10 +265,10 @@ def run_differential(database, sql, order_keys=()):
                     assert par_cold.rows == cold.rows, (
                         f"{label}: parallel rows differ from serial rows"
                     )
-                    assert par_cold.metrics.counters == cold.metrics.counters, (
+                    assert par_cold.metrics.counters == serial.metrics.counters, (
                         f"{label}: counters differ (parallel "
                         f"{par_cold.metrics.counters} vs serial "
-                        f"{cold.metrics.counters})"
+                        f"{serial.metrics.counters})"
                     )
                     par_warm = database.execute(
                         sql,
@@ -262,7 +283,7 @@ def run_differential(database, sql, order_keys=()):
                     )
                     assert par_warm.plan.plan_info.cache_state == "hit", label
                     assert par_warm.rows == cold.rows, f"{label}: rows drifted"
-                    assert par_warm.metrics.counters == cold.metrics.counters, (
+                    assert par_warm.metrics.counters == serial.metrics.counters, (
                         f"{label}: counters drifted"
                     )
 
@@ -289,9 +310,7 @@ def run_differential(database, sql, order_keys=()):
             sql, optimize=True, join_order="syntactic", batch_size=BATCH_SIZES[0]
         )
         assert syn_batch.rows == syn_cold.rows, "joinorder batch: rows differ"
-        assert syn_batch.metrics.counters == syn_cold.metrics.counters, (
-            "joinorder batch: counters differ"
-        )
+        _assert_same_counters(syn_batch, syn_cold, "joinorder batch")
     if BATCH_SIZES and WORKER_COUNTS and BACKENDS:
         with mock.patch.object(parallel_mod, "PARALLEL_MIN_ROWS", 0):
             syn_par = database.execute(
@@ -303,7 +322,7 @@ def run_differential(database, sql, order_keys=()):
                 backend=BACKENDS[0],
             )
         assert syn_par.rows == syn_cold.rows, "joinorder parallel: rows differ"
-        assert syn_par.metrics.counters == syn_cold.metrics.counters, (
+        assert syn_par.metrics.counters == syn_batch.metrics.counters, (
             "joinorder parallel: counters differ"
         )
 
@@ -337,9 +356,7 @@ def run_differential(database, sql, order_keys=()):
         assert norw_batch.rows == norw_cold.rows, (
             "rewrites-off batch: rows differ"
         )
-        assert norw_batch.metrics.counters == norw_cold.metrics.counters, (
-            "rewrites-off batch: counters differ"
-        )
+        _assert_same_counters(norw_batch, norw_cold, "rewrites-off batch")
     return baseline, cold, warm
 
 

@@ -37,6 +37,7 @@ def test_analyze_annotates_every_node_with_actuals(db):
     text = db.explain(SQL, analyze=True)
     for line in text.splitlines():
         assert "actual rows=" in line
+        assert "batches=" in line  # the default batch_size streams batches
         assert "time=" in line
     # Scans see every fact row; the root emits the group count.
     assert "SeqScan(fact AS fact)  [actual rows=4000" in text
@@ -64,8 +65,7 @@ def test_analyze_actuals_match_executed_rows(db, mode):
     info = db.plan(SQL).plan_info
     root = info.analyze["summary"][0]
     assert root["rows"] == len(result.rows)
-    if mode == "batch":
-        assert root.get("batches", 0) >= 1
+    assert all(entry["batches"] >= 1 for entry in info.analyze["summary"])
 
 
 def test_analyze_verbose_appends_summary_line(db):

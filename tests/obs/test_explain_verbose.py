@@ -25,7 +25,7 @@ def _no_leftover_faults():
 def test_verbose_baseline_vocabulary(db):
     text = db.explain(SQL, verbose=True)
     assert "plan mode: od" in text
-    assert "execution: row (iterator)" in text
+    assert "execution: vectorized (batch size 1024)" in text
     assert "estimate: " in text
     assert "oracle: " in text
 

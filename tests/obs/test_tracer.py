@@ -2,8 +2,8 @@
 observational-parity invariant, and the Chrome ``trace_event`` export.
 
 The load-bearing contract is **parity**: a traced execution returns rows
-and ``Metrics`` counters bit-identical to the untraced run, in every
-mode and on every backend — tracing observes, it never perturbs.
+and ``Metrics`` counters bit-identical to the untraced run, at every
+batch size and on every backend — tracing observes, it never perturbs.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.obs.tracer import Tracer
 
 SQL = (
@@ -70,12 +71,12 @@ def test_trace_flag_overrides_default(db):
 
 
 # ----------------------------------------------------------------------
-# Parity: traced == untraced, bit for bit, in every mode
+# Parity: traced == untraced, bit for bit, in every configuration
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {},
+        {},  # batch_size=None: rows at the surface, default batches below
         {"batch_size": 256},
         {"workers": 2, "backend": "inline"},
         {"workers": 2, "backend": "process"},
@@ -105,6 +106,35 @@ def test_operator_spans_cover_every_plan_node(db):
         for index, child in enumerate(op.children()):
             stack.append((child, f"{path}.{index}"))
     assert operator_nodes == expected
+
+
+def test_default_batch_size_trace_is_one_nested_tree_with_exact_rows(db):
+    """A traced default-``batch_size`` execute: one operator span per plan
+    node, each nested under its plan parent's span in both the parent
+    link and the time interval, each counting exactly the rows that node
+    yields when run untraced."""
+    result = db.execute(SQL, trace=True)
+    assert result.batch_size == DEFAULT_BATCH_SIZE
+    events = [e for e in result.trace["traceEvents"] if e["cat"] == "operator"]
+    by_node = {e["args"]["node"]: e for e in events}
+    assert len(by_node) == len(events), "one span per plan node"
+    stack = [(result.plan, "0")]
+    while stack:
+        op, path = stack.pop()
+        span = by_node[path]
+        assert "mode" not in span["args"]
+        untraced_rows, _ = op.run()
+        assert span["args"]["rows"] == len(untraced_rows), path
+        assert span["args"]["batches"] >= 1, path
+        if path != "0":
+            parent = by_node[path.rsplit(".", 1)[0]]
+            assert span["args"]["parent"] == parent["args"]["id"], path
+            # ts/dur are float microseconds: allow their rounding.
+            assert span["ts"] >= parent["ts"] - 1e-3
+            assert span["ts"] + span["dur"] <= parent["ts"] + parent["dur"] + 1e-3
+        for index, child in enumerate(op.children()):
+            stack.append((child, f"{path}.{index}"))
+    assert by_node["0"]["args"]["rows"] == len(result.rows)
 
 
 def test_operator_spans_carry_rows_and_trace_args(db):
