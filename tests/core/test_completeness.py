@@ -1,8 +1,7 @@
 """Theorem 16/17 — soundness and completeness — as executable experiments.
 
-* Soundness: every rule application's conclusion holds in every model of
-  its premises (sampled via random relations *and* exhaustively via sign
-  vectors).
+* Soundness of every rule on a full instantiation grid lives in
+  ``test_implication_exhaustive.py``, beside its own brute force.
 * Completeness over FDs (Theorem 16): the OD oracle agrees exactly with
   Armstrong closure on FD implication.
 * Completeness over ODs (Theorem 17): for random theories, the constructed
@@ -83,34 +82,3 @@ class TestODCompleteness:
                 assert satisfies(table, candidate) == theory.implies(candidate), (
                     f"M={premises}, candidate={candidate}"
                 )
-
-
-class TestSoundnessSweep:
-    """Theorem 1 in bulk: exhaustive sign-vector validation of every axiom
-    and theorem registry entry at a fixed instantiation grid."""
-
-    def test_all_rules_sound_on_grid(self):
-        from repro.core.axioms import AXIOMS
-        from repro.core.theorems import THEOREMS
-        from repro.core.dependency import equiv, compat
-
-        grid = [AttrList(p) for k in (0, 1, 2) for p in itertools.permutations(("A", "B"), k)]
-        # spot-check the high-traffic rules across the grid
-        from repro.core.theorems import (
-            augmentation, union, eliminate, left_eliminate, path, drop,
-        )
-        from repro.core.inference import implies
-
-        for x in grid:
-            for y in grid:
-                premise = od(x, y)
-                assert implies([premise], augmentation(premise, AttrList(["C"])))
-                assert implies(
-                    [premise], eliminate(premise, AttrList(["C"]), AttrList(), AttrList())
-                )
-                assert implies(
-                    [premise], left_eliminate(premise, AttrList(["C"]), AttrList())
-                )
-                for z in grid:
-                    other = od(x, z)
-                    assert implies([premise, other], union(premise, other))
