@@ -8,15 +8,34 @@ two-row small-model property (:mod:`repro.core.signs`):
     ``M ⊨ θ``  iff  every sign vector satisfying ``M`` satisfies ``θ``.
 
 The enumeration is exponential in the number of *mentioned* attributes
-(consistent with the later coNP-completeness result for OD implication), with
-a DFS that prunes whole subtrees as soon as a partial assignment already
-falsifies some OD in ``M`` whose attributes are all assigned.  Schema-scale
-problems (≤ 16 or so attributes) decide in well under a second.
+(consistent with the later coNP-completeness result for OD implication).  The
+search is goal-directed DFS over the attributes of the goal's connected
+component:
+
+* **goal attributes first**, in order of first appearance in the canonical
+  goals, then the rest of the component in sorted order;
+* **goals decided early**: once the last goal attribute is assigned every
+  goal's two lexicographic signs are fixed, so a subtree where all goals
+  hold is cut (no extension refutes them), and below a refuted goal only
+  premise satisfiability is left to find;
+* **premises pruned early**: each premise is checked at the position of
+  its last attribute, so a partial assignment that already falsifies one
+  loses its whole subtree;
+* **sign symmetry**: swapping the two rows negates every sign and
+  preserves every OD, and the all-zero vector satisfies everything, so
+  until the first non-zero sign only ``0`` and ``+1`` are tried.
+
+Schema-scale problems (≤ 16 or so attributes) decide in well under a second;
+``stats()["nodes"]`` counts the sign assignments tried, a cost that does not
+depend on the host.
 
 Besides yes/no answers the oracle produces **counterexample witnesses**: a
 concrete two-row relation satisfying ``M`` and falsifying ``θ``, which is how
 the library *shows its work* and how the test suite cross-validates every
-derived theorem in :mod:`repro.core.theorems`.
+derived theorem in :mod:`repro.core.theorems`.  A witness is *a* refuting
+model, the first the search above reaches; callers may rely on it being
+accepted by :func:`repro.core.satisfaction.satisfies_naive` (premises hold,
+goal fails), not on which model it is.
 
 **Memoization.**  A theory is immutable, so implication answers are too:
 every query is canonicalized (component ODs normalized per the
@@ -64,11 +83,12 @@ DEFAULT_MAX_ATTRIBUTES = 18
 #: Default bound on memoized implication results per theory.
 DEFAULT_RESULT_CACHE_SIZE = 4096
 
-#: Default bound on compiled-premise sets per theory (was unbounded, which
-#: leaked memory over long discovery runs probing many attribute components).
-DEFAULT_COMPILED_CACHE_SIZE = 512
-
 _MISS = object()
+
+#: Signs tried at a position: ``_FIRST_SIGN`` while every earlier sign is 0
+#: (row-swap symmetry fixes the first non-zero sign to +1), else all three.
+_FIRST_SIGN = (0, 1)
+_ANY_SIGN = (0, -1, 1)
 
 
 class _LRUCache:
@@ -107,8 +127,8 @@ class ODTheory:
 
     Wraps a collection of statements (ODs, equivalences, compatibilities,
     FDs — anything :func:`repro.core.dependency.to_ods` understands) and
-    answers implication queries against it.  Compiled premises are cached per
-    attribute universe, so repeated queries over the same schema are cheap.
+    answers implication queries against it.  Answers are memoized per
+    canonical goal, so repeated queries are cheap.
     """
 
     def __init__(
@@ -116,7 +136,6 @@ class ODTheory:
         statements: Iterable[Statement] = (),
         max_attributes: int = DEFAULT_MAX_ATTRIBUTES,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
-        compiled_cache_size: int = DEFAULT_COMPILED_CACHE_SIZE,
     ) -> None:
         self.statements: tuple = tuple(statements)
         self.ods: tuple = expand_all(self.statements)
@@ -125,8 +144,6 @@ class ODTheory:
             *(dependency.attributes for dependency in self.ods)
         ) if self.ods else frozenset()
         self._result_cache_size = result_cache_size
-        self._compiled_cache_size = compiled_cache_size
-        self._compiled_cache = _LRUCache(max(1, compiled_cache_size))
         #: canonical goal set -> None (implied) | (names, signs) refutation.
         #: ``result_cache_size=0`` disables memoization entirely (used by
         #: tests to cross-check cached answers against fresh searches).
@@ -142,6 +159,7 @@ class ODTheory:
             "cache_hits": 0,
             "cache_misses": 0,
             "enumerations": 0,
+            "nodes": 0,
         }
 
     # ------------------------------------------------------------------
@@ -163,15 +181,16 @@ class ODTheory:
             self.statements + tuple(statements),
             self.max_attributes,
             result_cache_size=self._result_cache_size,
-            compiled_cache_size=self._compiled_cache_size,
         )
 
     def stats(self) -> Dict[str, object]:
-        """Oracle instrumentation: call, fast-path, and cache counters.
+        """Oracle instrumentation: call, fast-path, cache and search counters.
 
         ``hit_rate`` is over result-cache lookups only (fast-path answers
         never reach the cache); the raw counters are what the planner diffs
-        to attribute oracle work to a single plan.
+        to attribute oracle work to a single plan.  ``nodes`` is the number
+        of sign assignments the refutation searches tried: the search's
+        deterministic cost, independent of the host's speed.
         """
         out: Dict[str, object] = dict(self._counters)
         lookups = self._counters["cache_hits"] + self._counters["cache_misses"]
@@ -179,7 +198,6 @@ class ODTheory:
         out["result_cache_size"] = (
             len(self._result_cache) if self._result_cache is not None else 0
         )
-        out["compiled_cache_size"] = len(self._compiled_cache)
         out["known_constants"] = len(self._known_constants)
         return out
 
@@ -289,63 +307,73 @@ class ODTheory:
         return result
 
     def _search_refutation(self, goals: Tuple[tuple, ...]) -> Optional[tuple]:
-        """The exact DFS over sign vectors (uncached core).
+        """The exact, goal-directed DFS over sign vectors (uncached core).
+
+        Positions are the goal attributes in order of first appearance in
+        ``goals``, then the rest of their connected component, sorted.  A
+        premise is checked at the position of its last attribute.  The goals
+        are checked once, at the position of the last goal attribute: where
+        they all hold the subtree is cut, and below it only a premise-
+        satisfying completion is searched for.  Until the first non-zero
+        sign only ``0`` and ``+1`` are tried, since negating every sign of a
+        refutation gives another one.
 
         Returns ``(names, signs)`` — a sign tuple satisfying the theory but
         falsifying some goal — or ``None`` when the goals are implied.
         """
         self._counters["enumerations"] += 1
-        goal_ods = tuple(
-            OrderDependency(AttrList(lhs), AttrList(rhs)) for lhs, rhs in goals
+        goal_names = tuple(
+            dict.fromkeys(name for lhs, rhs in goals for name in lhs + rhs)
         )
-        goal_attrs = frozenset().union(*(d.attributes for d in goal_ods))
-        component, used = self._relevant_premises(goal_attrs)
-        names = tuple(sorted(component | goal_attrs))
+        component, used = self._relevant_premises(frozenset(goal_names))
+        names = goal_names + tuple(sorted(component.difference(goal_names)))
         if len(names) > self.max_attributes:
             raise TooManyAttributes(
                 f"{len(names)} attributes exceed the enumeration budget "
                 f"({self.max_attributes}); raise max_attributes explicitly"
             )
         index = {name: i for i, name in enumerate(names)}
-        cache_key = (names, used)
-        premises = self._compiled_cache.get(cache_key)
-        if premises is None:
-            premises = tuple(CompiledOD(dep, index) for dep in used)
-            self._compiled_cache.put(cache_key, premises)
-        goals_compiled = tuple(CompiledOD(dependency, index) for dependency in goal_ods)
-
-        # Partial-assignment pruning: a premise can be evaluated as soon as
-        # the last of its attributes is assigned.  Bucket premises by that
-        # trigger position so the DFS checks each exactly once.
+        goals_compiled = tuple(
+            CompiledOD(OrderDependency(AttrList(lhs), AttrList(rhs)), index)
+            for lhs, rhs in goals
+        )
+        # Bucket each premise at its trigger position, so the DFS checks it
+        # exactly once per partial assignment.
         buckets: List[List[CompiledOD]] = [[] for _ in names]
-        always_true: List[CompiledOD] = []
-        for compiled in premises:
-            positions = compiled.lhs_positions + compiled.rhs_positions
-            if positions:
-                buckets[max(positions)].append(compiled)
-            else:
-                always_true.append(compiled)
-        for compiled in always_true:
-            if not compiled.holds(()):  # pragma: no cover - vacuous ODs hold
-                return None
+        for dependency in used:
+            compiled = CompiledOD(dependency, index)
+            buckets[max(compiled.lhs_positions + compiled.rhs_positions)].append(
+                compiled
+            )
 
+        decided = len(goal_names) - 1
+        last = len(names) - 1
         signs = [0] * len(names)
+        nodes = 0
 
-        def dfs(position: int) -> Optional[tuple]:
-            if position == len(names):
-                if not all(goal.holds(signs) for goal in goals_compiled):
-                    return tuple(signs)
-                return None
-            for value in (0, -1, 1):
+        def dfs(position: int, values: tuple) -> Optional[tuple]:
+            nonlocal nodes
+            checks = buckets[position]
+            for value in values:
+                nodes += 1
                 signs[position] = value
-                if all(c.holds(signs) for c in buckets[position]):
-                    found = dfs(position + 1)
+                for premise in checks:
+                    if not premise.holds(signs):
+                        break
+                else:  # every premise triggered at this position holds
+                    if position == decided and all(
+                        goal.holds(signs) for goal in goals_compiled
+                    ):
+                        continue  # no extension can refute these goals
+                    if position == last:
+                        return tuple(signs)
+                    found = dfs(position + 1, _ANY_SIGN if value else values)
                     if found is not None:
                         return found
-            signs[position] = 0
             return None
 
-        found = dfs(0)
+        found = dfs(0, _FIRST_SIGN)
+        self._counters["nodes"] += nodes
         if found is None:
             return None
         return (names, found)
@@ -357,7 +385,13 @@ class ODTheory:
 
     def counterexample(self, statement: Statement) -> Optional[Relation]:
         """A two-row relation satisfying the theory and falsifying the
-        statement, or ``None`` when the statement is implied."""
+        statement, or ``None`` when the statement is implied.
+
+        The witness is *a* refuting model — whichever one the search reaches
+        first — not a canonical one: callers may rely on
+        :func:`~repro.core.satisfaction.satisfies_naive` accepting every
+        premise on it and rejecting the statement, and on repeated calls
+        returning the same witness, but not on which model it is."""
         refutation = self._decide(statement)
         if refutation is None:
             return None
