@@ -65,6 +65,11 @@ def grid(names, longest=2) -> list:
     ]
 
 
+def every_od(names) -> list:
+    """``X ↦ Y`` for every pair of lists of the grid over ``names``."""
+    return [od(x, y) for x, y in itertools.product(grid(names), repeat=2)]
+
+
 def _lex_sign(vector, positions) -> int:
     for p in positions:
         if vector[p]:
@@ -183,7 +188,7 @@ def _premise_sets(ods, models) -> list:
 
 def test_three_attributes_every_pair_of_premises():
     names = ("A", "B", "C")
-    ods = [od(x, y) for x, y in itertools.product(grid(names), repeat=2)]
+    ods = every_od(names)
     assert len(ods) == 100
     models, naive = Models(names), _Naive()
     sets = _premise_sets(ods, models)
@@ -198,16 +203,15 @@ def test_three_attributes_equivalence_and_compatibility_goals():
     # soon as one conjunct fails, and only then.
     names = ("A", "B", "C")
     pairs = list(itertools.product(grid(names), repeat=2))
-    ods = [od(x, y) for x, y in pairs]
     goals = [kind(x, y) for kind in (equiv, compat) for x, y in pairs]
     models, naive = Models(names), _Naive()
-    for premises in [()] + [(d,) for d in ods]:
+    for premises in [()] + [(d,) for d in every_od(names)]:
         _check_theory(models, naive, premises, goals)
 
 
 def test_four_attributes_every_single_premise():
     names = ("A", "B", "C", "D")
-    ods = [od(x, y) for x, y in itertools.product(grid(names), repeat=2)]
+    ods = every_od(names)
     assert len(ods) == 289
     models, naive = Models(names), _Naive()
     for premises in [()] + [(d,) for d in ods]:
@@ -216,7 +220,7 @@ def test_four_attributes_every_single_premise():
 
 def test_every_proof_found_checks():
     names = ("A", "B", "C")
-    ods = [od(x, y) for x, y in itertools.product(grid(names), repeat=2)]
+    ods = every_od(names)
     models = Models(names)
     found = 0
     for premises in [()] + [(d,) for d in ods]:
