@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .expr import Col, Expr
 from .operators.base import AggSpec
-from .sql.ast import AggCall, SelectStatement
+from .sql.ast import AggCall, JoinClause, SelectStatement
 
 __all__ = [
     "LogicalScan",
@@ -172,6 +172,24 @@ def explain_logical(node: LogicalNode, indent: int = 0) -> str:
 # ----------------------------------------------------------------------
 # Binder
 # ----------------------------------------------------------------------
+def _oriented(join: JoinClause) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The ON pairs as (earlier tables' columns, joined table's columns).
+
+    SQL lets either side of ``=`` name the joined table; the join node's
+    right columns must be its own.  A pair whose left column is qualified
+    by the joined table's alias, and whose right column is not, is
+    swapped.  Unqualified references stay as written.
+    """
+    prefix = join.table.alias + "."
+    lefts, rights = [], []
+    for left, right in zip(join.left_columns, join.right_columns):
+        if left.startswith(prefix) and not right.startswith(prefix):
+            left, right = right, left
+        lefts.append(left)
+        rights.append(right)
+    return tuple(lefts), tuple(rights)
+
+
 def _lift_aggregates(expr: Expr, specs: List[AggSpec], counter: List[int]) -> Expr:
     """Replace AggCall nodes inside a HAVING predicate by references to
     (possibly new, hidden) aggregate outputs."""
@@ -236,8 +254,7 @@ def bind(statement: SelectStatement) -> LogicalNode:
         node = LogicalJoin(
             node,
             LogicalScan(join.table.table, join.table.alias),
-            join.left_columns,
-            join.right_columns,
+            *_oriented(join),
         )
     if statement.where is not None:
         node = LogicalFilter(node, statement.where)

@@ -54,11 +54,11 @@ COLUMNS = {
 }
 PAIR_CONDITIONS = (
     "r.a = s.a",
-    "r.a = s.a AND r.b = s.b",
+    "r.a = s.a AND s.b = r.b",
     "r.x = s.y",
-    "r.b = s.a",
+    "s.a = r.b",
 )
-THIRD_CONDITIONS = ("r.a = u.a", "s.a = u.a", "r.b = u.a")
+THIRD_CONDITIONS = ("r.a = u.a", "s.a = u.a", "u.a = r.b")
 
 KEY = st.integers(0, 3)
 FLOAT_VALUE = st.sampled_from([0.5, 1.0, 1.5, 2.5])

@@ -169,6 +169,14 @@ class TestBinder:
         assert isinstance(join2.left, LogicalJoin)
         assert isinstance(join2.right, LogicalScan)
 
+    def test_on_pairs_put_the_joined_table_on_the_right(self):
+        node = bind(parse(
+            "SELECT a FROM t JOIN u AS w ON w.y = t.x AND t.z = w.v AND a = b"
+        ))
+        join = node.child
+        assert join.left_columns == ("t.x", "t.z", "a")
+        assert join.right_columns == ("w.y", "w.v", "b")
+
     def test_aggregate_lifting(self):
         node = bind(parse("SELECT a, SUM(b) AS total FROM t GROUP BY a"))
         project = node
