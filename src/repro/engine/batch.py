@@ -10,10 +10,17 @@ counts, so totals do not depend on the chunk size), and evaluate
 expressions through the compiled vectorized kernels of
 :mod:`repro.engine.expr`.
 
-Layout: one Python sequence per column (lists or the tuples ``zip``
-produces — anything sliceable), all of equal length, sharing the
+Layout: one Python sequence per column (lists, or the tuples ``zip`` and
+a gather produce — anything sliceable), all of equal length, sharing the
 operator's :class:`~repro.engine.schema.Schema`.  ``rows()`` turns a
 batch into row tuples, which is how results reach the caller.
+
+Moving rows: operators that reorder or combine rows — index scans,
+joins, sorts — never build row tuples.  They compute *row ids* (index
+entries, join match pairs, a sort permutation) and :meth:`ColumnBatch.take`
+gathers each output column once.  A batch over a table's column view
+(:meth:`~repro.engine.table.Table.columnar`) is gathered from, never
+handed out: those lists grow in place when rows are appended.
 
 Ordering: a batch stream carries an :class:`OrderSpec` guarantee —
 *within* each batch rows are in stream order, and batches are emitted in
@@ -23,6 +30,7 @@ ordered result.
 from __future__ import annotations
 
 from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence
 
 from .schema import Schema
@@ -126,12 +134,32 @@ class ColumnBatch:
         )
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Gather rows by position (e.g. a sort permutation)."""
+        """Gather rows by position: index row ids, join matches, a sort
+        permutation.
+
+        Positions that form one ascending contiguous run (a clustered
+        index over rows loaded in key order, a probe batch whose every
+        row matched once) are sliced instead.  Either way every column of
+        the result is a new sequence, never one of this batch's own.
+        """
+        count = len(indices)
+        first = indices[0] if count else 0
+        if count < 2 or (
+            indices[-1] - first == count - 1
+            and indices == list(range(first, first + count))
+        ):
+            return self.slice(first, first + count)
+        gather = itemgetter(*indices)
         return ColumnBatch(
-            self.schema,
-            [[column[i] for i in indices] for column in self.columns],
-            len(indices),
+            self.schema, [gather(column) for column in self.columns], count
         )
+
+    def keys(self, positions: Sequence[int]) -> List[tuple]:
+        """Each row's values at ``positions``, as one tuple per row (the
+        keys that sorts and joins compare)."""
+        if not positions:
+            return [()] * self._length
+        return list(zip(*(self.columns[p] for p in positions)))
 
     @staticmethod
     def concat(batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

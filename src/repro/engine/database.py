@@ -494,9 +494,10 @@ class Database:
         * ``exchange`` — lifetime parallel-execution totals (retries,
           degradations, process-backend serialization bytes);
         * ``maintenance`` — per kind of derived state (``stats``,
-          ``index``, ``fk``, ``constraints``), how often a read after a
-          write ``extended`` it by the appended rows and how often it was
-          ``rebuilt`` by the full pass (first builds included).  A
+          ``index``, ``fk``, ``constraints``, ``columnar``), how often a
+          read after a write ``extended`` it by the appended rows and how
+          often it was ``rebuilt`` by the full pass (first builds
+          included).  A
           workload whose ``rebuilt`` keeps pace with its writes is
           falling back every time;
         * ``pair_selectivity`` — the join estimator's histogram-pair merge
@@ -509,12 +510,14 @@ class Database:
         from ..optimizer.context import theory_cache_stats
 
         maintenance = {kind: dict(v) for kind, v in self._maintenance.items()}
-        for kind, owners in (
-            ("index", self.indexes.values()),
-            ("constraints", self.tables.values()),
+        tables = self.tables.values()
+        for kind, counters in (
+            ("index", [index.maintenance for index in self.indexes.values()]),
+            ("constraints", [table.maintenance for table in tables]),
+            ("columnar", [table.columnar_maintenance for table in tables]),
         ):
             maintenance[kind] = {
-                outcome: sum(owner.maintenance[outcome] for owner in owners)
+                outcome: sum(owned[outcome] for owned in counters)
                 for outcome in ("extended", "rebuilt")
             }
         return {

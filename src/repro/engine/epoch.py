@@ -49,8 +49,14 @@ constraint check    the table's rows and       append: each new row        ``exp
                     constraints                against its neighbours; a
                                                violation, ``declare`` or
                                                shrink: full pass
-``Table.columnar``  the table's row count      any change: re-transposed   —
+``Table.columnar``  the table's rows           append: lists extended in   ``[list(c) for c in
+                                               place; shrink: re-          zip(*rows)]``
+                                               transposed
 ==================  =========================  ==========================  =====================
+
+Index entries are extended into new lists, so a scan holding the old ones
+reads them unchanged; the column view's lists grow in place, so scans
+hand out slices or gathers of them, never the lists themselves.
 
 ``Database.stats_snapshot()["maintenance"]`` counts, per kind, how often a
 read extended and how often it rebuilt; ``["pair_selectivity"]`` counts

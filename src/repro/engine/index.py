@@ -1,11 +1,13 @@
 """Sorted (B-tree-like) indexes with range scans and min/max probes.
 
 Backed by a sorted array + binary search — the access-pattern equivalent of
-a B-tree for an in-memory engine.  Two operations matter to the paper's
-rewrites:
+a B-tree for an in-memory engine.  The array is two parallel lists: the key
+tuples (what ``bisect`` searches) and the row ids (what scans gather by).
+Two operations matter to the paper's rewrites:
 
-* ``range_scan`` — drives index-satisfied ``ORDER BY``/``GROUP BY`` (the
-  Example 1 plan) and the fact-table side of the date rewrite;
+* ``range_positions`` + ``rowids`` — drive index-satisfied ``ORDER BY``/
+  ``GROUP BY`` (the Example 1 plan) and the fact-table side of the date
+  rewrite;
 * ``probe_min`` / ``probe_max`` — the *two probes into the date dimension*
   of Section 2.3 that translate a natural-date range into a surrogate-key
   range.
@@ -13,14 +15,13 @@ rewrites:
 from __future__ import annotations
 
 import bisect
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from .table import Table
 
 __all__ = ["SortedIndex"]
-
-_NEG_INF = object()
-_POS_INF = object()
 
 
 class SortedIndex:
@@ -42,30 +43,36 @@ class SortedIndex:
         self._positions = tuple(
             table.schema.position(column) for column in self.key_columns
         )
-        self._entries: List[Tuple[tuple, int]] = []
+        #: Entry ``i`` is the row ``_rowids[i]`` with key ``_keys[i]``, in
+        #: ``(key, rowid)`` order.  Both lists are replaced, never mutated,
+        #: so a scan may hold on to them.
         self._keys: List[tuple] = []
+        self._rowids: List[int] = []
         self._built_row_count = -1
         #: Times the entries were extended by appended rows vs rebuilt.
         self.maintenance = {"extended": 0, "rebuilt": 0}
 
     # ------------------------------------------------------------------
-    def _entries_of(self, start: int) -> Iterator[Tuple[tuple, int]]:
-        """``(key, rowid)`` for the table's rows from ``start`` on."""
-        positions = self._positions
-        return (
-            (tuple(row[i] for i in positions), rowid)
-            for rowid, row in enumerate(self.table.rows[start:], start)
-        )
+    def _keys_of(self, start: int) -> List[tuple]:
+        """The key tuples of the table's rows from ``start`` on."""
+        rows = islice(self.table.rows, start, None)
+        if len(self._positions) == 1:
+            (position,) = self._positions
+            return [(row[position],) for row in rows]
+        return list(map(itemgetter(*self._positions), rows))
 
     def build(self) -> "SortedIndex":
         """(Re)build from the table's current rows."""
-        self._install(sorted(self._entries_of(0)))
+        keys = self._keys_of(0)
+        # A stable sort of the row ids by key: ``(key, rowid)`` order.
+        rowids = sorted(range(len(keys)), key=keys.__getitem__)
+        self._install([keys[rowid] for rowid in rowids], rowids)
         self.maintenance["rebuilt"] += 1
         return self
 
-    def _install(self, entries: List[Tuple[tuple, int]]) -> None:
-        self._entries = entries
-        self._keys = [entry[0] for entry in entries]
+    def _install(self, keys: List[tuple], rowids: List[int]) -> None:
+        self._keys = keys
+        self._rowids = rowids
         self._built_row_count = len(self.table.rows)
 
     def _ensure_built(self) -> None:
@@ -73,20 +80,39 @@ class SortedIndex:
         if built == len(self.table.rows):
             return
         if 0 <= built < len(self.table.rows):
-            # Rows were appended: the old entries are one long sorted run
-            # and the new ones a short tail, which is what list.sort()
-            # merges fastest.  A copy, so a key that does not compare
-            # leaves the index as it was.
-            entries = self._entries + list(self._entries_of(built))
-            entries.sort()
-            self._install(entries)
+            self._extend(built)
             self.maintenance["extended"] += 1
         else:
             self.build()
 
+    def _extend(self, built: int) -> None:
+        """Merge the rows appended since ``built`` into the entries.
+
+        A new row id exceeds every old one, so a new entry goes after the
+        old entries with an equal key (``bisect_right``) — the order a
+        full sort gives.  Every position is found before anything is
+        installed, so a key that does not compare leaves the index as it
+        was."""
+        new_keys = self._keys_of(built)
+        order = sorted(range(len(new_keys)), key=new_keys.__getitem__)
+        old_keys, old_rowids = self._keys, self._rowids
+        at = [bisect.bisect_right(old_keys, new_keys[i]) for i in order]
+        keys: List[tuple] = []
+        rowids: List[int] = []
+        last = 0
+        for position, i in zip(at, order):
+            keys += old_keys[last:position]
+            rowids += old_rowids[last:position]
+            keys.append(new_keys[i])
+            rowids.append(built + i)
+            last = position
+        keys += old_keys[last:]
+        rowids += old_rowids[last:]
+        self._install(keys, rowids)
+
     def __len__(self) -> int:
         self._ensure_built()
-        return len(self._entries)
+        return len(self._rowids)
 
     # ------------------------------------------------------------------
     # Probes and scans
@@ -110,20 +136,14 @@ class SortedIndex:
             stop = bisect.bisect_right(keys, tuple(high) + (_Top(),))
         return start, max(start, stop)
 
-    def scan_positions(
-        self, start: int, stop: int, reverse: bool = False
-    ) -> Iterator[tuple]:
-        """Yield table rows for the entry positions ``[start, stop)`` in
-        key order (reversed when asked).  Iterates in place — no slice
-        copy of the entry array per scan."""
+    def rowids(self) -> List[int]:
+        """Every row id in key order, entry position by entry position.
+
+        Treat as read-only.  Appended rows install a new list rather than
+        changing this one, so positions taken from :meth:`range_positions`
+        keep meaning the same rows for whoever holds it."""
         self._ensure_built()
-        entries = self._entries
-        rows = self.table.rows
-        indices = range(start, stop)
-        if reverse:
-            indices = reversed(indices)
-        for position in indices:
-            yield rows[entries[position][1]]
+        return self._rowids
 
     def range_scan(
         self,
@@ -138,7 +158,12 @@ class SortedIndex:
         ends, matching SQL ``BETWEEN``.
         """
         start, stop = self.range_positions(low, high)
-        yield from self.scan_positions(start, stop, reverse)
+        rowids = self._rowids[start:stop]
+        if reverse:
+            rowids.reverse()
+        rows = self.table.rows
+        for rowid in rowids:
+            yield rows[rowid]
 
     def probe_min(
         self, low: tuple, value_column: str
@@ -151,12 +176,12 @@ class SortedIndex:
         self._ensure_built()
         keys = self._keys
         start = bisect.bisect_left(keys, tuple(low))
-        if start >= len(self._entries):
+        if start >= len(keys):
             return None
         position = self.table.schema.position(
             self.table.schema.resolve(value_column)
         )
-        return self.table.rows[self._entries[start][1]][position]
+        return self.table.rows[self._rowids[start]][position]
 
     def probe_max(
         self, high: tuple, value_column: str
@@ -170,7 +195,7 @@ class SortedIndex:
         position = self.table.schema.position(
             self.table.schema.resolve(value_column)
         )
-        return self.table.rows[self._entries[stop - 1][1]][position]
+        return self.table.rows[self._rowids[stop - 1]][position]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "clustered" if self.clustered else "secondary"

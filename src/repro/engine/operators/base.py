@@ -219,6 +219,18 @@ class Operator:
         """
         raise NotImplementedError
 
+    def collect(self, metrics: Metrics, batch_size: int) -> ColumnBatch:
+        """This operator's whole output as one batch — for the consumers
+        that need an input entire (a sort, a merge join, a nested loop's
+        inner side)."""
+        batches = []
+        for batch in self.execute_batches(metrics, batch_size):
+            metrics.check_cancel()
+            batches.append(batch)
+        if not batches:
+            return ColumnBatch.empty(self.schema)
+        return ColumnBatch.concat(batches)
+
     def children(self) -> Sequence["Operator"]:
         return ()
 

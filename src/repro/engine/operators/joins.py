@@ -4,13 +4,18 @@ The Section 2.3 date rewrite's payoff is a :class:`HashJoin` (fact ⋈
 date_dim) that disappears entirely; the sort-merge join is where "a sort on
 input can be removed" when ODs prove an existing stream order equivalent to
 the required one ([17]'s motivation).
+
+No join builds a row tuple.  Each one matches *row positions* — a left
+(probe) position and a right (build) position per output row — and
+gathers the output columns with :meth:`ColumnBatch.take`, once per column
+per output chunk.  A probe row's matches come out in build order.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from itertools import chain, compress, repeat
+from typing import Dict, Iterator, List, Sequence
 
 from ..batch import DEFAULT_BATCH_SIZE, ColumnBatch
-from ..schema import Schema
 from .base import Metrics, Operator
 
 __all__ = ["HashJoin", "MergeJoin", "NestedLoopJoin"]
@@ -20,10 +25,9 @@ class _JoinBase(Operator):
     """Joins are not partition-transparent (``partition_kind`` stays
     ``None``): they combine two streams, so exchange placement recurses
     into each side instead — either input may itself be a parallelized
-    chain, since all three joins drain their inputs wholesale.
-    (Partitioning the *probe* loop against a shared built table is the
-    natural next step; it needs a build-once barrier the current exchange
-    does not model.)"""
+    chain.  (Partitioning the *probe* loop against a shared built table is
+    the natural next step; it needs a build-once barrier the current
+    exchange does not model.)"""
 
     def __init__(
         self,
@@ -49,19 +53,19 @@ class _JoinBase(Operator):
     def children(self) -> Sequence[Operator]:
         return (self.left, self.right)
 
-    def _materialize(self, side: Operator, metrics: Metrics, batch_size: int):
-        """All of one input's rows via its batch path (both merge and
-        nested-loop joins consume a side wholesale)."""
-        rows: List[tuple] = []
-        for batch in side.execute_batches(metrics, batch_size):
-            metrics.check_cancel()
-            rows.extend(batch.rows())
-        return rows
-
-    def _emit_batches(self, rows: List[tuple], batch_size: int):
-        schema = self.schema
-        for start in range(0, len(rows), batch_size):
-            yield ColumnBatch.from_rows(schema, rows[start:start + batch_size])
+    def _joined(
+        self,
+        left: ColumnBatch,
+        right: ColumnBatch,
+        left_ids: Sequence[int],
+        right_ids: Sequence[int],
+    ) -> ColumnBatch:
+        """The rows ``left[i] + right[j]`` for each id pair ``(i, j)``."""
+        return ColumnBatch(
+            self.schema,
+            left.take(left_ids).columns + right.take(right_ids).columns,
+            len(left_ids),
+        )
 
     def label(self) -> str:
         condition = " AND ".join(
@@ -75,6 +79,40 @@ class _JoinBase(Operator):
                 f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
             )
         }
+
+
+def _rechunk(
+    batches: Iterator[ColumnBatch], batch_size: int
+) -> Iterator[ColumnBatch]:
+    """Re-cut a stream of non-empty batches of any length into
+    ``batch_size`` chunks, each yielded as soon as it is full."""
+    pending: List[ColumnBatch] = []
+    count = 0
+    for batch in batches:
+        pending.append(batch)
+        count += len(batch)
+        if count < batch_size:
+            continue
+        merged = ColumnBatch.concat(pending)
+        if count == batch_size:
+            yield merged
+            pending, count = [], 0
+            continue
+        full = count - count % batch_size
+        for start in range(0, full, batch_size):
+            yield merged.slice(start, start + batch_size)
+        pending = [merged.slice(full, count)] if full < count else []
+        count -= full
+    if pending:
+        yield ColumnBatch.concat(pending)
+
+
+def _key_vector(batch: ColumnBatch, positions: Sequence[int]) -> Sequence:
+    """A hash join's keys for one batch: the bare column for a single key
+    column, tuples for several."""
+    if len(positions) == 1:
+        return batch.columns[positions[0]]
+    return batch.keys(positions)
 
 
 class HashJoin(_JoinBase):
@@ -91,54 +129,45 @@ class HashJoin(_JoinBase):
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Build from right batches, probe left batch-wise.  Single-column
-        joins (every date rewrite's shape) key on the bare value instead
-        of a 1-tuple.  Probe order — and therefore the declared left
-        ordering — is preserved; counters charge per batch."""
-        single = len(self._right_positions) == 1
-        table: Dict = {}
-        setdefault = table.setdefault
+        """Map each build key to its build positions, then probe left
+        batch-wise.  Single-column joins (every date rewrite's shape) key
+        on the bare value instead of a 1-tuple.  Probe order — and
+        therefore the declared left ordering — is preserved; counters
+        charge per batch."""
+        return _rechunk(self._probe(metrics, batch_size), batch_size)
+
+    def _probe(self, metrics: Metrics, batch_size: int) -> Iterator[ColumnBatch]:
+        """One batch of joined rows per probe batch that matched at all."""
+        built: List[ColumnBatch] = []
         for batch in self.right.execute_batches(metrics, batch_size):
             metrics.check_cancel()
             metrics.add("hash_build_rows", len(batch))
-            if single:
-                position = self._right_positions[0]
-                for row in batch.rows():
-                    setdefault(row[position], []).append(row)
-            else:
-                positions = self._right_positions
-                for row in batch.rows():
-                    setdefault(tuple(row[i] for i in positions), []).append(row)
+            built.append(batch)
+        if built:
+            build = ColumnBatch.concat(built)
+        else:
+            build = ColumnBatch.empty(self.right.schema)
+        table: Dict = {}
+        setdefault = table.setdefault
+        for position, key in enumerate(_key_vector(build, self._right_positions)):
+            setdefault(key, []).append(position)
 
         get = table.get
-        out: List[tuple] = []
         for batch in self.left.execute_batches(metrics, batch_size):
             metrics.check_cancel()
             metrics.add("hash_probe_rows", len(batch))
-            produced = 0
-            if single:
-                position = self._left_positions[0]
-                for row in batch.rows():
-                    matches = get(row[position])
-                    if matches:
-                        produced += len(matches)
-                        for match in matches:
-                            out.append(row + match)
-            else:
-                positions = self._left_positions
-                for row in batch.rows():
-                    matches = get(tuple(row[i] for i in positions))
-                    if matches:
-                        produced += len(matches)
-                        for match in matches:
-                            out.append(row + match)
-            if produced:
-                metrics.add("join_rows", produced)
-            while len(out) >= batch_size:
-                yield ColumnBatch.from_rows(self.schema, out[:batch_size])
-                del out[:batch_size]
-        if out:
-            yield ColumnBatch.from_rows(self.schema, out)
+            found = list(map(get, _key_vector(batch, self._left_positions)))
+            matched = list(compress(found, found))
+            if not matched:
+                continue
+            right_ids = list(chain.from_iterable(matched))
+            left_ids = list(compress(range(len(batch)), found))
+            if len(right_ids) != len(left_ids):  # some probe row matched twice
+                left_ids = list(
+                    chain.from_iterable(map(repeat, left_ids, map(len, matched)))
+                )
+            metrics.add("join_rows", len(right_ids))
+            yield self._joined(batch, build, left_ids, right_ids)
 
 
 class MergeJoin(_JoinBase):
@@ -153,17 +182,20 @@ class MergeJoin(_JoinBase):
         self.ordering = left.ordering  # preserves the probe side's spec
 
     def _merge(
-        self, left_rows: List[tuple], right_rows: List[tuple], metrics: Metrics
-    ) -> List[tuple]:
-        """The two-pointer merge; ``merge_steps``/``join_rows`` are
-        charged once, with their totals."""
-        out: List[tuple] = []
+        self, left_keys: List[tuple], right_keys: List[tuple], metrics: Metrics
+    ) -> "tuple[List[int], List[int]]":
+        """The two-pointer merge over each side's key tuples, returning the
+        matched ``(left ids, right ids)``; ``merge_steps``/``join_rows``
+        are charged once, with their totals."""
+        left_ids: List[int] = []
+        right_ids: List[int] = []
         steps = 0
         i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
+        left_count, right_count = len(left_keys), len(right_keys)
+        while i < left_count and j < right_count:
             steps += 1
-            left_key = tuple(left_rows[i][p] for p in self._left_positions)
-            right_key = tuple(right_rows[j][p] for p in self._right_positions)
+            left_key = left_keys[i]
+            right_key = right_keys[j]
             if left_key < right_key:
                 i += 1
             elif left_key > right_key:
@@ -171,31 +203,37 @@ class MergeJoin(_JoinBase):
             else:
                 # gather the right-side run for this key
                 j_end = j
-                while j_end < len(right_rows) and tuple(
-                    right_rows[j_end][p] for p in self._right_positions
-                ) == right_key:
+                while j_end < right_count and right_keys[j_end] == right_key:
                     j_end += 1
-                while i < len(left_rows) and tuple(
-                    left_rows[i][p] for p in self._left_positions
-                ) == left_key:
-                    for k in range(j, j_end):
-                        out.append(left_rows[i] + right_rows[k])
+                run = range(j, j_end)
+                while i < left_count and left_keys[i] == left_key:
+                    left_ids += repeat(i, len(run))
+                    right_ids += run
                     i += 1
                 j = j_end
         if steps:
             metrics.add("merge_steps", steps)
-        if out:
-            metrics.add("join_rows", len(out))
-        return out
+        if left_ids:
+            metrics.add("join_rows", len(left_ids))
+        return left_ids, right_ids
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Merge the two inputs, each materialized from its batches."""
-        left_rows = self._materialize(self.left, metrics, batch_size)
-        right_rows = self._materialize(self.right, metrics, batch_size)
-        out = self._merge(left_rows, right_rows, metrics)
-        yield from self._emit_batches(out, batch_size)
+        """Merge the two inputs, each collected whole, and gather the
+        output in chunks."""
+        left = self.left.collect(metrics, batch_size)
+        right = self.right.collect(metrics, batch_size)
+        left_ids, right_ids = self._merge(
+            left.keys(self._left_positions),
+            right.keys(self._right_positions),
+            metrics,
+        )
+        for start in range(0, len(left_ids), batch_size):
+            stop = start + batch_size
+            yield self._joined(
+                left, right, left_ids[start:stop], right_ids[start:stop]
+            )
 
 
 class NestedLoopJoin(_JoinBase):
@@ -209,26 +247,23 @@ class NestedLoopJoin(_JoinBase):
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        right_rows = self._materialize(self.right, metrics, batch_size)
-        right_keys = [
-            tuple(other[i] for i in self._right_positions) for other in right_rows
-        ]
-        out: List[tuple] = []
+        return _rechunk(self._loop(metrics, batch_size), batch_size)
+
+    def _loop(self, metrics: Metrics, batch_size: int) -> Iterator[ColumnBatch]:
+        """One batch of joined rows per outer batch that matched at all."""
+        inner = self.right.collect(metrics, batch_size)
+        inner_keys = inner.keys(self._right_positions)
         for batch in self.left.execute_batches(metrics, batch_size):
             metrics.check_cancel()
-            produced = 0
-            for row in batch.rows():
-                left_key = tuple(row[i] for i in self._left_positions)
-                for other_key, other in zip(right_keys, right_rows):
-                    if left_key == other_key:
-                        out.append(row + other)
-                        produced += 1
-            if right_rows:  # no comparison made, no counter key created
-                metrics.add("nl_comparisons", len(batch) * len(right_rows))
-            if produced:
-                metrics.add("join_rows", produced)
-            while len(out) >= batch_size:
-                yield ColumnBatch.from_rows(self.schema, out[:batch_size])
-                del out[:batch_size]
-        if out:
-            yield ColumnBatch.from_rows(self.schema, out)
+            left_ids: List[int] = []
+            right_ids: List[int] = []
+            for i, left_key in enumerate(batch.keys(self._left_positions)):
+                for j, right_key in enumerate(inner_keys):
+                    if left_key == right_key:
+                        left_ids.append(i)
+                        right_ids.append(j)
+            if inner_keys:  # no comparison made, no counter key created
+                metrics.add("nl_comparisons", len(batch) * len(inner_keys))
+            if left_ids:
+                metrics.add("join_rows", len(left_ids))
+                yield self._joined(batch, inner, left_ids, right_ids)

@@ -6,8 +6,7 @@ unqualified references by suffix.
 """
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from ..index import SortedIndex
@@ -162,24 +161,27 @@ class IndexScan(Operator):
         width = max(0, stop - start)
         return start + (index * width) // count, start + ((index + 1) * width) // count
 
+    def _source(self) -> "tuple[ColumnBatch, List[int]]":
+        """The table's column view as one batch to gather from, and the
+        index's row ids in key order — both brought up to date."""
+        table = ColumnBatch(self.schema, self.table.columnar(), len(self.table.rows))
+        return table, self.index.rowids()
+
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Chunk the key-ordered range scan and transpose each chunk;
+        """Gather the key-ordered entry range by row id, chunk by chunk;
         one ``index_probes`` plus per-batch ``rows_scanned`` charges.  Key
         order carries batch-to-batch."""
         if self.partition is None or self.partition[0] == 0:
             metrics.add("index_probes")
         start, stop = self._position_bounds()
-        scan = self.index.scan_positions(start, stop)
-        schema = self.schema
-        while True:
+        table, rowids = self._source()
+        for low in range(start, stop, batch_size):
+            high = min(low + batch_size, stop)
             metrics.check_cancel()
-            chunk = list(islice(scan, batch_size))
-            if not chunk:
-                return
-            metrics.add("rows_scanned", len(chunk))
-            yield ColumnBatch(schema, list(zip(*chunk)), len(chunk))
+            metrics.add("rows_scanned", high - low)
+            yield table.take(rowids[low:high])
 
     def label(self) -> str:
         bounds = ""
@@ -204,11 +206,11 @@ class IndexScan(Operator):
         """Same two shipping modes as :meth:`SeqScan.__reduce__`.
 
         The materialized form resolves the partition's position bounds
-        against the live index and ships the rows of that slice — which
-        are in key order, so the declared (qualified) ``OrderSpec``
-        travels with them.  The per-execute ``index_probes`` charge stays
-        with partition 0 (``charge_probe``) so shipped partition totals
-        still sum to the serial scan's.
+        against the live index and ships the rows of that slice, gathered
+        by row id — they are in key order, so the declared (qualified)
+        ``OrderSpec`` travels with them.  The per-execute
+        ``index_probes`` charge stays with partition 0 (``charge_probe``)
+        so shipped partition totals still sum to the serial scan's.
         """
         from ..parallel import active_ship_tokens
 
@@ -219,15 +221,12 @@ class IndexScan(Operator):
                 (token, self.alias, self.low, self.high, self.partition),
             )
         start, stop = self._position_bounds()
-        rows = list(self.index.scan_positions(start, stop))
-        if rows:
-            columns: List[list] = [list(column) for column in zip(*rows)]
-        else:
-            columns = [[] for _ in self.schema]
+        table, rowids = self._source()
+        rows = table.take(rowids[start:stop])
         charge_probe = self.partition is None or self.partition[0] == 0
         return (
             ShippedScan,
-            (self.schema, columns, len(rows), tuple(self.ordering), charge_probe),
+            (self.schema, rows.columns, len(rows), tuple(self.ordering), charge_probe),
         )
 
 
@@ -254,11 +253,12 @@ def _rebuild_index_scan(token, alias, low, high, partition) -> IndexScan:
 class ShippedScan(Operator):
     """A scan materialized for shipping to another process.
 
-    Holds plain column lists plus the (qualified) schema — no ``Table``
-    or ``SortedIndex`` back-pointers, so pickling it costs exactly its
-    data.  Metrics parity with the scan it replaced: ``rows_scanned``
-    per batch, and ``index_probes`` once when ``charge_probe`` (the
-    shipped form of "partition 0 owns the per-execute probe charge").
+    Holds plain column sequences (lists or tuples) plus the (qualified)
+    schema — no ``Table`` or ``SortedIndex`` back-pointers, so pickling
+    it costs exactly its data.  Metrics parity with the scan it replaced:
+    ``rows_scanned`` per batch, and ``index_probes`` once when
+    ``charge_probe`` (the shipped form of "partition 0 owns the
+    per-execute probe charge").
     ``ordering`` is the declared :class:`OrderSpec` the source scan
     guaranteed — an index partition's slice is in key order, so the
     guarantee survives the wire.
@@ -267,7 +267,7 @@ class ShippedScan(Operator):
     def __init__(
         self,
         schema: Schema,
-        columns: List[list],
+        columns: List[Sequence],
         length: int,
         ordering: Tuple[str, ...] = (),
         charge_probe: bool = False,

@@ -6,7 +6,7 @@ reproduction ultimately compares plans with and without a Sort node.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from ..batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from .base import Metrics, Operator, order_spec
@@ -45,19 +45,16 @@ class Sort(Operator):
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Materialize the child's batches, stable-sort the rows on the
-        key, re-emit in chunks."""
-        rows: List[tuple] = []
-        for batch in self.child.execute_batches(metrics, batch_size):
-            metrics.check_cancel()
-            rows.extend(batch.rows())
+        """Collect the child's output, stable-sort the row positions by
+        the key tuples, and gather the output in chunks — the permutation
+        sorting the row tuples themselves would give."""
+        data = self.child.collect(metrics, batch_size)
         metrics.add("sorts")
-        metrics.add("sort_rows", len(rows))
-        positions = self._positions
-        rows.sort(key=lambda row: tuple(row[i] for i in positions))
-        schema = self.schema
-        for start in range(0, len(rows), batch_size):
-            yield ColumnBatch.from_rows(schema, rows[start:start + batch_size])
+        metrics.add("sort_rows", len(data))
+        keys = data.keys(self._positions)
+        order = sorted(range(len(data)), key=keys.__getitem__)
+        for start in range(0, len(order), batch_size):
+            yield data.take(order[start:start + batch_size])
 
     def label(self) -> str:
         return f"Sort({', '.join(self.keys)})"

@@ -35,6 +35,9 @@ class Table:
         self.constraints: List[Statement] = []
         self._columnar: Optional[List[list]] = None
         self._columnar_row_count = -1
+        #: Times the column view was extended by appended rows vs
+        #: transposed from all of them.
+        self.columnar_maintenance = {"extended": 0, "rebuilt": 0}
         #: The constraints and row count the last passed check covered,
         #: and the checker that admits further rows one at a time.
         self._checked: Optional[Tuple[List[Statement], int, AppendChecker]] = None
@@ -91,17 +94,27 @@ class Table:
     def columnar(self) -> List[list]:
         """A cached column-major view of the rows (one list per column).
 
-        The vectorized scan path slices these vectors directly instead of
-        transposing row tuples per batch.  Rebuilt lazily whenever the
-        row count changes (the same staleness rule ``SortedIndex`` uses);
-        treat the returned lists as read-only.
+        Scans slice these vectors or gather from them by row id instead of
+        transposing row tuples per batch.  Brought up to date lazily on
+        the row count (the staleness rule ``SortedIndex`` uses): rows
+        appended since the last call extend the lists *in place*, any
+        other change re-transposes.  Treat the lists as read-only and
+        never hand one out unsliced — it grows under its holder.
         """
-        if self._columnar_row_count != len(self.rows):
-            if self.rows:
-                self._columnar = [list(column) for column in zip(*self.rows)]
+        covered, rows = self._columnar_row_count, self.rows
+        if covered == len(rows):
+            return self._columnar
+        if 0 <= covered < len(rows):
+            for column, appended in zip(self._columnar, zip(*rows[covered:])):
+                column.extend(appended)
+            self.columnar_maintenance["extended"] += 1
+        else:
+            if rows:
+                self._columnar = [list(column) for column in zip(*rows)]
             else:
                 self._columnar = [[] for _ in self.schema]
-            self._columnar_row_count = len(self.rows)
+            self.columnar_maintenance["rebuilt"] += 1
+        self._columnar_row_count = len(rows)
         return self._columnar
 
     # ------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Derived state extended by appended rows equals the from-scratch pass.
 
-Statistics, index entries, foreign-key verdicts and constraint checks each
-record how many rows they cover and fold further rows in.  The full passes
-— ``collect_stats``, ``SortedIndex.build``, ``Database._fk_contained``,
-``explain_violation`` — are the references here: after every step of a
-random history the maintained value must equal what the full pass computes
-from the same rows.
+Statistics, index entries, foreign-key verdicts, constraint checks and the
+column view each record how many rows they cover and fold further rows in.
+The full passes — ``collect_stats``, ``SortedIndex.build``,
+``Database._fk_contained``, ``explain_violation`` and the transpose
+``zip(*rows)`` — are the references here: after every step of a random
+history the maintained value must equal what the full pass computes from
+the same rows.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from repro.core.satisfaction import explain_violation
 from repro.engine.database import Database
 from repro.engine.histogram import SKETCH_SIZE
 from repro.engine.index import SortedIndex
+from repro.engine.operators import IndexScan, SeqScan
+from repro.engine.operators.base import Metrics
 from repro.engine.schema import Schema
 from repro.engine.stats import collect_stats, estimation_mode, set_estimation_mode
 from repro.engine.table import ConstraintViolation, Table
@@ -52,8 +55,10 @@ def _assert_current(db: Database, table: Table) -> None:
     for index in db.indexes_on("t"):
         fresh = SortedIndex("fresh", table, index.key_columns).build()
         assert len(index) == len(table.rows)  # brings the index up to date
-        assert index._entries == fresh._entries
         assert index._keys == fresh._keys
+        assert index._rowids == fresh._rowids
+    transposed = [list(column) for column in zip(*table.rows)]
+    assert table.columnar() == (transposed or [[] for _ in table.schema])
 
 
 class TestStatsAndIndexes:
@@ -123,6 +128,23 @@ class TestStatsAndIndexes:
         maintenance = db.stats_snapshot()["maintenance"]
         assert maintenance["stats"] == {"extended": 1, "rebuilt": 2}
         assert maintenance["index"] == {"extended": 2, "rebuilt": 1}
+        assert maintenance["columnar"] == {"extended": 2, "rebuilt": 1}
+
+    @pytest.mark.parametrize("batch_size", [4, 1024])
+    def test_batches_yielded_before_an_append_stay_as_they_were(self, batch_size):
+        """The column view grows in place, so a scan must hand out slices
+        or gathers of it, never one of its lists."""
+        db, table = _database()
+        table.load([(v, float(v % 3), "pqrs"[v % 4]) for v in range(10)], check=False)
+        in_order = db.create_index("t_a", "t", ["a"], clustered=True)
+        shuffled = db.create_index("t_b", "t", ["b"])
+        for scan in (SeqScan(table), IndexScan(in_order), IndexScan(shuffled)):
+            batch = next(scan.execute_batches(Metrics(), batch_size))
+            before = batch.to_rows()
+            table.load([(99, 0.5, "p")], check=False)
+            _assert_current(db, table)
+            assert batch.to_rows() == before, scan.label()
+            assert all(len(column) == len(before) for column in batch.columns)
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,21 @@ def fold_groups(rows, key):
     return out
 
 
+def merge_steps(left_keys, right_keys):
+    """The steps a two-pointer merge of the sorted key lists takes: one per
+    distinct key both sides hold, and one per row whose key the other side
+    lacks — unless that key lies above the other side's maximum, where
+    the merge has already ended."""
+    if not left_keys or not right_keys:
+        return 0
+    left, right = set(left_keys), set(right_keys)
+    return (
+        len(left & right)
+        + sum(1 for key in left_keys if key not in right and key < right_keys[-1])
+        + sum(1 for key in right_keys if key not in left and key < left_keys[-1])
+    )
+
+
 # ----------------------------------------------------------------------
 # ColumnBatch structural operations
 # ----------------------------------------------------------------------
@@ -285,11 +300,21 @@ class TestOperatorModeParity:
         run_every_batch_size(lambda: SeqScan(make_table([])), [])
 
     def test_index_scan(self, table):
-        index = SortedIndex("t_ab", table, ["a", "b"]).build()
-        _, metrics = run_every_batch_size(
-            lambda: IndexScan(index), sorted(table.rows, key=key_of(0, 1))
-        )
-        assert metrics.counters == {"index_probes": 1, "rows_scanned": len(table)}
+        """Two shapes: an index built over random rows, and a clustered
+        index over rows loaded in key order with rows appended out of
+        order after the build — its scans slice the ascending runs of row
+        ids and gather around the appended ones."""
+        clustered = make_table(sorted(table.rows[:100], key=key_of(0, 1)))
+        appended = SortedIndex("t_ab", clustered, ["a", "b"], clustered=True).build()
+        clustered.load(table.rows[100:], check=False)
+        for rows, index in (
+            (table.rows, SortedIndex("t_ab", table, ["a", "b"]).build()),
+            (clustered.rows, appended),
+        ):
+            _, metrics = run_every_batch_size(
+                lambda: IndexScan(index), sorted(rows, key=key_of(0, 1))
+            )
+            assert metrics.counters == {"index_probes": 1, "rows_scanned": len(rows)}
 
     def test_index_scan_bounded(self, table):
         index = SortedIndex("t_a", table, ["a"]).build()
@@ -337,11 +362,14 @@ class TestOperatorModeParity:
             )
 
     def test_sort(self, table):
-        _, metrics = run_every_batch_size(
-            lambda: Sort(SeqScan(table), ["t.b", "t.c"]),
-            sorted(table.rows, key=key_of(1, 2)),
-        )
-        assert metrics.get("sorts") == 1 and metrics.get("sort_rows") == len(table)
+        """On (b, c), and on a alone: 120 rows over ten values of ``a``
+        tie, and ``sorted`` — stable — fixes their order."""
+        for keys, positions in ((["t.b", "t.c"], (1, 2)), (["t.a"], (0,))):
+            _, metrics = run_every_batch_size(
+                lambda: Sort(SeqScan(table), keys),
+                sorted(table.rows, key=key_of(*positions)),
+            )
+            assert metrics.get("sorts") == 1 and metrics.get("sort_rows") == len(table)
 
     def test_topn(self, table):
         _, metrics = run_every_batch_size(
@@ -373,13 +401,17 @@ class TestOperatorModeParity:
         )
 
     def test_hash_join(self, table, dim):
-        _, metrics = run_every_batch_size(
-            lambda: HashJoin(SeqScan(table), SeqScan(dim), ["t.a"], ["dim.k"]),
-            [left + right for left in table.rows for right in dim.rows
-             if left[0] == right[0]],
-        )
-        assert metrics.get("hash_build_rows") == len(dim)
-        assert metrics.get("hash_probe_rows") == len(table)
+        """Against a unique build key, and against a build side with
+        duplicate keys: each probe row's matches come out in build order."""
+        duplicates = make_table(random_rows(7, 40), name="u")
+        for build, key in ((dim, "dim.k"), (duplicates, "u.a")):
+            _, metrics = run_every_batch_size(
+                lambda: HashJoin(SeqScan(table), SeqScan(build), ["t.a"], [key]),
+                [left + right for left in table.rows for right in build.rows
+                 if left[0] == right[0]],
+            )
+            assert metrics.get("hash_build_rows") == len(build)
+            assert metrics.get("hash_probe_rows") == len(table)
 
     def test_hash_join_multi_key(self, table):
         other = make_table(random_rows(99, 50), name="u")
@@ -392,18 +424,26 @@ class TestOperatorModeParity:
         )
 
     def test_merge_join(self, table, dim):
-        run_every_batch_size(
-            lambda: MergeJoin(
-                Sort(SeqScan(table), ["t.a"]),
-                Sort(SeqScan(dim), ["dim.k"]),
-                ["t.a"],
-                ["dim.k"],
-            ),
-            [left + right
-             for left in sorted(table.rows, key=key_of(0))
-             for right in sorted(dim.rows, key=key_of(0))
-             if left[0] == right[0]],
+        """Against a unique right key, and many-to-many against a right
+        side whose keys repeat and only partly overlap the left's."""
+        duplicates = make_table(
+            [(a + 4, b, c) for a, b, c in random_rows(7, 40)], name="u"
         )
+        for right, key in ((dim, "dim.k"), (duplicates, "u.a")):
+            left_rows = sorted(table.rows, key=key_of(0))
+            right_rows = sorted(right.rows, key=key_of(0))
+            _, metrics = run_every_batch_size(
+                lambda: MergeJoin(
+                    Sort(SeqScan(table), ["t.a"]),
+                    Sort(SeqScan(right), [key]),
+                    ["t.a"],
+                    [key],
+                ),
+                [l + r for l in left_rows for r in right_rows if l[0] == r[0]],
+            )
+            assert metrics.get("merge_steps") == merge_steps(
+                [row[0] for row in left_rows], [row[0] for row in right_rows]
+            )
 
     def test_nested_loop_join(self, table, dim):
         _, metrics = run_every_batch_size(
@@ -655,6 +695,11 @@ class TestBatchScanCharging:
         first = table.columnar()
         assert table.columnar() is first  # cached while rows unchanged
         table.insert((1, 2, 3.0))
-        refreshed = table.columnar()
+        extended = table.columnar()
+        assert extended is first  # an append extends the lists in place
+        assert [column[-1] for column in extended] == [1, 2, 3.0]
+        assert len(extended[0]) == 11
+        table.rows.pop()
+        refreshed = table.columnar()  # a shrink transposes again
         assert refreshed is not first
-        assert len(refreshed[0]) == 11
+        assert len(refreshed[0]) == 10

@@ -53,6 +53,7 @@ def test_maintenance_counts_every_kind_both_ways():
         len(db.indexes["p_k"])
         db.verified_foreign_key("c", ["k"], "p", ["k"])
         parent.check_constraints()
+        parent.columnar()
         return db.stats_snapshot()["maintenance"]
 
     def moved(before, after):
@@ -63,7 +64,7 @@ def test_maintenance_counts_every_kind_both_ways():
             if after[kind][outcome] > before[kind][outcome]
         }
 
-    kinds = ("stats", "index", "fk", "constraints")
+    kinds = ("stats", "index", "fk", "constraints", "columnar")
     first = reading()
     assert set(first) == set(kinds)
     assert all(set(first[kind]) == {"extended", "rebuilt"} for kind in kinds)
@@ -73,7 +74,7 @@ def test_maintenance_counts_every_kind_both_ways():
     second = reading()  # statistics keep nothing until they are collected twice
     assert moved(first, second) == {
         ("stats", "rebuilt"), ("index", "extended"), ("fk", "extended"),
-        ("constraints", "extended"),
+        ("constraints", "extended"), ("columnar", "extended"),
     }
     parent.load([(4, 40)], check=False)
     third = reading()
