@@ -54,9 +54,9 @@ constraint check    the table's rows and       append: each new row        ``exp
                                                transposed
 ==================  =========================  ==========================  =====================
 
-Index entries are extended into new lists, so a scan holding the old ones
-reads them unchanged; the column view's lists grow in place, so scans
-hand out slices or gathers of them, never the lists themselves.
+Both the column view's lists and an index's entry lists change in place on
+an append, so a scan copies its range of row ids before it starts and
+hands out slices or gathers of the view, never the lists themselves.
 
 ``Database.stats_snapshot()["maintenance"]`` counts, per kind, how often a
 read extended and how often it rebuilt; ``["pair_selectivity"]`` counts

@@ -15,7 +15,7 @@ Two operations matter to the paper's rewrites:
 from __future__ import annotations
 
 import bisect
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,8 +44,7 @@ class SortedIndex:
             table.schema.position(column) for column in self.key_columns
         )
         #: Entry ``i`` is the row ``_rowids[i]`` with key ``_keys[i]``, in
-        #: ``(key, rowid)`` order.  Both lists are replaced, never mutated,
-        #: so a scan may hold on to them.
+        #: ``(key, rowid)`` order.  Appends insert into both lists in place.
         self._keys: List[tuple] = []
         self._rowids: List[int] = []
         self._built_row_count = -1
@@ -65,15 +64,11 @@ class SortedIndex:
         """(Re)build from the table's current rows."""
         keys = self._keys_of(0)
         # A stable sort of the row ids by key: ``(key, rowid)`` order.
-        rowids = sorted(range(len(keys)), key=keys.__getitem__)
-        self._install([keys[rowid] for rowid in rowids], rowids)
+        self._rowids = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = [keys[rowid] for rowid in self._rowids]
+        self._built_row_count = len(self.table.rows)
         self.maintenance["rebuilt"] += 1
         return self
-
-    def _install(self, keys: List[tuple], rowids: List[int]) -> None:
-        self._keys = keys
-        self._rowids = rowids
-        self._built_row_count = len(self.table.rows)
 
     def _ensure_built(self) -> None:
         built = self._built_row_count
@@ -86,29 +81,30 @@ class SortedIndex:
             self.build()
 
     def _extend(self, built: int) -> None:
-        """Merge the rows appended since ``built`` into the entries.
+        """Insert the rows appended since ``built`` into the entries.
 
         A new row id exceeds every old one, so a new entry goes after the
         old entries with an equal key (``bisect_right``) — the order a
-        full sort gives.  Every position is found before anything is
-        installed, so a key that does not compare leaves the index as it
-        was."""
+        full sort gives.  Every position is found before anything moves,
+        so a key that does not compare leaves the index as it was.  The
+        lists grow once and each run of old entries moves once, right to
+        left, by the number of new entries that precede it."""
         new_keys = self._keys_of(built)
         order = sorted(range(len(new_keys)), key=new_keys.__getitem__)
-        old_keys, old_rowids = self._keys, self._rowids
-        at = [bisect.bisect_right(old_keys, new_keys[i]) for i in order]
-        keys: List[tuple] = []
-        rowids: List[int] = []
-        last = 0
-        for position, i in zip(at, order):
-            keys += old_keys[last:position]
-            rowids += old_rowids[last:position]
-            keys.append(new_keys[i])
-            rowids.append(built + i)
-            last = position
-        keys += old_keys[last:]
-        rowids += old_rowids[last:]
-        self._install(keys, rowids)
+        keys, rowids = self._keys, self._rowids
+        at = [bisect.bisect_right(keys, new_keys[i]) for i in order]
+        end = len(keys)
+        shift = len(order)
+        keys.extend(repeat(None, shift))
+        rowids.extend(repeat(None, shift))
+        for position, i in zip(reversed(at), reversed(order)):
+            keys[position + shift:end + shift] = keys[position:end]
+            rowids[position + shift:end + shift] = rowids[position:end]
+            shift -= 1
+            keys[position + shift] = new_keys[i]
+            rowids[position + shift] = built + i
+            end = position
+        self._built_row_count = len(self.table.rows)
 
     def __len__(self) -> int:
         self._ensure_built()
@@ -136,14 +132,13 @@ class SortedIndex:
             stop = bisect.bisect_right(keys, tuple(high) + (_Top(),))
         return start, max(start, stop)
 
-    def rowids(self) -> List[int]:
-        """Every row id in key order, entry position by entry position.
+    def rowids(self, start: int, stop: int) -> List[int]:
+        """The row ids of entry positions ``[start, stop)``, in key order.
 
-        Treat as read-only.  Appended rows install a new list rather than
-        changing this one, so positions taken from :meth:`range_positions`
-        keep meaning the same rows for whoever holds it."""
+        A copy: appended rows are inserted into the entries in place, so
+        a scan takes its range once and gathers from that."""
         self._ensure_built()
-        return self._rowids
+        return self._rowids[start:stop]
 
     def range_scan(
         self,
@@ -157,8 +152,7 @@ class SortedIndex:
         ``None`` leaves that end unbounded.  The scan is inclusive at both
         ends, matching SQL ``BETWEEN``.
         """
-        start, stop = self.range_positions(low, high)
-        rowids = self._rowids[start:stop]
+        rowids = self.rowids(*self.range_positions(low, high))
         if reverse:
             rowids.reverse()
         rows = self.table.rows

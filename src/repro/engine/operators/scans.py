@@ -163,9 +163,10 @@ class IndexScan(Operator):
 
     def _source(self) -> "tuple[ColumnBatch, List[int]]":
         """The table's column view as one batch to gather from, and the
-        index's row ids in key order — both brought up to date."""
+        row ids of this scan's entry range in key order."""
+        rowids = self.index.rowids(*self._position_bounds())
         table = ColumnBatch(self.schema, self.table.columnar(), len(self.table.rows))
-        return table, self.index.rowids()
+        return table, rowids
 
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
@@ -175,13 +176,12 @@ class IndexScan(Operator):
         order carries batch-to-batch."""
         if self.partition is None or self.partition[0] == 0:
             metrics.add("index_probes")
-        start, stop = self._position_bounds()
         table, rowids = self._source()
-        for low in range(start, stop, batch_size):
-            high = min(low + batch_size, stop)
+        for start in range(0, len(rowids), batch_size):
+            chunk = rowids[start:start + batch_size]
             metrics.check_cancel()
-            metrics.add("rows_scanned", high - low)
-            yield table.take(rowids[low:high])
+            metrics.add("rows_scanned", len(chunk))
+            yield table.take(chunk)
 
     def label(self) -> str:
         bounds = ""
@@ -220,9 +220,8 @@ class IndexScan(Operator):
                 _rebuild_index_scan,
                 (token, self.alias, self.low, self.high, self.partition),
             )
-        start, stop = self._position_bounds()
         table, rowids = self._source()
-        rows = table.take(rowids[start:stop])
+        rows = table.take(rowids)
         charge_probe = self.partition is None or self.partition[0] == 0
         return (
             ShippedScan,

@@ -132,19 +132,24 @@ class TestStatsAndIndexes:
 
     @pytest.mark.parametrize("batch_size", [4, 1024])
     def test_batches_yielded_before_an_append_stay_as_they_were(self, batch_size):
-        """The column view grows in place, so a scan must hand out slices
-        or gathers of it, never one of its lists."""
+        """The column view and the index entries change in place, so a scan
+        must hand out slices or gathers of the view, never one of its
+        lists, and must take its range of row ids before it yields."""
         db, table = _database()
         table.load([(v, float(v % 3), "pqrs"[v % 4]) for v in range(10)], check=False)
         in_order = db.create_index("t_a", "t", ["a"], clustered=True)
         shuffled = db.create_index("t_b", "t", ["b"])
         for scan in (SeqScan(table), IndexScan(in_order), IndexScan(shuffled)):
-            batch = next(scan.execute_batches(Metrics(), batch_size))
+            expected, _ = scan.run(batch_size)
+            stream = scan.execute_batches(Metrics(), batch_size)
+            batch = next(stream)
             before = batch.to_rows()
-            table.load([(99, 0.5, "p")], check=False)
-            _assert_current(db, table)
+            table.load([(5, 0.5, "p")], check=False)
+            _assert_current(db, table)  # extends the view and the indexes
             assert batch.to_rows() == before, scan.label()
             assert all(len(column) == len(before) for column in batch.columns)
+            rest = [row for later in stream for row in later.rows()]
+            assert before + rest == expected, scan.label()
 
 
 # ----------------------------------------------------------------------
