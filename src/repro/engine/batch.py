@@ -20,7 +20,10 @@ joins, sorts — never build row tuples.  They compute *row ids* (index
 entries, join match pairs, a sort permutation) and :meth:`ColumnBatch.take`
 gathers each output column once.  A batch over a table's column view
 (:meth:`~repro.engine.table.Table.columnar`) is gathered from, never
-handed out: those lists grow in place when rows are appended.
+handed out: those lists grow in place when rows are appended.  That
+holds for pass-throughs too: :meth:`ColumnBatch.filter` and
+:meth:`ColumnBatch.concat` may return their input batch itself, which is
+safe only because every scan slices or gathers new sequences first.
 
 Ordering: a batch stream carries an :class:`OrderSpec` guarantee —
 *within* each batch rows are in stream order, and batches are emitted in
@@ -116,7 +119,10 @@ class ColumnBatch:
     # Cheap structural operations
     # ------------------------------------------------------------------
     def filter(self, mask: Sequence) -> "ColumnBatch":
-        """Keep rows whose mask entry is truthy (``itertools.compress``)."""
+        """Keep rows whose mask entry is truthy (``itertools.compress``).
+        A mask that keeps every row returns this batch itself."""
+        if all(mask):
+            return self
         columns = [list(compress(column, mask)) for column in self.columns]
         if columns:
             length = len(columns[0])

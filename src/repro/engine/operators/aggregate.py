@@ -158,7 +158,8 @@ class HashAggregate(_AggregateBase):
         The shared ``Counter`` of group row counts serves COUNT and AVG
         *and* fixes the emission order (dicts keep first-insertion order,
         so groups come out in first-seen order); SUM/AVG accumulate per
-        key in row order.
+        key in row order.  The result is built as columns, one
+        ``batch_size`` slice of the groups at a time.
         """
         if not self.group_columns:
             yield from self._global_batches(metrics, batch_size, "hash_build_rows")
@@ -197,27 +198,23 @@ class HashAggregate(_AggregateBase):
                         if current is None or value > current:
                             accumulator[key] = value
 
-        out: List[tuple] = []
+        # Emit columns, not row tuples: each slice of the first-seen keys,
+        # then one vector per aggregate looked up in that order.
+        groups = list(counts)
         schema = self.schema
-        for key in counts:
-            results = []
+        for start in range(0, len(groups), batch_size):
+            chunk = groups[start:start + batch_size]
+            columns: List[Sequence] = [chunk] if single else list(zip(*chunk))
             for func, _, accumulator in folds:
                 if func == "COUNT":
-                    results.append(counts[key])
-                elif func == "SUM":
-                    # SQL: SUM of zero rows is NULL — never let the
-                    # defaultdict fabricate an int 0 for an uncounted key.
-                    results.append(accumulator[key] if counts[key] else None)
+                    columns.append(list(map(counts.__getitem__, chunk)))
                 elif func == "AVG":
-                    results.append(accumulator[key] / counts[key])
+                    columns.append([accumulator[key] / counts[key] for key in chunk])
                 else:
-                    results.append(accumulator[key])
-            out.append(((key,) if single else key) + tuple(results))
-            if len(out) >= batch_size:
-                yield ColumnBatch.from_rows(schema, out)
-                out = []
-        if out:
-            yield ColumnBatch.from_rows(schema, out)
+                    # Every emitted group counted at least one row, so SUM
+                    # is never the NULL of an empty group here.
+                    columns.append(list(map(accumulator.__getitem__, chunk)))
+            yield ColumnBatch(schema, columns, len(chunk))
 
 
 class StreamAggregate(_AggregateBase):

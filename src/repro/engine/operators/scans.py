@@ -3,6 +3,14 @@
 Scans introduce table rows into a plan under an *alias*: output columns are
 named ``alias.column`` so joins never collide and the binder can resolve
 unqualified references by suffix.
+
+A scan carries only the columns its query reads.  The planner hands each
+scan the bare column names referenced through its alias (``columns``);
+the scan keeps those, in table order, plus an index scan's key columns
+(its declared ordering names them), and never fewer than one.  Filters,
+joins and aggregates above then move only those vectors.  ``columns=None``
+reads every column.  A scan's schema is therefore a subset of its
+table's: resolve its columns by name, never by table position.
 """
 from __future__ import annotations
 
@@ -17,15 +25,50 @@ from .base import Metrics, Operator, order_spec
 __all__ = ["SeqScan", "IndexScan", "ShippedScan", "qualified_schema"]
 
 
-def qualified_schema(table: Table, alias: str) -> Schema:
-    """The table's schema with every column qualified by the alias."""
+def qualified_schema(
+    table: Table, alias: str, columns: Optional[Sequence[str]] = None
+) -> Schema:
+    """The table's schema with every column (or only ``columns``, in table
+    order) qualified by the alias."""
     return Schema(
-        Column(f"{alias}.{column.name}", column.dtype) for column in table.schema
+        Column(f"{alias}.{column.name}", column.dtype)
+        for column in table.schema
+        if columns is None or column.name in columns
     )
 
 
+def _kept_columns(
+    table: Table, columns: Optional[Sequence[str]], keys: Sequence[str] = ()
+) -> Tuple[str, ...]:
+    """The bare columns a scan reads, in table order: ``columns`` plus
+    ``keys`` (all of them for ``None``), and at least the first column so
+    no batch is ever zero-width."""
+    names = table.schema.names
+    if columns is None:
+        return tuple(names)
+    wanted = set(columns).union(keys)
+    return tuple(name for name in names if name in wanted) or tuple(names[:1])
+
+
+def _live_columns(scan) -> List[list]:
+    """The table's live column lists a scan reads: slice or gather from
+    them, never hand one out."""
+    columns = scan.table.columnar()
+    position = scan.table.schema.position
+    return [columns[position(name)] for name in scan.columns]
+
+
+def _pruned_args(scan) -> dict:
+    """The ``columns`` trace arg of a scan that reads fewer columns than
+    its table has (none for a full-width scan)."""
+    if len(scan.columns) == len(scan.table.schema):
+        return {}
+    return {"columns": ", ".join(scan.columns)}
+
+
 class SeqScan(Operator):
-    """Full sequential scan.  No ordering guarantee.
+    """Full sequential scan of the ``columns`` it reads.  No ordering
+    guarantee.
 
     A partitionable source: partition ``i`` of ``k`` is the contiguous row
     range ``[i*N//k, (i+1)*N//k)``, resolved against the table's row count
@@ -40,15 +83,19 @@ class SeqScan(Operator):
         table: Table,
         alias: Optional[str] = None,
         partition: Optional[tuple] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> None:
         self.table = table
         self.alias = alias or table.name
-        self.schema = qualified_schema(table, self.alias)
+        self.columns = _kept_columns(table, columns)
+        self.schema = qualified_schema(table, self.alias, self.columns)
         self.ordering = ()
         self.partition = partition  # (index, count) or None
 
     def partition_clone(self, index: int, count: int) -> "SeqScan":
-        return SeqScan(self.table, self.alias, partition=(index, count))
+        return SeqScan(
+            self.table, self.alias, partition=(index, count), columns=self.columns
+        )
 
     def _bounds(self) -> "tuple[int, int]":
         total = len(self.table.rows)
@@ -63,7 +110,7 @@ class SeqScan(Operator):
         """Slice the table's cached columnar view; ``rows_scanned`` is
         charged once per batch with the batch length (partition totals sum
         to the unpartitioned scan's)."""
-        columns = self.table.columnar()
+        columns = _live_columns(self)
         first, last = self._bounds()
         schema = self.schema
         for start in range(first, last, batch_size):
@@ -81,7 +128,7 @@ class SeqScan(Operator):
         return f"SeqScan({self.table.name} AS {self.alias}{suffix})"
 
     def trace_args(self) -> dict:
-        return {"table": self.table.name, "alias": self.alias}
+        return {"table": self.table.name, "alias": self.alias, **_pruned_args(self)}
 
     def __reduce__(self):
         """Pickling ships the scan to a worker process.
@@ -98,9 +145,11 @@ class SeqScan(Operator):
 
         token = ("table", id(self.table))
         if token in active_ship_tokens():
-            return (_rebuild_seq_scan, (token, self.alias, self.partition))
+            return (
+                _rebuild_seq_scan, (token, self.alias, self.partition, self.columns)
+            )
         start, stop = self._bounds()
-        columns = self.table.columnar()
+        columns = _live_columns(self)
         return (
             ShippedScan,
             (
@@ -118,7 +167,9 @@ class IndexScan(Operator):
 
     Output is guaranteed ordered by the (qualified) index key columns — the
     order property every OD rewrite trades on.  ``low``/``high`` are
-    inclusive key-prefix bounds.
+    inclusive key-prefix bounds.  The key columns are always among the
+    ``columns`` it reads: its ordering, and a merge exchange above it,
+    name them.
 
     A partitionable source: the matched entry range splits into ``k``
     contiguous position slices (each sorted by the key, slices in key
@@ -136,13 +187,15 @@ class IndexScan(Operator):
         low: Optional[tuple] = None,
         high: Optional[tuple] = None,
         partition: Optional[tuple] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> None:
         self.index = index
         self.table = index.table
         self.alias = alias or index.table.name
         self.low = low
         self.high = high
-        self.schema = qualified_schema(index.table, self.alias)
+        self.columns = _kept_columns(self.table, columns, index.key_columns)
+        self.schema = qualified_schema(self.table, self.alias, self.columns)
         self.ordering = tuple(
             order_spec(f"{self.alias}.{column}" for column in index.key_columns)
         )
@@ -150,7 +203,12 @@ class IndexScan(Operator):
 
     def partition_clone(self, index: int, count: int) -> "IndexScan":
         return IndexScan(
-            self.index, self.alias, self.low, self.high, partition=(index, count)
+            self.index,
+            self.alias,
+            self.low,
+            self.high,
+            partition=(index, count),
+            columns=self.columns,
         )
 
     def _position_bounds(self) -> "tuple[int, int]":
@@ -162,10 +220,11 @@ class IndexScan(Operator):
         return start + (index * width) // count, start + ((index + 1) * width) // count
 
     def _source(self) -> "tuple[ColumnBatch, List[int]]":
-        """The table's column view as one batch to gather from, and the
-        row ids of this scan's entry range in key order."""
+        """The table's column view (the columns this scan reads) as one
+        batch to gather from, and the row ids of this scan's entry range
+        in key order."""
         rowids = self.index.rowids(*self._position_bounds())
-        table = ColumnBatch(self.schema, self.table.columnar(), len(self.table.rows))
+        table = ColumnBatch(self.schema, _live_columns(self), len(self.table.rows))
         return table, rowids
 
     def execute_batches(
@@ -200,6 +259,7 @@ class IndexScan(Operator):
             "index": self.index.name,
             "table": self.table.name,
             "alias": self.alias,
+            **_pruned_args(self),
         }
 
     def __reduce__(self):
@@ -218,7 +278,14 @@ class IndexScan(Operator):
         if token in active_ship_tokens():
             return (
                 _rebuild_index_scan,
-                (token, self.alias, self.low, self.high, self.partition),
+                (
+                    token,
+                    self.alias,
+                    self.low,
+                    self.high,
+                    self.partition,
+                    self.columns,
+                ),
             )
         table, rowids = self._source()
         rows = table.take(rowids)
@@ -229,31 +296,31 @@ class IndexScan(Operator):
         )
 
 
-def _rebuild_seq_scan(token, alias, partition) -> SeqScan:
+def _rebuild_seq_scan(token, alias, partition, columns) -> SeqScan:
     """Worker-side: rebuild a ``SeqScan`` over the fork-inherited table."""
     from ..parallel import shipped_object
 
     table = shipped_object(token)
     if table is None:  # pragma: no cover - epoch-keyed restarts prevent this
         raise RuntimeError("shipped table missing from worker registry (stale pool?)")
-    return SeqScan(table, alias, partition=partition)
+    return SeqScan(table, alias, partition=partition, columns=columns)
 
 
-def _rebuild_index_scan(token, alias, low, high, partition) -> IndexScan:
+def _rebuild_index_scan(token, alias, low, high, partition, columns) -> IndexScan:
     """Worker-side: rebuild an ``IndexScan`` over the fork-inherited index."""
     from ..parallel import shipped_object
 
     index = shipped_object(token)
     if index is None:  # pragma: no cover - epoch-keyed restarts prevent this
         raise RuntimeError("shipped index missing from worker registry (stale pool?)")
-    return IndexScan(index, alias, low, high, partition=partition)
+    return IndexScan(index, alias, low, high, partition=partition, columns=columns)
 
 
 class ShippedScan(Operator):
     """A scan materialized for shipping to another process.
 
-    Holds plain column sequences (lists or tuples) plus the (qualified)
-    schema — no ``Table`` or ``SortedIndex`` back-pointers, so pickling
+    Holds plain column sequences (lists or tuples) — only the columns the
+    scan it replaced reads — plus that scan's (qualified) schema — no ``Table`` or ``SortedIndex`` back-pointers, so pickling
     it costs exactly its data.  Metrics parity with the scan it replaced:
     ``rows_scanned`` per batch, and ``index_probes`` once when
     ``charge_probe`` (the shipped form of "partition 0 owns the

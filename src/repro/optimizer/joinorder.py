@@ -271,12 +271,13 @@ def _leaf_candidates(
         relation.alias, conjuncts
     )
 
-    ops: List[Operator] = [SeqScan(table, relation.alias)]
+    columns = planner.scan_columns(relation.alias)
+    ops: List[Operator] = [SeqScan(table, relation.alias, columns=columns)]
     for index in database.indexes_on(relation.table):
         low, high, _width = _sargable_bounds(
             index.key_columns, relation.alias, conjuncts, planner.resolver
         )
-        ops.append(IndexScan(index, relation.alias, low, high))
+        ops.append(IndexScan(index, relation.alias, low, high, columns=columns))
     entries: List[_Entry] = []
     aliases = frozenset({relation.alias})
     for op in ops:

@@ -200,6 +200,9 @@ class PlanInfo:
     #: wall milliseconds, and the worst per-node Q-error.  Like
     #: ``execution``, sample it right after the run you care about.
     analyze: Optional[Dict[str, object]] = None
+    #: One entry per scan that reads only some of its table's columns:
+    #: ``"alias reads c1, c2 (2 of 7)"``, in plan order.
+    pruned_scans: List[str] = field(default_factory=list)
 
     @property
     def oracle_hit_rate(self) -> float:
@@ -262,6 +265,8 @@ class PlanInfo:
             if a.get("max_q_error") is not None:
                 line += f", max q-err {a['max_q_error']:.2f}"
             lines.append(line)
+        for entry in self.pruned_scans:
+            lines.append(f"scan columns: {entry}")
         lines.append(f"sorts avoided: {self.avoided_sorts}")
         lines.append(f"stream aggregates: {self.stream_aggregates}")
         for note in self.notes:
@@ -324,6 +329,9 @@ class Planner:
         #: optimizer phase gets its own span under the caller's open span.
         self.tracer = tracer
         self.resolver: Optional[NameResolver] = None
+        #: alias -> the bare columns the plan reads through it, or ``None``
+        #: when every scan reads every column (set by :meth:`plan`).
+        self.read_columns: Optional[Dict[str, set]] = None
         #: id(theory) -> (theory, stats snapshot at first acquisition); the
         #: post-plan diff attributes interned-oracle work to this plan.
         self._theories: Dict[int, tuple] = {}
@@ -366,10 +374,12 @@ class Planner:
                     logical, self.info.rewrites = apply_rewrites(
                         self.database, logical, self.resolver
                     )
+        self.read_columns = _read_columns(logical, self.resolver)
         with self._span("physical-plan"):
             planned = self._plan(logical, Desired())
         self._finalize_oracle_stats()
         op = planned.op
+        self.info.pruned_scans = _pruned_scans(op)
         # Estimated rows/cost for EXPLAIN, computed on the logical-order
         # tree (exchanges are a physical transform the cost model does
         # not price).  Estimation failures never fail a plan, but they
@@ -406,6 +416,12 @@ class Planner:
                 )
         op.plan_info = self.info  # type: ignore[attr-defined]
         return op
+
+    def scan_columns(self, alias: str) -> Optional[set]:
+        """The ``columns`` argument for a scan under ``alias``."""
+        if self.read_columns is None:
+            return None
+        return self.read_columns.get(alias, set())
 
     def _estimated_rows(self, table) -> Optional[int]:
         """Scan-size estimate for the exchange cost gate: the epoch-keyed
@@ -502,11 +518,12 @@ class Planner:
         chosen = None
         if self.mode != "naive":
             chosen = self._choose_index(node, table, conjuncts, desired, statements)
+        columns = self.scan_columns(node.alias)
         if chosen is None:
-            op: Operator = SeqScan(table, node.alias)
+            op: Operator = SeqScan(table, node.alias, columns=columns)
         else:
             index, low, high = chosen
-            op = IndexScan(index, node.alias, low, high)
+            op = IndexScan(index, node.alias, low, high, columns=columns)
         if predicate is not None:
             op = Filter(op, predicate)
         # Scans (and the preserving Filter above them) declare their own
@@ -744,6 +761,66 @@ def _contains_star(node: LogicalNode) -> bool:
     if isinstance(node, LogicalProject) and node.exprs is None:
         return True
     return any(_contains_star(child) for child in node.children())
+
+
+def _read_columns(node: LogicalNode, resolver) -> Optional[Dict[str, set]]:
+    """alias -> the bare columns the tree references through it, in one
+    walk: join keys, filter predicates (pushed-down ones included),
+    grouping columns and aggregate arguments, projections and sort keys.
+
+    A name no alias owns (an aggregate output, ``__partial_n``) is
+    skipped.  ``None`` — every scan reads every column — for a
+    ``SELECT *`` or an ambiguous reference.
+    """
+    references: List[str] = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children())
+        if isinstance(node, LogicalJoin):
+            references += node.left_columns + node.right_columns
+        elif isinstance(node, LogicalFilter):
+            references += node.predicate.columns()
+        elif isinstance(node, LogicalAggregate):
+            references += node.group_columns
+            for spec in node.aggregates:
+                if spec.expr is not None:
+                    references += spec.expr.columns()
+        elif isinstance(node, LogicalProject):
+            if node.exprs is None:
+                return None
+            for expr in node.exprs:
+                references += expr.columns()
+        elif isinstance(node, LogicalSort):
+            references += node.keys
+    read: Dict[str, set] = {}
+    for reference in references:
+        try:
+            alias, bare = resolver.qualify(reference).split(".", 1)
+        except KeyError:
+            continue
+        except ValueError:
+            return None
+        read.setdefault(alias, set()).add(bare)
+    return read
+
+
+def _pruned_scans(op: Operator) -> List[str]:
+    """One EXPLAIN entry per scan that reads fewer columns than its
+    table has."""
+    out = []
+    stack = [op]
+    while stack:
+        node = stack.pop()
+        stack.extend(reversed(node.children()))
+        if isinstance(node, (SeqScan, IndexScan)):
+            total = len(node.table.schema)
+            if len(node.columns) < total:
+                out.append(
+                    f"{node.alias} reads {', '.join(node.columns)} "
+                    f"({len(node.columns)} of {total})"
+                )
+    return out
 
 
 def _equality_of(conjunct: Expr):

@@ -6,7 +6,9 @@ ODs, runs each through the naive / fd / od planners, and checks:
 * identical result multisets, equal to sqlite's on a mirror of the
   table (an independent SQL implementation);
 * any ORDER BY is actually honored by every mode's output;
-* the od plan never does more work than the naive plan.
+* the od plan never does more work than the naive plan;
+* some generated plan has a scan that reads only part of its table, so
+  column pruning is reached, not merely allowed.
 
 On top of the planner-mode matrix, the *execution* matrix: every
 generated query must be **bit- and counter-identical** across batch
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core.dependency import fd, od
 from repro.engine.database import Database
 from repro.engine.logical import bind
+from repro.engine.operators import IndexScan, SeqScan
 from repro.engine.schema import Schema
 from repro.engine.sql.parser import parse
 from repro.engine.types import DataType
@@ -115,28 +118,50 @@ def queries(draw):
     return f"SELECT {select} FROM t{where}{tail}", order_columns
 
 
-@settings(
-    max_examples=120,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(queries())
-def test_modes_agree(query):
-    sql, order_columns = query
-    outputs = {}
-    for mode in ("naive", "fd", "od"):
-        plan = Planner(DB, mode=mode).plan(bind(parse(sql)))
-        rows, metrics = plan.run()
-        outputs[mode] = (rows, metrics)
-        # any ORDER BY must actually hold in the emitted order
-        if order_columns:
-            positions = [plan.schema.position(plan.schema.resolve(c)) for c in order_columns]
-            keys = [tuple(row[i] for i in positions) for row in rows]
-            assert keys == sorted(keys), f"{mode} violated ORDER BY for {sql}"
-    naive_rows = sorted(outputs["naive"][0])
-    assert naive_rows == sqlite_rows(sql), sql
-    assert sorted(outputs["fd"][0]) == naive_rows, sql
-    assert sorted(outputs["od"][0]) == naive_rows, sql
+def test_modes_agree():
+    pruned = []
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(queries())
+    def check(query):
+        sql, order_columns = query
+        outputs = {}
+        for mode in ("naive", "fd", "od"):
+            plan = Planner(DB, mode=mode).plan(bind(parse(sql)))
+            rows, metrics = plan.run()
+            outputs[mode] = (rows, metrics)
+            pruned.extend(
+                node for node in _walk(plan)
+                if isinstance(node, (SeqScan, IndexScan))
+                and len(node.columns) < len(node.table.schema)
+            )
+            # any ORDER BY must actually hold in the emitted order
+            if order_columns:
+                positions = [
+                    plan.schema.position(plan.schema.resolve(c)) for c in order_columns
+                ]
+                keys = [tuple(row[i] for i in positions) for row in rows]
+                assert keys == sorted(keys), f"{mode} violated ORDER BY for {sql}"
+        naive_rows = sorted(outputs["naive"][0])
+        assert naive_rows == sqlite_rows(sql), sql
+        assert sorted(outputs["fd"][0]) == naive_rows, sql
+        assert sorted(outputs["od"][0]) == naive_rows, sql
+
+    check()
+    # The rule must be reached: grouped queries read only some columns.
+    assert pruned, "no generated plan had a pruned scan"
+
+
+def _walk(plan):
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
 
 
 @settings(

@@ -11,7 +11,9 @@ contract down in isolation — no pools involved:
   equal rows, equal ``Metrics`` counters (``index_probes`` stays with
   partition 0), and the same declared ``OrderSpec``;
 * whole partitionable chains (Filter/Project over a scan) round-trip
-  with their compiled kernels rebuilt on the worker side.
+  with their compiled kernels rebuilt on the worker side;
+* a scan that reads only some columns ships only those, in either
+  shipping mode, and sends fewer result bytes back.
 """
 from __future__ import annotations
 
@@ -158,3 +160,72 @@ def test_partition_bounds_resolve_at_pickle_time(table):
         "re-pickling after the insert must see the new row"
     )
     assert (6, 1, 99.0) not in before.run()[0]
+
+
+# ----------------------------------------------------------------------
+# Pruned scans ship only the columns they read
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("part", [None, (1, 3)])
+def test_pruned_scans_materialize_only_their_columns(table, part):
+    index = SortedIndex("t_a", table, ["a"]).build()
+    for scan in (SeqScan(table, columns=["c"]), IndexScan(index, columns=["c"])):
+        if part is not None:
+            scan = scan.partition_clone(*part)
+        shipped = roundtrip(scan)
+        assert isinstance(shipped, ShippedScan)
+        assert len(shipped.columns) == len(scan.schema) == len(scan.columns)
+        assert shipped.schema.names == scan.schema.names
+        assert shipped.provides() == scan.provides()
+        _parity(scan, shipped)
+    assert IndexScan(index, columns=["c"]).columns == ("a", "c"), (
+        "an index scan keeps its key columns"
+    )
+
+
+def test_fork_token_rebuild_keeps_the_column_list(table):
+    """Shipped by registry token (a fork pool inherited the table), the
+    worker rebuilds the scan with the same column list and bounds."""
+    from repro.engine.parallel import _register_shippable, _ShipContext
+
+    index = SortedIndex("t_a", table, ["a"]).build()
+    cases = (
+        (SeqScan(table, columns=["b"]).partition_clone(1, 2), ("table", id(table)), table),
+        (IndexScan(index, low=(2,), columns=["c"]).partition_clone(0, 2),
+         ("index", id(index)), index),
+    )
+    for scan, token, shared in cases:
+        _register_shippable(token, shared)
+        with _ShipContext(frozenset({token})):
+            blob = pickle.dumps(scan, pickle.HIGHEST_PROTOCOL)
+        rebuilt = pickle.loads(blob)
+        assert type(rebuilt) is type(scan)
+        assert rebuilt.columns == scan.columns
+        assert rebuilt.schema == scan.schema
+        assert rebuilt.partition == scan.partition
+        _parity(scan, rebuilt)
+
+
+def test_pruned_sn1_ships_fewer_morsel_bytes(monkeypatch):
+    """SN1 reads two of the fact table's columns: its partitioned fact
+    chain sends back fewer bytes than the same plan reading every
+    column, with the same rows and counters."""
+    from repro.engine.parallel import shutdown_process_pool
+    from repro.optimizer.planner import Planner
+    from repro.workloads.snowflake import SNOWFLAKE_QUERIES, build_snowflake
+
+    database = build_snowflake(
+        days=150, sales_rows=4_000, items=60, brands=12, stores=8
+    ).database
+    sql = dict((qid, text) for qid, text, _ in SNOWFLAKE_QUERIES)["SN1"]
+    run = dict(workers=2, backend="process", use_cache=False)
+    try:
+        pruned = database.execute(sql, **run)
+        monkeypatch.setattr(Planner, "scan_columns", lambda self, alias: None)
+        unpruned = database.execute(sql, **run)
+    finally:
+        shutdown_process_pool()
+    assert pruned.backend == unpruned.backend == "process"
+    assert pruned.rows == unpruned.rows
+    assert pruned.metrics.counters == unpruned.metrics.counters
+    shipped = pruned.exchange_stats["morsel_bytes"]
+    assert 0 < shipped < unpruned.exchange_stats["morsel_bytes"]
