@@ -25,6 +25,12 @@ holds for pass-throughs too: :meth:`ColumnBatch.filter` and
 :meth:`ColumnBatch.concat` may return their input batch itself, which is
 safe only because every scan slices or gathers new sequences first.
 
+Keys: joins, sorts and aggregates read their keys through
+:meth:`ColumnBatch.key_vector` — the bare column when there is one key
+column (the common shape), one tuple per row when there are several —
+so the per-row work of hashing, comparing and finding runs stays in C
+(``map``, ``sorted``, ``bisect``, ``compress``).
+
 Ordering: a batch stream carries an :class:`OrderSpec` guarantee —
 *within* each batch rows are in stream order, and batches are emitted in
 stream order, so concatenating ``rows()`` over the stream gives the
@@ -161,11 +167,19 @@ class ColumnBatch:
         )
 
     def keys(self, positions: Sequence[int]) -> List[tuple]:
-        """Each row's values at ``positions``, as one tuple per row (the
-        keys that sorts and joins compare)."""
+        """Each row's values at ``positions``, as one tuple per row."""
         if not positions:
             return [()] * self._length
         return list(zip(*(self.columns[p] for p in positions)))
+
+    def key_vector(self, positions: Sequence[int]) -> Sequence:
+        """The keys that joins, sorts and aggregates compare: the bare
+        column for a single position, :meth:`keys` tuples for several.
+        A bare value orders, hashes and compares equal exactly as its
+        1-tuple does, without building one tuple per row."""
+        if len(positions) == 1:
+            return self.columns[positions[0]]
+        return self.keys(positions)
 
     @staticmethod
     def concat(batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

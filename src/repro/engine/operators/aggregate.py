@@ -9,15 +9,19 @@ while an unordered input needs a partitioning operation
 :class:`HashAggregate` folds whole batches into per-aggregate
 accumulator dicts (``Counter`` for the shared row counts — also the
 first-seen emission order — plus one dict per SUM/AVG/MIN/MAX);
-:class:`StreamAggregate` splits each batch into contiguous key runs and
-folds each run in one ``update_many`` step.  Both add a group's values
-left to right in stream order, so float results do not depend on the
-batch size.
+:class:`StreamAggregate` finds each batch's key runs in one C-level pass
+and folds each run straight into one value per aggregate, so its Python
+work is per run, not per row.  Both add a group's values left to right
+in stream order, from the int 0, so float results do not depend on the
+batch size or on the Python version.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import chain, compress, islice, repeat
+from operator import add, ne, sub, truediv
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from ..expr import vectorized_kernel
@@ -95,38 +99,36 @@ class _AggregateBase(Operator):
             ]
         return kernels
 
-    def _batch_keys(self, batch: ColumnBatch):
-        """The grouping-key vector for one batch: the bare column for a
-        single grouping column, row tuples otherwise."""
-        positions = self._group_positions
-        if len(positions) == 1:
-            return batch.columns[positions[0]]
-        return list(zip(*(batch.columns[p] for p in positions)))
-
     def _global_batches(
         self, metrics: Metrics, batch_size: int, counter: Optional[str]
     ) -> Iterator[ColumnBatch]:
         """The no-grouping-columns case shared by both aggregates: every
-        row lands in one group, which SQL emits even over zero rows."""
+        row lands in one group, which SQL emits even over zero rows (COUNT
+        0, every other aggregate NULL).  Each batch is one run."""
         kernels = self._kernels()
-        states = self._fresh_states()
+        count = 0
+        values: List[Any] = [None] * len(self.aggregates)
         for batch in self.child.execute_batches(metrics, batch_size):
             metrics.check_cancel()
             length = len(batch)
             if counter is not None:
                 metrics.add(counter, length)
-            for state, kernel in zip(states, kernels):
-                state.update_many(
-                    kernel(batch.columns, length) if kernel is not None else None,
-                    length,
-                )
-        yield ColumnBatch.from_rows(self.schema, [self._emit((), states)])
-
-    def _fresh_states(self):
-        return [spec.make_state() for spec in self.aggregates]
-
-    def _emit(self, key: tuple, states) -> tuple:
-        return key + tuple(state.result() for state in states)
+            if not length:
+                continue
+            count += length
+            for index, (spec, kernel) in enumerate(zip(self.aggregates, kernels)):
+                if spec.func != "COUNT":
+                    runs = (kernel(batch.columns, length),)
+                    values[index] = _fold_runs(spec.func, runs, values[index])[0]
+        row = []
+        for spec, value in zip(self.aggregates, values):
+            if spec.func == "COUNT":
+                row.append(count)
+            elif spec.func == "AVG" and count:
+                row.append(value / count)
+            else:
+                row.append(value)
+        yield ColumnBatch.from_rows(self.schema, [tuple(row)])
 
     def label(self) -> str:
         parts = list(self.group_columns) + [
@@ -176,7 +178,7 @@ class HashAggregate(_AggregateBase):
             metrics.check_cancel()
             length = len(batch)
             metrics.add("hash_build_rows", length)
-            keys = self._batch_keys(batch)
+            keys = batch.key_vector(self._group_positions)
             counts.update(keys)
             for func, kernel, accumulator in folds:
                 if func == "COUNT":
@@ -236,57 +238,107 @@ class StreamAggregate(_AggregateBase):
     def execute_batches(
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Split each batch into contiguous key runs and fold each run in
-        one ``update_many`` step.  A run spanning a batch boundary keeps
-        accumulating into the carried states — the operator's contiguity
-        precondition guarantees the key never reappears later."""
+        """Fold the stream one key run at a time.
+
+        A batch's run starts come from one C-level pass (the rows whose
+        key differs from the previous row's), and each run is folded
+        straight into one value per aggregate (:func:`_fold_runs`).  A
+        batch's last run stays open: when the next batch starts with the
+        same key it keeps accumulating — the operator's contiguity
+        precondition guarantees the key never reappears later.  Finished
+        groups are emitted as columns, ``batch_size`` groups at a time."""
         if not self.group_columns:
             yield from self._global_batches(metrics, batch_size, None)
             return
+        funcs = [spec.func for spec in self.aggregates]
         kernels = self._kernels()
-        single = len(self._group_positions) == 1
-        current_key = None
-        states = None
-        out: List[tuple] = []
-        schema = self.schema
+        # Groups so far: keys, row counts, one value list per aggregate
+        # (none for COUNT).  The last group is open — the next batch may
+        # continue it — and the others are finished.
+        group_keys: List = []
+        counts: List[int] = []
+        values: List[List] = [[] for _ in funcs]
         for batch in self.child.execute_batches(metrics, batch_size):
             metrics.check_cancel()
             length = len(batch)
             if not length:
                 continue
-            keys = self._batch_keys(batch)
-            vectors = [
-                kernel(batch.columns, length) if kernel is not None else None
-                for kernel in kernels
-            ]
-            start = 0
-            while start < length:
-                key = keys[start]
-                stop = start + 1
-                while stop < length and keys[stop] == key:
-                    stop += 1
-                if states is None:
-                    current_key, states = key, self._fresh_states()
-                elif key != current_key:
-                    out.append(
-                        self._emit(
-                            (current_key,) if single else current_key, states
-                        )
-                    )
-                    current_key, states = key, self._fresh_states()
-                for state, vector in zip(states, vectors):
-                    state.update_many(
-                        vector[start:stop] if vector is not None else None,
-                        stop - start,
-                    )
-                start = stop
-            while len(out) >= batch_size:
-                yield ColumnBatch.from_rows(schema, out[:batch_size])
-                del out[:batch_size]
-        if states is not None:
-            out.append(self._emit((current_key,) if single else current_key, states))
-        if out:
-            yield ColumnBatch.from_rows(schema, out)
+            keys = batch.key_vector(self._group_positions)
+            starts = [0]
+            starts += compress(range(1, length), map(ne, islice(keys, 1, None), keys))
+            stops = starts[1:]
+            stops.append(length)
+            run_counts = list(map(sub, stops, starts))
+            continues = bool(group_keys) and keys[0] == group_keys[-1]
+            if continues:  # the open group keeps its first key
+                counts[-1] += run_counts[0]
+                group_keys += map(keys.__getitem__, islice(starts, 1, None))
+                counts += islice(run_counts, 1, None)
+            else:
+                group_keys += map(keys.__getitem__, starts)
+                counts += run_counts
+            for func, kernel, folded in zip(funcs, kernels, values):
+                if func == "COUNT":  # counted in ``counts``
+                    continue
+                vector = kernel(batch.columns, length)
+                runs = map(vector.__getitem__, map(slice, starts, stops))
+                if continues:
+                    folded[-1:] = _fold_runs(func, runs, folded[-1])
+                else:
+                    folded += _fold_runs(func, runs, None)
+            finished = len(group_keys) - 1
+            if finished >= batch_size:
+                full = finished - finished % batch_size
+                for start in range(0, full, batch_size):
+                    yield self._groups(group_keys, counts, values, start, start + batch_size)
+                del group_keys[:full], counts[:full]
+                for folded in values:
+                    del folded[:full]
+        if group_keys:
+            yield self._groups(group_keys, counts, values, 0, len(group_keys))
+
+    def _groups(
+        self,
+        keys: List,
+        counts: List[int],
+        values: List[List],
+        start: int,
+        stop: int,
+    ) -> ColumnBatch:
+        """Groups ``start:stop`` as one batch of columns."""
+        chunk = keys[start:stop]
+        columns: List[Sequence] = (
+            [chunk] if len(self._group_positions) == 1 else list(zip(*chunk))
+        )
+        for spec, finished in zip(self.aggregates, values):
+            if spec.func == "COUNT":
+                columns.append(counts[start:stop])
+            elif spec.func == "AVG":
+                columns.append(
+                    list(map(truediv, finished[start:stop], counts[start:stop]))
+                )
+            else:
+                columns.append(finished[start:stop])
+        return ColumnBatch(self.schema, columns, stop - start)
+
+
+def _fold_runs(func: str, runs: Iterable[Sequence], carried: Any) -> list:
+    """SUM, AVG, MIN or MAX of each run, one value per run.
+
+    ``carried`` is the open group's value when the first run continues
+    it, else ``None``.  Sums add strictly left to right from the int 0,
+    like :class:`HashAggregate`'s ``+=`` (``sum()`` compensates float
+    addition since Python 3.12, so its bits would depend on how a group
+    is split into runs); MIN and MAX keep the earlier element on ties.
+    """
+    if func in ("SUM", "AVG"):
+        first = 0 if carried is None else carried
+        return list(map(reduce, repeat(add), runs, chain((first,), repeat(0))))
+    pick = min if func == "MIN" else max
+    folded = list(map(pick, runs))
+    if carried is not None:
+        folded[0] = pick(carried, folded[0])
+    return folded
 
 
 class PartialHashAggregate(HashAggregate):

@@ -293,59 +293,6 @@ class AggSpec:
         if self.expr is None and self.func != "COUNT":
             raise ValueError(f"{self.func} requires an argument")
 
-    def make_state(self) -> "_AggState":
-        return _AggState(self.func)
-
     def render(self) -> str:
         arg = "*" if self.expr is None else self.expr.render()
         return f"{self.func}({arg})"
-
-
-class _AggState:
-    """Incremental aggregate accumulator."""
-
-    __slots__ = ("func", "count", "total", "minimum", "maximum")
-
-    def __init__(self, func: str) -> None:
-        self.func = func
-        self.count = 0
-        self.total: Any = 0
-        self.minimum: Any = None
-        self.maximum: Any = None
-
-    def update_many(self, values: Optional[Sequence[Any]], count: int) -> None:
-        """Fold ``count`` rows in one step (``values`` is the evaluated
-        argument vector, ``None`` for ``COUNT(*)``).
-
-        ``sum(values, start)`` adds left-to-right from the running total,
-        so a group's float result is the same however its rows are split
-        into runs; min/max keep the earlier element on ties.
-        """
-        if not count:
-            return
-        self.count += count
-        if values is None:
-            return
-        if self.func in ("SUM", "AVG"):
-            self.total = sum(values, self.total)
-        elif self.func == "MIN":
-            smallest = min(values)
-            if self.minimum is None or smallest < self.minimum:
-                self.minimum = smallest
-        elif self.func == "MAX":
-            largest = max(values)
-            if self.maximum is None or largest > self.maximum:
-                self.maximum = largest
-
-    def result(self) -> Any:
-        if self.func == "COUNT":
-            return self.count
-        if self.func == "SUM":
-            # SQL: SUM over zero rows is NULL, not 0 — ``total`` starts at
-            # the int 0 only as an accumulator identity, never a result.
-            return self.total if self.count else None
-        if self.func == "AVG":
-            return self.total / self.count if self.count else None
-        if self.func == "MIN":
-            return self.minimum
-        return self.maximum

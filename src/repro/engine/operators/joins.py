@@ -9,9 +9,16 @@ No join builds a row tuple.  Each one matches *row positions* — a left
 (probe) position and a right (build) position per output row — and
 gathers the output columns with :meth:`ColumnBatch.take`, once per column
 per output chunk.  A probe row's matches come out in build order.
+
+Keys come from :meth:`ColumnBatch.key_vector` (bare values for one key
+column).  The hash join matches a probe batch with one ``map`` over its
+table; the merge join gallops over the two sorted key vectors with
+``bisect``, so its Python work is per distinct matched key and per gap
+between matches rather than per row.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import chain, compress, repeat
 from typing import Dict, Iterator, List, Sequence
 
@@ -107,14 +114,6 @@ def _rechunk(
         yield ColumnBatch.concat(pending)
 
 
-def _key_vector(batch: ColumnBatch, positions: Sequence[int]) -> Sequence:
-    """A hash join's keys for one batch: the bare column for a single key
-    column, tuples for several."""
-    if len(positions) == 1:
-        return batch.columns[positions[0]]
-    return batch.keys(positions)
-
-
 class HashJoin(_JoinBase):
     """Equi-join: build a hash table on the right input, probe with the left.
 
@@ -149,14 +148,14 @@ class HashJoin(_JoinBase):
             build = ColumnBatch.empty(self.right.schema)
         table: Dict = {}
         setdefault = table.setdefault
-        for position, key in enumerate(_key_vector(build, self._right_positions)):
+        for position, key in enumerate(build.key_vector(self._right_positions)):
             setdefault(key, []).append(position)
 
         get = table.get
         for batch in self.left.execute_batches(metrics, batch_size):
             metrics.check_cancel()
             metrics.add("hash_probe_rows", len(batch))
-            found = list(map(get, _key_vector(batch, self._left_positions)))
+            found = list(map(get, batch.key_vector(self._left_positions)))
             matched = list(compress(found, found))
             if not matched:
                 continue
@@ -174,7 +173,9 @@ class MergeJoin(_JoinBase):
     """Sort-merge join.  **Precondition**: both inputs ordered by their join
     keys (the optimizer inserts Sorts, or — with ODs — proves them away).
 
-    Output ordering: the left input's ordering.
+    Both inputs are collected whole and merged by :meth:`_merge`, a
+    galloping merge whose result and ``merge_steps`` are those of the
+    classic two-pointer walk.  Output ordering: the left input's ordering.
     """
 
     def __init__(self, left, right, left_keys, right_keys) -> None:
@@ -182,35 +183,54 @@ class MergeJoin(_JoinBase):
         self.ordering = left.ordering  # preserves the probe side's spec
 
     def _merge(
-        self, left_keys: List[tuple], right_keys: List[tuple], metrics: Metrics
+        self, left_keys: Sequence, right_keys: Sequence, metrics: Metrics
     ) -> "tuple[List[int], List[int]]":
-        """The two-pointer merge over each side's key tuples, returning the
-        matched ``(left ids, right ids)``; ``merge_steps``/``join_rows``
-        are charged once, with their totals."""
+        """Match two ascending key vectors, returning the matched ``(left
+        ids, right ids)`` in left order, each left row's matches in right
+        order; ``merge_steps``/``join_rows`` are charged once, with their
+        totals.
+
+        The merge gallops: where the keys differ, the lagging side jumps
+        to the other side's key with ``bisect_left``; on a match,
+        ``bisect_right`` finds both runs and their cross product is
+        emitted by ``range``/``repeat``.  Python work is per matched key
+        and per gap, not per row.  ``merge_steps`` stays the two-pointer
+        walk's count: one step per row a side skips, one per matched key.
+        Bisection is exact because keys are totally ordered (the engine
+        stores no NULL and no NaN).
+        """
         left_ids: List[int] = []
         right_ids: List[int] = []
         steps = 0
         i = j = 0
         left_count, right_count = len(left_keys), len(right_keys)
         while i < left_count and j < right_count:
-            steps += 1
             left_key = left_keys[i]
             right_key = right_keys[j]
             if left_key < right_key:
-                i += 1
+                stop = bisect_left(left_keys, right_key, i + 1)
+                steps += stop - i
+                i = stop
             elif left_key > right_key:
-                j += 1
+                stop = bisect_left(right_keys, left_key, j + 1)
+                steps += stop - j
+                j = stop
             else:
-                # gather the right-side run for this key
-                j_end = j
-                while j_end < right_count and right_keys[j_end] == right_key:
-                    j_end += 1
-                run = range(j, j_end)
-                while i < left_count and left_keys[i] == left_key:
-                    left_ids += repeat(i, len(run))
-                    right_ids += run
-                    i += 1
-                j = j_end
+                steps += 1
+                left_stop = bisect_right(left_keys, left_key, i + 1)
+                right_stop = bisect_right(right_keys, right_key, j + 1)
+                width = right_stop - j
+                if width == 1:
+                    left_ids += range(i, left_stop)
+                    right_ids += repeat(j, left_stop - i)
+                else:
+                    left_ids += chain.from_iterable(
+                        map(repeat, range(i, left_stop), repeat(width))
+                    )
+                    right_ids += chain.from_iterable(
+                        repeat(range(j, right_stop), left_stop - i)
+                    )
+                i, j = left_stop, right_stop
         if steps:
             metrics.add("merge_steps", steps)
         if left_ids:
@@ -225,8 +245,8 @@ class MergeJoin(_JoinBase):
         left = self.left.collect(metrics, batch_size)
         right = self.right.collect(metrics, batch_size)
         left_ids, right_ids = self._merge(
-            left.keys(self._left_positions),
-            right.keys(self._right_positions),
+            left.key_vector(self._left_positions),
+            right.key_vector(self._right_positions),
             metrics,
         )
         for start in range(0, len(left_ids), batch_size):

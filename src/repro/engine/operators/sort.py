@@ -46,12 +46,13 @@ class Sort(Operator):
         self, metrics: Metrics, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
         """Collect the child's output, stable-sort the row positions by
-        the key tuples, and gather the output in chunks — the permutation
-        sorting the row tuples themselves would give."""
+        the keys, and gather the output in chunks — the permutation
+        sorting the row tuples themselves would give.  One sort key sorts
+        on the bare column, which orders exactly as its 1-tuples do."""
         data = self.child.collect(metrics, batch_size)
         metrics.add("sorts")
         metrics.add("sort_rows", len(data))
-        keys = data.keys(self._positions)
+        keys = data.key_vector(self._positions)
         order = sorted(range(len(data)), key=keys.__getitem__)
         for start in range(0, len(order), batch_size):
             yield data.take(order[start:start + batch_size])

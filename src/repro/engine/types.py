@@ -42,7 +42,9 @@ def validate_value(value: Any, dtype: DataType, column: str = "?") -> Any:
     """Check (and lightly coerce) a value against a column type.
 
     ``None`` is rejected — the engine is NULL-free by design, matching the
-    paper's set-of-tuples model where comparisons are total.
+    paper's set-of-tuples model where comparisons are total.  A float NaN
+    is rejected for the same reason (sqlite stores it as NULL): it is
+    unordered, and merge joins and index ranges bisect on the order.
     """
     if value is None:
         raise TypeError_(f"column {column!r}: NULLs are not supported")
@@ -54,7 +56,9 @@ def validate_value(value: Any, dtype: DataType, column: str = "?") -> Any:
         raise TypeError_(f"column {column!r}: expected int, got bool")
     if isinstance(value, dtype.python_types()):
         if dtype is DataType.FLOAT:
-            return float(value)
+            value = float(value)
+            if value != value:
+                raise TypeError_(f"column {column!r}: NaN is not supported")
         return value
     if dtype is DataType.DATE and isinstance(value, str):
         return datetime.date.fromisoformat(value)
@@ -65,14 +69,17 @@ def validate_value(value: Any, dtype: DataType, column: str = "?") -> Any:
 
 
 def coerce_literal(text: str) -> Any:
-    """Best-effort literal coercion used by the SQL lexer for unquoted
-    numerics (quoted strings and DATE literals are handled in the parser)."""
+    """Best-effort literal coercion for unquoted numerics (quoted strings
+    and DATE literals are handled in the parser).  The text ``nan`` is
+    rejected like a NaN value: the engine stores no unordered value."""
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    return text
+        return text
+    if value != value:
+        raise TypeError_(f"literal {text!r}: NaN is not supported")
+    return value

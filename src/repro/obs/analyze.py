@@ -9,8 +9,12 @@ nodes) and render the tree with, per node:
 * ``actual rows`` — rows the node's stream(s) yielded, summed across
   loops and partitions;
 * ``batches`` — batch count;
-* ``time`` — inclusive wall milliseconds (summed across partitions, so
-  parallel nodes report aggregate lane time, not wall clock);
+* ``time`` — milliseconds spent producing the node's output: the
+  span's ``busy_us``, the time inside the node's own ``next()`` calls,
+  which includes its children and excludes its consumers (a leaf's
+  span *interval* also holds every ancestor's per-batch work, because
+  the pipeline pulls).  Summed across partitions, so parallel nodes
+  report aggregate lane time, not wall clock;
 * ``loops`` — stream count when a node was executed more than once
   (nested-loop rescans, partition fan-out);
 * ``est``/``q-err`` — the planner's cardinality estimate and the
@@ -41,11 +45,12 @@ def _collect_actuals(spans: Any) -> Dict[str, Dict[str, Any]]:
         if span.cat != "operator" or not isinstance(node, str):
             continue
         bucket = out.setdefault(
-            node, {"rows": 0, "batches": 0, "dur_ns": 0, "loops": 0}
+            node, {"rows": 0, "batches": 0, "dur_ns": 0, "busy_us": 0.0, "loops": 0}
         )
         bucket["rows"] += int(args.get("rows", 0))
         bucket["batches"] += int(args.get("batches", 0))
         bucket["dur_ns"] += int(span.dur_ns or 0)
+        bucket["busy_us"] += args.get("busy_us", 0.0)
         bucket["loops"] += 1
     return out
 
@@ -81,6 +86,7 @@ def annotate_plan(
             rows = measured["rows"]
             entry["rows"] = rows
             entry["wall_ms"] = measured["dur_ns"] / 1e6
+            entry["busy_ms"] = measured["busy_us"] / 1e3
             notes.append(f"actual rows={rows}")
             if measured["batches"]:
                 entry["batches"] = measured["batches"]
@@ -88,7 +94,7 @@ def annotate_plan(
             if measured["loops"] > 1:
                 entry["loops"] = measured["loops"]
                 notes.append(f"loops={measured['loops']}")
-            notes.append(f"time={entry['wall_ms']:.3f}ms")
+            notes.append(f"time={entry['busy_ms']:.3f}ms")
         estimate = _estimate_rows(database, op)
         if estimate is not None:
             entry["est_rows"] = estimate

@@ -12,7 +12,11 @@ Two kinds exist:
   so an explicit stack gives their parents.
 * **operator spans** — one per *stream* of an operator, opened by
   :meth:`Tracer.wrap_stream` when the stream is created and closed when
-  it is exhausted or abandoned.  Lexical nesting does **not** hold for
+  it is exhausted or abandoned.  In a pull pipeline that interval also
+  holds every ancestor's work between this stream's batches, so each
+  operator span carries ``busy_us`` as well: the time spent inside this
+  stream's own ``next()`` calls — its children's work included, its
+  consumers' excluded.  Lexical nesting does **not** hold for
   these: a join creates both child streams before pulling either, so the
   second child would wrongly nest under the first.  Parents come from
   plan *structure* instead — :meth:`register_plan` records each
@@ -194,8 +198,17 @@ class Tracer:
     ) -> Iterator[Any]:
         rows = 0
         batches = 0
+        busy_ns = 0
+        pull = iter(stream).__next__
         try:
-            for batch in stream:
+            while True:
+                started = perf_counter_ns()
+                try:
+                    batch = pull()
+                except StopIteration:
+                    break
+                finally:
+                    busy_ns += perf_counter_ns() - started
                 batches += 1
                 rows += len(batch)
                 yield batch
@@ -205,6 +218,7 @@ class Tracer:
                 close()
             args["rows"] = rows
             args["batches"] = batches
+            args["busy_us"] = busy_ns / 1e3
             self._end_op(op_id, span_id)
 
     # ------------------------------------------------------------------

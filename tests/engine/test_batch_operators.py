@@ -139,7 +139,9 @@ def fold_groups(rows, key):
     counts = Counter(key(row) for row in rows)
     out = []
     for group, group_rows in members.items():
-        total = sum(row[2] for row in group_rows)
+        total = 0  # not sum(): it compensates float addition since 3.12
+        for row in group_rows:
+            total += row[2]
         out.append(group + (
             counts[group],
             total,

@@ -8,10 +8,16 @@ batch size and on every backend — tracing observes, it never perturbs.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.engine.batch import DEFAULT_BATCH_SIZE
+from repro.engine.operators import SeqScan
+from repro.engine.operators.base import Operator
+from repro.engine.schema import Schema
+from repro.engine.table import Table
+from repro.engine.types import DataType
 from repro.obs.tracer import Tracer
 
 SQL = (
@@ -145,6 +151,39 @@ def test_operator_spans_carry_rows_and_trace_args(db):
     assert scans[0]["args"]["rows"] == 4_000
     filters = [e for e in events if e["name"] == "Filter"]
     assert filters and "predicate" in filters[0]["args"]
+
+
+class _SleepPerBatch(Operator):
+    """Passes its child's batches through, sleeping before each one."""
+
+    def __init__(self, child):
+        self.child = child
+        self.schema = child.schema
+
+    def children(self):
+        return (self.child,)
+
+    def execute_batches(self, metrics, batch_size=DEFAULT_BATCH_SIZE):
+        for batch in self.child.execute_batches(metrics, batch_size):
+            time.sleep(0.005)
+            yield batch
+
+
+def test_busy_time_excludes_consumer_work():
+    """A leaf's span interval holds its ancestors' per-batch work (the
+    pipeline pulls), but its ``busy_us`` is its own ``next()`` time: a
+    cheap scan under a parent that sleeps per batch stays far below it."""
+    table = Table("t", Schema.of(("a", DataType.INT)))
+    table.load([(i,) for i in range(40)], check=False)
+    plan = _SleepPerBatch(SeqScan(table))
+    tracer = Tracer()
+    plan.run(8, tracer=tracer)
+    spans = {span.name: span for span in tracer.spans}
+    parent, child = spans["_SleepPerBatch"], spans["SeqScan"]
+    assert parent.args["busy_us"] >= 5 * 5_000
+    assert child.args["busy_us"] < parent.args["busy_us"] / 2
+    # The interval is unchanged: the child's span still holds the sleeps.
+    assert child.dur_ns / 1e3 > parent.args["busy_us"] / 2
 
 
 def test_optimizer_phases_are_traced_on_cache_miss(db):
