@@ -21,7 +21,7 @@ from ..config import SLOW_QUERY_MS, TRACE_DEFAULT
 from ..core.dependency import Statement
 from ..obs import EngineMetrics
 from ..obs.tracer import Tracer
-from .epoch import bump_epoch, current_epoch
+from .epoch import bump_epoch, catalog_epoch, current_epoch
 from .errors import CancelToken, QueryError, QueryTimeout
 from .histogram import pair_selectivity_stats
 from .index import SortedIndex
@@ -140,8 +140,8 @@ class Database:
         #: :meth:`stats`.
         self._stats: Dict[str, MaintainedStats] = {}
         #: Whole-plan memoization: logical fingerprint + the options'
-        #: ``plan_key`` → physical plan, invalidated by catalog-epoch
-        #: mismatch (see
+        #: ``plan_key`` → physical plan, invalidated by a catalog change,
+        #: a read table's shrink or growth, or a broken fact (see
         #: :mod:`repro.optimizer.plan_cache`).
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
         #: SQL text → (bound logical tree, canonical fingerprint).  Both
@@ -397,7 +397,9 @@ class Database:
         With ``use_cache=True`` (the default) the plan cache is consulted
         first: the logical tree is fingerprinted and, if an entry exists
         for (fingerprint, resolved options) at the current catalog epoch,
-        the memoized physical plan is returned without re-planning.
+        and the tables and facts it was planned on still pass
+        :func:`~repro.optimizer.plan_cache.replan_reason`, the memoized
+        physical plan is returned without re-planning.
         ``use_cache=False`` neither reads nor fills the cache (benchmarks
         use it to measure the uncached path; its plans report
         ``cache_state="bypass"``).  Every option below changes the
@@ -442,9 +444,9 @@ class Database:
             logical, fp = self._bind(sql)
         if use_cache:
             key = options.plan_key
-            epoch = current_epoch()
+            epoch = catalog_epoch()
             with span("cache-lookup", "optimizer", key=key) if span else nullcontext():
-                entry = self.plan_cache.lookup(fp, key, epoch)
+                entry = self.plan_cache.lookup(fp, key, epoch, self)
             if entry is not None:
                 info = entry.plan.plan_info  # type: ignore[attr-defined]
                 info.cache_state = "hit"
@@ -473,7 +475,8 @@ class Database:
 
     def plan_cache_stats(self) -> Dict[str, object]:
         """Plan-cache counters: hits, misses, stores, evictions,
-        stale_invalidations, size, capacity, hit_rate."""
+        stale_invalidations, fact_invalidations, growth_replans, size,
+        capacity, hit_rate."""
         return self.plan_cache.stats()
 
     def stats_snapshot(self) -> Dict[str, object]:
@@ -488,7 +491,11 @@ class Database:
         * ``engine`` — cumulative query/failure/timeout/row counters,
           average wall ms, and the slow-query ring
           (:mod:`repro.obs.registry`);
-        * ``plan_cache`` — whole-plan memoization counters;
+        * ``plan_cache`` — whole-plan memoization counters, with why
+          entries were dropped: ``stale_invalidations`` (a catalog
+          change), ``fact_invalidations`` (a relied-on fact broke) and
+          ``growth_replans`` (a read table shrank or outgrew
+          ``REPLAN_GROWTH``);
         * ``theory_cache`` — the OD-oracle theory cache: live size plus
           oracle-work gauges summed over the live theories;
         * ``exchange`` — lifetime parallel-execution totals (retries,
@@ -504,8 +511,9 @@ class Database:
           walks ``computed`` and ``reused`` and their map's live ``size``
           (process-wide, like ``theory_cache``); ``computed`` keeping
           pace with plannings over unchanged data is a thrashing map;
-        * ``logical_memo_size`` / ``epoch`` — parse-memo occupancy and
-          the current catalog epoch.
+        * ``logical_memo_size`` / ``epoch`` / ``catalog_epoch`` —
+          parse-memo occupancy, the epoch of every mutation and that of
+          catalog mutations only.
         """
         from ..optimizer.context import theory_cache_stats
 
@@ -522,6 +530,7 @@ class Database:
             }
         return {
             "epoch": current_epoch(),
+            "catalog_epoch": catalog_epoch(),
             "engine": self._registry.snapshot(),
             "plan_cache": self.plan_cache.stats(),
             "theory_cache": theory_cache_stats(),
@@ -740,7 +749,9 @@ class Database:
         estimate and the syntactic-order estimate it beat), the plan's
         estimated rows/cost, each exchange's kind / partition count /
         ordering keys, how much oracle work was answered from the
-        memoized result cache vs enumerated, whether this plan was a
+        memoized result cache vs enumerated, the row count of every table
+        the plan was planned on (with today's where it differs) and the
+        data facts its rewrites rely on, whether this plan was a
         plan-cache hit, miss, or bypass (with its fingerprint prefix and
         catalog epoch), and the execution the given ``batch_size``/
         ``workers`` select (serial or parallel, with the resolved batch
@@ -789,5 +800,6 @@ class Database:
             text = plan.explain()
         if verbose and info is not None:
             info.execution = options.describe()
-            text = f"{text}\n{info.describe()}"
+            current = {name: len(self.tables[name].rows) for name in info.planned_rows}
+            text = f"{text}\n{info.describe(current)}"
         return text

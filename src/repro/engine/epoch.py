@@ -1,41 +1,56 @@
-"""The catalog epoch: the clock behind the plan cache and the worker pool.
+"""The epochs: the clocks behind the plan cache and the worker pool.
 
-A cached physical plan is only sound while the facts planning consumed
-stay true.  In this engine those facts are:
+Every mutation is one of two kinds, and each kind has its reader:
 
-* the **catalog** — which tables and indexes exist (index choice is baked
-  into a physical plan);
-* the **constraint registry** — declared ODs/FDs drive sort elimination,
-  join elimination, and stream-aggregate selection;
-* the **data**, in two ways: the Section 2.3 date rewrite translates a
-  natural-date range into *surrogate-key bounds read from the dimension's
-  rows*, and join orders are chosen from cardinality estimates — so a
-  cached plan embeds data-derived literals and decisions.
+* the **catalog** kind — which tables and indexes exist (index choice is
+  baked into a physical plan), the constraint registry (declared ODs,
+  FDs and FKs drive sort elimination, join elimination and
+  stream-aggregate selection) and the estimation mode.  Tags
+  ``create-table``, ``create-index``, ``declare``, ``declare-fk`` and
+  ``stats-mode:*`` (and any tag not listed in :data:`DATA_REASONS`).
+  These advance :func:`catalog_epoch`; a cached plan stamped with another
+  catalog epoch is a miss (``stale_invalidations``);
+* the **data** kind — ``insert`` and ``load-rejected``.  These reach no
+  cached plan through the clock.  A plan records what it was planned on
+  instead (the row count of every table it read, and the data facts its
+  rewrites relied on) and :func:`repro.optimizer.plan_cache.replan_reason`
+  re-checks that record at lookup: a declared OD survives an append
+  because a checked ``load`` rejects a violating row (the paper's
+  Section 2.2 check constraint), and the date rewrite's surrogate range,
+  an FK verdict or a unique key are re-checked only when a table behind
+  them changed.
 
-Every mutation of any of the three bumps the global epoch, and a plan
-stamped with another epoch is a miss.  The counter is deliberately global
-(not per-database): cross-database bumps only cost a spurious re-plan,
-never a stale answer.
+Both kinds advance :func:`current_epoch`, which the process pool reads:
+its forked image holds every table's rows, so any mutation re-forks it.
+The counters are deliberately global (not per-database): cross-database
+bumps only cost a spurious re-plan or re-fork, never a stale answer.
 
 Everything *else* derived from a table follows that table alone.  An
 append is not DDL: each piece of derived state records how many rows of
 its own table it covers; a read that finds more rows folds the new ones
 in, and a read that finds anything else changed runs the full pass again.
 ``len(table.rows)`` is the staleness signal throughout, so ``rows`` may be
-appended to (or truncated) directly, but not edited in place.
+appended to (or truncated) directly, but not edited in place.  Its known
+hole — a truncation followed by a longer append with no read in between
+is taken for a pure append — now reaches cached plans too, until direct
+mutation of ``rows`` is guarded.
 
 ==================  =========================  ==========================  =====================
 derived state       depends on                 refreshed by                reference (full pass)
 ==================  =========================  ==========================  =====================
-cached plan         catalog, constraints and   any epoch bump: re-plan     ``plan(use_cache=
-                    data of every table                                    False)``
-process pool image  data of every table        any epoch bump: re-fork     ``backend="inline"``
+cached plan         the catalog; the row       catalog bump: re-plan;      ``plan(use_cache=
+                    counts of the tables it    a read table shrank or      False)``
+                    read; the facts its        grew past ``REPLAN_
+                    rewrites relied on         GROWTH``, or a fact broke:
+                                               re-plan; else served
+process pool image  data of every table        any bump: re-fork           ``backend="inline"``
 interned theory     its statement tuple        nothing (``M ⊨ φ`` is over  ``build_theory(
                                                all instances); a           reuse=False)``
                                                ``declare`` is a new key
-``Database.stats``  the table's rows,          append: extended; shrink,   ``collect_stats``
-                    constraint count, indexes  ``declare``, new index,
-                    and the estimation mode    mode flip, unorderable
+``Database.stats``  the table's rows,          when something plans:       ``collect_stats``
+                    constraint count, indexes  append: extended; shrink,
+                    and the estimation mode    ``declare``, new index,
+                                               mode flip, unorderable
                                                value: rebuilt
 pair selectivity    the two histogram objects  never: replaced with its    from-scratch merge
                     (``merge_join_rows``)      statistics (new histogram   walk (``histogram.
@@ -66,27 +81,48 @@ from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["current_epoch", "bump_epoch", "epoch_log", "reset_epoch_log"]
+__all__ = [
+    "DATA_REASONS",
+    "current_epoch",
+    "catalog_epoch",
+    "bump_epoch",
+    "epoch_log",
+    "reset_epoch_log",
+]
+
+#: The tags of the data kind of mutation: they advance only
+#: :func:`current_epoch`.  Every other tag is the catalog kind.
+DATA_REASONS = frozenset({"insert", "load-rejected"})
 
 _epoch: int = 0
+_catalog_epoch: int = 0
 #: Per-reason bump counts, for tests and diagnostics.
 _bumps: Dict[str, int] = {}
 
 
 def current_epoch() -> int:
-    """The current catalog/constraint/data epoch."""
+    """The epoch of every mutation, catalog and data alike."""
     return _epoch
 
 
+def catalog_epoch() -> int:
+    """The epoch of catalog mutations only (what cached plans are stamped
+    with)."""
+    return _catalog_epoch
+
+
 def bump_epoch(reason: str = "unspecified") -> int:
-    """Advance the epoch (invalidating every cached plan).
+    """Advance the epoch, and the catalog epoch unless ``reason`` is a
+    data tag (:data:`DATA_REASONS`).
 
     ``reason`` is a short tag (``"create-table"``, ``"declare"``, ...)
     recorded in :func:`epoch_log` so tests can assert *which* mutations
-    invalidate.
+    happened.
     """
-    global _epoch
+    global _epoch, _catalog_epoch
     _epoch += 1
+    if reason not in DATA_REASONS:
+        _catalog_epoch += 1
     _bumps[reason] = _bumps.get(reason, 0) + 1
     return _epoch
 
@@ -97,5 +133,5 @@ def epoch_log() -> Dict[str, int]:
 
 
 def reset_epoch_log() -> None:
-    """Zero the per-reason counts (the epoch itself never rewinds)."""
+    """Zero the per-reason counts (the epochs themselves never rewind)."""
     _bumps.clear()

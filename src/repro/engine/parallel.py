@@ -65,8 +65,9 @@ Process-backend shipping, in detail:
   so scans don't ship data at all: a :meth:`__reduce__` hook replaces the
   ``Table``/``SortedIndex`` reference with a *token* into the module's
   ship registry, and the forked worker rebuilds a normal scan around the
-  object it already has.  Staleness is governed by the catalog epoch
-  (:mod:`repro.engine.epoch`): any mutation since the pool forked
+  object it already has.  Staleness is governed by the epoch of every
+  mutation (:func:`repro.engine.epoch.current_epoch`), catalog or data:
+  any mutation since the pool forked
   restarts it, so a worker can never scan a pre-mutation memory image.
 * Under ``spawn`` (pinned in CI for portability) — or for objects the
   current fork image doesn't hold — scans materialize their resolved
@@ -650,10 +651,10 @@ class _ProcessPool:
     """A persistent pool of daemon worker processes.
 
     ``snapshot`` maps ship tokens to the objects the workers inherited at
-    fork time (empty under spawn); ``fork_epoch`` is the catalog epoch
-    then.  Any epoch movement restarts the pool — the same staleness rule
-    the plan cache and ``Database.stats`` obey — so workers can never
-    scan a pre-mutation memory image.
+    fork time (empty under spawn); ``fork_epoch`` is
+    :func:`~repro.engine.epoch.current_epoch` then.  Any mutation,
+    catalog or data, restarts the pool, so workers can never scan a
+    pre-mutation memory image.
     """
 
     def __init__(self, size: int, method: str) -> None:

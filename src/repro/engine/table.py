@@ -48,32 +48,37 @@ class Table:
     # ------------------------------------------------------------------
     # Data manipulation
     # ------------------------------------------------------------------
-    def insert(self, row: Sequence[Any]) -> None:
-        """Insert one row, validating types."""
+    def _validated(self, row: Sequence[Any]) -> tuple:
         if len(row) != len(self.schema):
             raise ValueError(
                 f"{self.name}: row width {len(row)} != schema width "
                 f"{len(self.schema)}"
             )
-        validated = tuple(
+        return tuple(
             validate_value(value, column.dtype, column.name)
             for value, column in zip(row, self.schema)
         )
-        self.rows.append(validated)
-        # Cached plans may embed data-derived literals (the date rewrite's
-        # surrogate-key bounds), so data changes invalidate like DDL does.
+
+    def insert(self, row: Sequence[Any]) -> None:
+        """Insert one row, validating types."""
+        self.rows.append(self._validated(row))
+        # A data mutation: it re-forks the process pool; cached plans
+        # re-check what they were planned on instead (see epoch.py).
         bump_epoch("insert")
 
     def load(self, rows: Iterable[Sequence[Any]], check: bool = True) -> "Table":
         """Bulk insert; validates declared constraints afterwards.
 
-        A load the constraints reject is undone before the
+        Every row is type-checked before any is appended, and a load the
+        constraints reject is undone before the
         :class:`ConstraintViolation` is raised: the optimizer trusts
-        declared ODs, so a falsifying row must not stay behind.
+        declared ODs, so a failed load leaves the table exactly as it was.
         """
+        validated = [self._validated(row) for row in rows]
         before = len(self.rows)
-        for row in rows:
-            self.insert(row)
+        if validated:
+            self.rows.extend(validated)
+            bump_epoch("insert")
         if check and self.constraints:
             try:
                 self.check_constraints()

@@ -27,14 +27,35 @@ share a fingerprint and therefore a cached plan.
 
 Invalidation contract
 ---------------------
-Entries are stamped with the :mod:`repro.engine.epoch` value current at
-planning time.  A lookup whose stamp differs from the caller's epoch is a
-*stale invalidation*: the entry is dropped, the ``stale_invalidations``
-counter moves, and the caller re-plans.  DDL, index creation, dependency
-registration, and data loads all bump the epoch (see
-:mod:`repro.engine.epoch` for why data is included), so a cached plan is
-never served across any mutation that could change what planning would
-produce.  Capacity pressure evicts least-recently-used entries.
+A lookup validates the entry in this order, and a failure drops it,
+moves one counter and makes the caller re-plan:
+
+1. **The catalog stamp.**  Entries are stamped with
+   :func:`repro.engine.epoch.catalog_epoch` at planning time.  DDL, index
+   creation, constraint and FK declarations and the estimation-mode flip
+   advance it; a lookup under another catalog epoch is a *stale
+   invalidation* (``stale_invalidations``).  Data writes do not advance
+   it.
+2. **The row counts.**  Every base table the query names (including
+   tables a rewrite removed) must hold no fewer rows than at planning and
+   at most :data:`REPLAN_GROWTH` more; otherwise ``growth_replans``.  A
+   shrink may have removed a row a maintained fact was built on; growth
+   past the fraction leaves the join order priced on stale estimates.
+3. **The facts** its rewrites relied on (``PlanInfo.facts``).  A fact
+   whose tables all hold their planned row counts is not re-checked.  An
+   FK fact whose tables grew is re-checked through the maintained verdict
+   (``Database.verified_foreign_key``, which extends by the appended
+   rows); any other fact whose tables grew — the date rewrite's surrogate
+   range, a unique key — fails.  Either failure counts as
+   ``fact_invalidations``.
+
+Everything else a plan decided stays right across an append: a declared
+OD survives because a checked ``load`` rejects a violating row, and scans
+resolve their row ranges at execution time.  Capacity pressure evicts
+least-recently-used entries.  ``len(table.rows)`` is the row-count
+signal, so a truncation followed by a longer append with no lookup in
+between passes step 2 — the hole every maintained structure shares until
+direct mutation of ``Table.rows`` is guarded.
 """
 from __future__ import annotations
 
@@ -55,7 +76,18 @@ from ..engine.logical import (
     LogicalSort,
 )
 
-__all__ = ["canonical_tuple", "fingerprint", "PlanCacheEntry", "PlanCache"]
+__all__ = [
+    "REPLAN_GROWTH",
+    "canonical_tuple",
+    "fingerprint",
+    "replan_reason",
+    "PlanCacheEntry",
+    "PlanCache",
+]
+
+#: A cached plan is re-planned once a table it read holds more than this
+#: fraction more rows than when it was planned.
+REPLAN_GROWTH = 0.2
 
 
 def canonical_tuple(node: LogicalNode) -> tuple:
@@ -105,6 +137,26 @@ def fingerprint(node: LogicalNode) -> str:
     return hashlib.sha256(repr(canonical_tuple(node)).encode()).hexdigest()
 
 
+def replan_reason(database, info) -> Optional[str]:
+    """Why the plan ``info`` describes may not be served on ``database``'s
+    current data: ``"growth_replans"``, ``"fact_invalidations"`` or
+    ``None`` (serve it).  Steps 2 and 3 of the module's contract."""
+    tables = database.tables
+    planned_rows = info.planned_rows
+    current = {}
+    for name, planned in planned_rows.items():
+        rows = len(tables[name].rows)
+        if rows < planned or rows > planned * (1 + REPLAN_GROWTH):
+            return "growth_replans"
+        current[name] = rows
+    for fact in info.facts:
+        if all(current[name] == planned_rows[name] for name in fact.tables):
+            continue
+        if fact.kind != "fk" or not database.verified_foreign_key(*fact.key):
+            return "fact_invalidations"
+    return None
+
+
 @dataclass
 class PlanCacheEntry:
     """One memoized physical plan, with its provenance."""
@@ -126,9 +178,10 @@ class PlanCache:
     that differ in any of them never serve each other's trees.  The
     cache only needs it hashable.
 
-    The epoch is *not* part of the key: at most one entry exists per
-    logical tree and plan_key, and a lookup under a newer epoch explicitly
-    drops the stale entry (counted) rather than letting it shadow-rot.
+    The catalog epoch is *not* part of the key: at most one entry exists
+    per logical tree and plan_key, and a lookup that finds it invalid
+    (module doc) explicitly drops it (counted) rather than letting it
+    shadow-rot.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -142,25 +195,33 @@ class PlanCache:
             "stores": 0,
             "evictions": 0,
             "stale_invalidations": 0,
+            "fact_invalidations": 0,
+            "growth_replans": 0,
         }
 
     # ------------------------------------------------------------------
     def lookup(
-        self, fp: str, plan_key: Hashable, epoch: int
+        self, fp: str, plan_key: Hashable, epoch: int, database=None
     ) -> Optional[PlanCacheEntry]:
-        """The live entry for (fp, plan_key) at ``epoch``, or ``None``.
+        """The live entry for (fp, plan_key) at catalog ``epoch``, or
+        ``None``.
 
-        A hit bumps the entry's LRU position and serve count; an entry
-        stamped with a different epoch is dropped and counted stale.
+        A hit bumps the entry's LRU position and serve count.  An entry
+        stamped with a different epoch, or — given the ``database`` it was
+        planned on — one :func:`replan_reason` rejects, is dropped and
+        counted under its reason.
         """
         key = (fp, plan_key)
         entry = self._entries.get(key)
         if entry is None:
             self._stats["misses"] += 1
             return None
-        if entry.epoch != epoch:
+        reason = "stale_invalidations" if entry.epoch != epoch else None
+        if reason is None and database is not None:
+            reason = replan_reason(database, entry.plan.plan_info)
+        if reason is not None:
             del self._entries[key]
-            self._stats["stale_invalidations"] += 1
+            self._stats[reason] += 1
             self._stats["misses"] += 1
             return None
         self._entries.move_to_end(key)
@@ -201,7 +262,8 @@ class PlanCache:
 
         Follows the snapshot contract of ``Database.stats_snapshot``:
         ``hits`` / ``misses`` / ``stores`` / ``evictions`` /
-        ``stale_invalidations`` are **monotonic** for the cache's lifetime
+        ``stale_invalidations`` (catalog changes) / ``fact_invalidations``
+        / ``growth_replans`` are **monotonic** for the cache's lifetime
         (``clear()`` drops entries, never counters), so deltas between two
         readings are meaningful; ``size``, ``capacity``, and ``hit_rate``
         are **gauges** — point-in-time values that may move either way.

@@ -156,7 +156,8 @@ class PlanInfo:
     #: Plan-cache provenance, filled in by ``Database.plan``:
     #: ``fingerprint`` — SHA-256 of the canonical logical tree (None when
     #: planned outside the caching entry point); ``epoch`` — the catalog
-    #: epoch the plan was built under; ``cache_state`` — "miss" (planned
+    #: epoch (:func:`~repro.engine.epoch.catalog_epoch`) the plan was
+    #: built under; ``cache_state`` — "miss" (planned
     #: and stored), "hit" (served from cache), or "bypass"
     #: (``use_cache=False``); ``cache_serves`` — times this entry has been
     #: served since it was stored.  One PlanInfo is shared by every caller
@@ -203,6 +204,13 @@ class PlanInfo:
     #: One entry per scan that reads only some of its table's columns:
     #: ``"alias reads c1, c2 (2 of 7)"``, in plan order.
     pruned_scans: List[str] = field(default_factory=list)
+    #: What the plan was planned on, re-checked before a cached copy is
+    #: served (:func:`~repro.optimizer.plan_cache.replan_reason`): the row
+    #: count of every base table the query names, tables a rewrite removed
+    #: included, and the data facts (:class:`~repro.optimizer.rewrites.
+    #: Fact`) its fired rewrites relied on.
+    planned_rows: Dict[str, int] = field(default_factory=dict)
+    facts: List[object] = field(default_factory=list)
 
     @property
     def oracle_hit_rate(self) -> float:
@@ -210,9 +218,11 @@ class PlanInfo:
         lookups = self.oracle["cache_hits"] + self.oracle["cache_misses"]
         return self.oracle["cache_hits"] / lookups if lookups else 0.0
 
-    def describe(self) -> str:
+    def describe(self, current_rows: Optional[Dict[str, int]] = None) -> str:
         """EXPLAIN-style report: which sorts/joins were eliminated and how
-        much oracle work was cached vs enumerated."""
+        much oracle work was cached vs enumerated.  ``current_rows``
+        (table → row count now) adds the current count beside each
+        planned-at count that differs."""
         lines = [f"plan mode: {self.mode}"]
         lines.append(f"execution: {self.execution}")
         if self.workers is not None:
@@ -267,6 +277,16 @@ class PlanInfo:
             lines.append(line)
         for entry in self.pruned_scans:
             lines.append(f"scan columns: {entry}")
+        if self.planned_rows:
+            counts = []
+            for table, planned in sorted(self.planned_rows.items()):
+                now = (current_rows or {}).get(table, planned)
+                counts.append(
+                    f"{table} {planned:,}" + (f" (now {now:,})" if now != planned else "")
+                )
+            lines.append(f"planned on rows: {', '.join(counts)}")
+        for fact in self.facts:
+            lines.append(f"relies on: {fact.describe()}")
         lines.append(f"sorts avoided: {self.avoided_sorts}")
         lines.append(f"stream aggregates: {self.stream_aggregates}")
         for note in self.notes:
@@ -288,7 +308,7 @@ class PlanInfo:
             # (planned once, served N times) — true whenever it is read —
             # rather than any single caller's hit/miss perspective.
             line = (
-                f"plan cache: entry {self.fingerprint[:12]} (epoch "
+                f"plan cache: entry {self.fingerprint[:12]} (catalog epoch "
                 f"{self.epoch}): planned once, served {self.cache_serves}x "
                 "from cache"
             )
@@ -346,6 +366,10 @@ class Planner:
     def plan(self, logical: LogicalNode) -> Operator:
         aliases = collect_aliases(logical)
         self.resolver = NameResolver(self.database, aliases)
+        tables = self.database.tables
+        self.info.planned_rows = {
+            name: len(tables[name].rows) for name in set(aliases.values())
+        }
         # SELECT * exposes the join block's column arrangement directly,
         # so a reordered join must restore the syntactic schema; every
         # other consumer resolves columns by name (the search reads this
@@ -374,6 +398,11 @@ class Planner:
                     logical, self.info.rewrites = apply_rewrites(
                         self.database, logical, self.resolver
                     )
+        self.info.facts = [
+            fact
+            for record in self.info.date_rewrites + self.info.rewrites
+            for fact in record.facts
+        ]
         self.read_columns = _read_columns(logical, self.resolver)
         with self._span("physical-plan"):
             planned = self._plan(logical, Desired())

@@ -75,8 +75,10 @@ from ..engine.types import DataType
 from ..fd.bridge import fds_of
 from ..fd.closure import is_superkey
 from .rewrites import (
+    Fact,
     NameResolver,
     _count_dim_references,
+    _key_unique,
     _rebuild,
     collect_aliases,
     conjoin,
@@ -105,6 +107,10 @@ class RewriteRecord:
 
     rule: str  # "eager-agg" | "scan-consolidation" | "join-elimination"
     detail: str
+    #: The data facts the rule relied on (see
+    #: :class:`~repro.optimizer.rewrites.Fact`); eager aggregation relies
+    #: on none — its statistics only price it.
+    facts: Tuple[Fact, ...] = ()
 
     def describe(self) -> str:
         if self.rule == "join-elimination":
@@ -133,24 +139,6 @@ def apply_rewrites(
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _key_unique(table, bare_columns: Sequence[str]) -> bool:
-    """Data-verified uniqueness of a column set (one O(n) pass).
-
-    The FD proof (``is_superkey``) guarantees rows agreeing on the key
-    agree on *everything* — which duplicate rows satisfy trivially — so
-    both the self-join and join-elimination rules re-verify genuine
-    uniqueness before treating the key as match-exactly-once.
-    """
-    positions = [table.schema.position(c) for c in bare_columns]
-    seen: Set[tuple] = set()
-    for row in table.rows:
-        key = tuple(row[p] for p in positions)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
-
-
 def _declared_superkey(database, table_name: str, bare_columns: Sequence[str]) -> bool:
     table = database.table(table_name)
     fds = fds_of(table.constraints)
@@ -276,7 +264,7 @@ def _consolidate_scans(
         found = _find_self_join(database, root, resolver)
         if found is None:
             return root
-        join, kept, removed, table_name = found
+        join, kept, removed, table_name, key = found
         left_leaf = _leaf_scan(join.left)
         right_leaf = _leaf_scan(join.right)
         conjuncts: List[Expr] = []
@@ -293,7 +281,9 @@ def _consolidate_scans(
         root = _rename_tree(root, resolver, removed, kept)
         records.append(
             RewriteRecord(
-                "scan-consolidation", f"{table_name} AS {removed} into {kept}"
+                "scan-consolidation",
+                f"{table_name} AS {removed} into {kept}",
+                (Fact("unique", (table_name,), (table_name, key)),),
             )
         )
 
@@ -301,7 +291,8 @@ def _consolidate_scans(
 def _find_self_join(database, node: LogicalNode, resolver: NameResolver):
     """First eligible self-join: both sides leaf scans of one table,
     joined pairwise on the same bare columns, which form an FD-proven,
-    data-unique key.  Returns (join, kept_alias, removed_alias, table)."""
+    data-unique key.  Returns (join, kept_alias, removed_alias, table,
+    key columns)."""
     if isinstance(node, LogicalJoin):
         left_leaf = _leaf_scan(node.left)
         right_leaf = _leaf_scan(node.right)
@@ -330,7 +321,10 @@ def _find_self_join(database, node: LogicalNode, resolver: NameResolver):
                     if _declared_superkey(
                         database, left_scan.table, bares
                     ) and _key_unique(table, bares):
-                        return node, left_scan.alias, right_scan.alias, left_scan.table
+                        return (
+                            node, left_scan.alias, right_scan.alias,
+                            left_scan.table, tuple(bares),
+                        )
     for child in node.children():
         found = _find_self_join(database, child, resolver)
         if found is not None:
@@ -407,9 +401,8 @@ def _try_eliminate_unused(
     fact_table = resolver.aliases.get(fact_alias)
     if fact_table is None:
         return None
-    if not database.verified_foreign_key(
-        fact_table, tuple(fact_bares), dim_table, tuple(dim_bares)
-    ):
+    fk = (fact_table, tuple(fact_bares), dim_table, tuple(dim_bares))
+    if not database.verified_foreign_key(*fk):
         return None
 
     # 4. nothing but this join's keys references the dimension (a bare
@@ -417,7 +410,14 @@ def _try_eliminate_unused(
     #    join-key references when eligible; SELECT * counts as a use).
     if _count_dim_references(root, resolver, dim_alias) != len(dim_cols):
         return None
-    return RewriteRecord("join-elimination", dim_alias)
+    return RewriteRecord(
+        "join-elimination",
+        dim_alias,
+        (
+            Fact("fk", (fact_table, dim_table), fk),
+            Fact("unique", (dim_table,), (dim_table, tuple(dim_bares))),
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

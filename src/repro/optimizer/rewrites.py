@@ -9,6 +9,13 @@ constraint) that the surrogate key is ordered like the natural date —
 to translate the natural range into a surrogate range, replace the join by
 a range predicate on the fact's own column, and (in a partitioned layout)
 touch only the relevant partitions.
+
+The range is exact only when each fact key in it matches exactly one
+qualifying dimension row.  That holds when the qualifying integer
+surrogates are distinct and fill ``[sk_lo, sk_hi]``, or when a declared,
+verified FK from the fact column reaches a data-unique surrogate; otherwise
+the join stays.  Each rewrite records which of the two held as the
+:class:`Fact` a cached plan re-checks before it is served again.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from ..engine.logical import (
     LogicalScan,
     LogicalSort,
 )
+from ..engine.types import DataType
 from .context import build_theory, alias_constraints
 from .properties import column_equivalent
 
@@ -37,6 +45,7 @@ __all__ = [
     "collect_aliases",
     "NameResolver",
     "push_filters",
+    "Fact",
     "DateRewrite",
     "apply_date_rewrite",
 ]
@@ -149,6 +158,60 @@ def _rebuild(node: LogicalNode, children: List[LogicalNode]) -> LogicalNode:
 
 
 # ----------------------------------------------------------------------
+# The data facts a rewrite relies on
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Fact:
+    """One data fact a fired rewrite relied on, with the tables it reads.
+
+    ``kind`` is ``"fk"`` (``key`` = the ``verified_foreign_key``
+    arguments: child table, child columns, parent table, parent columns),
+    ``"unique"`` (``key`` = the table and its key columns) or
+    ``"date-range"`` (``key`` = the dimension and the surrogate range its
+    qualifying rows filled, ``None`` bounds when none qualified).  A cached
+    plan re-checks a fact only when one of its ``tables`` changed size:
+    an FK through its maintained verdict, any other kind by re-planning.
+    """
+
+    kind: str
+    tables: Tuple[str, ...]
+    key: tuple
+
+    def describe(self) -> str:
+        if self.kind == "fk":
+            child, child_columns, parent, parent_columns = self.key
+            return (
+                f"foreign key {child}({', '.join(child_columns)}) -> "
+                f"{parent}({', '.join(parent_columns)})"
+            )
+        if self.kind == "unique":
+            table, columns = self.key
+            return f"unique key {table}({', '.join(columns)})"
+        table, low, high = self.key
+        if low is None:
+            return f"no row of {table} in the natural range"
+        return f"{table} surrogates {low}..{high} distinct and contiguous"
+
+
+def _key_unique(table, bare_columns: Sequence[str]) -> bool:
+    """Data-verified uniqueness of a column set (one O(n) pass).
+
+    The FD proof (``is_superkey``) guarantees rows agreeing on the key
+    agree on *everything* — which duplicate rows satisfy trivially — so
+    the rules that treat a key as match-exactly-once re-verify genuine
+    uniqueness first.
+    """
+    positions = [table.schema.position(c) for c in bare_columns]
+    seen: Set[tuple] = set()
+    for row in table.rows:
+        key = tuple(row[p] for p in positions)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+# ----------------------------------------------------------------------
 # The Section 2.3 date rewrite
 # ----------------------------------------------------------------------
 @dataclass
@@ -164,13 +227,16 @@ class DateRewrite:
     high: object
     surrogate_low: object
     surrogate_high: object
+    #: The facts that make the surrogate range exact (see :class:`Fact`).
+    facts: Tuple[Fact, ...] = ()
 
     def describe(self) -> str:
         return (
             f"eliminated join with {self.dim_table} AS {self.dim_alias}: "
             f"{self.natural_column} in [{self.low} .. {self.high}] became "
             f"{self.fact_column} BETWEEN {self.surrogate_low} AND "
-            f"{self.surrogate_high} (two probes)"
+            f"{self.surrogate_high} (two probes; "
+            f"{'; '.join(fact.describe() for fact in self.facts)})"
         )
 
 
@@ -372,19 +438,54 @@ def _try_eliminate(
     ]
     fact_column = fact_cols[0]
     if not qualifying:
-        predicate: Expr = Lit(False)
-        record = DateRewrite(
+        nothing = Fact("date-range", (dim_table,), (dim_table, None, None))
+        return LogicalFilter(fact_node, Lit(False)), DateRewrite(
             dim_alias, dim_table, natural, surrogate, fact_column,
-            low, high, None, None,
+            low, high, None, None, (nothing,),
         )
-    else:
-        sk_low, sk_high = min(qualifying), max(qualifying)
-        predicate = Between(Col(fact_column), Lit(sk_low), Lit(sk_high))
-        record = DateRewrite(
-            dim_alias, dim_table, natural, surrogate, fact_column,
-            low, high, sk_low, sk_high,
-        )
+    sk_low, sk_high = min(qualifying), max(qualifying)
+    facts = _exact_range_facts(
+        database, table, surrogate, fact_column, resolver, qualifying, sk_low, sk_high
+    )
+    if facts is None:
+        return None
+    predicate = Between(Col(fact_column), Lit(sk_low), Lit(sk_high))
+    record = DateRewrite(
+        dim_alias, dim_table, natural, surrogate, fact_column,
+        low, high, sk_low, sk_high, facts,
+    )
     return LogicalFilter(fact_node, predicate), record
+
+
+def _exact_range_facts(
+    database, table, surrogate, fact_column, resolver, qualifying, sk_low, sk_high
+) -> Optional[Tuple[Fact, ...]]:
+    """The facts that make ``fact_column BETWEEN sk_low AND sk_high`` match
+    exactly the fact rows the join would, or ``None`` (keep the join).
+
+    Under ``[sk] ↔ [D]`` a row with a qualifying surrogate qualifies, so
+    distinct integer surrogates that fill the range leave each fact key in
+    it exactly one dimension row.  Failing that, a verified FK from the
+    fact column to a data-unique surrogate does: every fact key then has
+    one dimension row, and any key between two qualifying ones qualifies.
+    """
+    if (
+        table.schema.dtype_of(surrogate) is DataType.INT
+        and len(qualifying) == sk_high - sk_low + 1 == len(set(qualifying))
+    ):
+        return (Fact("date-range", (table.name,), (table.name, sk_low, sk_high)),)
+    try:
+        fact_table = resolver.aliases[resolver.alias_of(fact_column)]
+        fact_bare = resolver.bare(fact_column)
+    except (KeyError, ValueError):
+        return None
+    fk = (fact_table, (fact_bare,), table.name, (surrogate,))
+    if not database.verified_foreign_key(*fk) or not _key_unique(table, [surrogate]):
+        return None
+    return (
+        Fact("fk", (fact_table, table.name), fk),
+        Fact("unique", (table.name,), (table.name, (surrogate,))),
+    )
 
 
 def _count_dim_references(

@@ -70,6 +70,31 @@ class TestTable:
         assert len(table.rows) == 3
         assert db.execute(sql).rows == [(1, 10), (2, 20), (3, 30)]
 
+    def test_mistyped_row_rejects_the_whole_load(self):
+        """Regression: the rows before a mistyped one used to stay behind,
+        never checked against the declared OD."""
+        import sqlite3
+
+        from repro.engine.database import Database
+        from repro.engine.types import TypeError_
+
+        db = Database()
+        table = db.create_table(
+            "t", Schema.of(("a", DataType.INT), ("b", DataType.INT))
+        )
+        table.load([(1, 10), (2, 20), (3, 30)])
+        db.declare("t", od("a", "b"))
+        db.create_index("t_a", "t", ["a"], clustered=True)
+        sql = "SELECT a, b FROM t ORDER BY b"
+        before = list(table.rows)
+        with pytest.raises(TypeError_):
+            table.load([(4, 5), (5, "x")])
+        assert table.rows == before
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", table.rows)
+        assert db.execute(sql).rows == conn.execute(sql).fetchall()
+
     def test_load_after_a_rejected_one_is_still_validated(self):
         table = make_table([(1, 10), (3, 30)])
         table.declare(od("a", "b"))

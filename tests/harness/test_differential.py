@@ -592,22 +592,52 @@ def test_datedim_no_stale_plan_after_declare(date_db):
 
 
 def test_tpcds_no_stale_plan_after_data_load(tpcds):
-    """Data changes invalidate too: the rewrite bakes surrogate bounds
-    read from date_dim rows into the plan."""
+    """A fact append keeps the cached date-rewrite plan — its surrogate
+    bounds were read from date_dim, which did not change — and the served
+    plan's answer includes the new row.  A date_dim append breaks the
+    recorded fact: the plan is dropped and re-planned."""
+    from repro.engine.epoch import bump_epoch
+    from repro.workloads.datedim import generate_date_dim
+
+    database = tpcds.database
     lo, hi = tpcds.date_range(30, 45)
     sql = dict(DATE_QUERIES)["Q1"].format(lo=lo, hi=hi)
-    fact = tpcds.database.table("store_sales")
-
-    def mutate():
+    fact = database.table("store_sales")
+    dim = database.table("date_dim")
+    before = database.plan(sql)
+    assert before.plan_info.date_rewrites and before.plan_info.facts
+    old_total = database.execute(sql).rows[0][0]
+    counters = database.plan_cache_stats()
+    fact_rows, dim_rows = len(fact.rows), len(dim.rows)
+    try:
         fact.insert((tpcds.sk_base + 31, 1, 1, 1, 1, 9.99, 1.0))
+        served = database.execute(sql)
+        assert served.plan is before
+        assert served.plan.plan_info.cache_state == "hit"
+        fresh = database.execute(sql, use_cache=False)
+        assert served.rows[0][0] == pytest.approx(fresh.rows[0][0])
+        assert served.rows[0][0] == pytest.approx(old_total + 9.99)
+        after = database.plan_cache_stats()
+        for reason in ("stale_invalidations", "fact_invalidations", "growth_replans"):
+            assert after[reason] == counters[reason], reason
 
-    assert_no_stale_serving(tpcds.database, sql, mutate)
-    # Restore the fixture's data — through the epoch, like any mutation,
-    # so no plan cached against the inserted row can outlive it.
-    from repro.engine.epoch import bump_epoch
-
-    fact.rows.pop()
-    bump_epoch("test-restore")
+        next_day = generate_date_dim(
+            tpcds.start, tpcds.days + 1, tpcds.sk_base
+        ).rows[-1]
+        dim.load([next_day])
+        replanned = database.execute(sql)
+        assert replanned.plan is not before
+        assert replanned.plan.plan_info.cache_state == "miss"
+        assert database.plan_cache_stats()["fact_invalidations"] == (
+            counters["fact_invalidations"] + 1
+        )
+        assert replanned.rows[0][0] == pytest.approx(fresh.rows[0][0])
+    finally:
+        # Restore the fixture's data through a catalog bump, so no plan
+        # cached against the appended rows can outlive them.
+        del fact.rows[fact_rows:]
+        del dim.rows[dim_rows:]
+        bump_epoch("test-restore")
 
 
 def test_random_no_stale_plan_after_table():

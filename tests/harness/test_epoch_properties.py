@@ -1,16 +1,20 @@
-"""Property tests (seeded) for the catalog-epoch invalidation contract.
+"""Property tests (seeded) for the epoch invalidation contract.
 
 Random sequences of catalog/constraint/data mutations are applied to a
 live database while a query template is planned between every step.  The
 invariants, for every seed and every mutation order:
 
-* **every** mutation strictly bumps the global epoch;
-* a query planned after a mutation is never answered with a plan object
-  built before it (no stale serving, ever);
+* **every** mutation strictly bumps the global epoch, and every catalog
+  mutation the catalog epoch; an insert leaves the catalog epoch alone;
+* a query planned after a catalog mutation is never answered with a plan
+  object built before it;
+* after an insert the cached plan is served until its table has grown by
+  more than ``REPLAN_GROWTH``, then re-planned — and either way its
+  answer equals a fresh ``use_cache=False`` plan's, in order;
 * re-planning with no intervening mutation *is* answered from cache;
-* `build_theory` interning does *not* follow that clock: a mutation that
-  leaves the constraints alone re-plans without deciding any goal twice,
-  and one that adds a constraint plans against the new statements.
+* `build_theory` interning does *not* follow the epochs: a mutation that
+  leaves the constraints alone plans afresh without deciding any goal
+  twice, and one that adds a constraint plans against the new statements.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import pytest
 
 from repro.core.dependency import fd, od
 from repro.engine.database import Database
-from repro.engine.epoch import current_epoch, epoch_log
+from repro.engine.epoch import catalog_epoch, current_epoch, epoch_log
 from repro.engine.schema import Schema
 from repro.engine.types import DataType
 from repro.optimizer.context import (
@@ -28,6 +32,7 @@ from repro.optimizer.context import (
     build_theory,
     clear_theory_cache,
 )
+from repro.optimizer.plan_cache import REPLAN_GROWTH
 
 SQL = "SELECT a, b FROM t ORDER BY a, b"
 
@@ -67,6 +72,17 @@ def _mutations(database: Database, rng: random.Random, counter: list):
     return [create_table, create_index, declare_constraint, insert_row]
 
 
+def _assert_answers_fresh(database: Database) -> None:
+    served = database.execute(SQL)
+    assert served.rows == database.execute(SQL, use_cache=False).rows
+    assert served.rows == sorted(served.rows)
+
+
+def _replan_due(plan, database: Database) -> bool:
+    planned = plan.plan_info.planned_rows["t"]
+    return len(database.table("t").rows) > planned * (1 + REPLAN_GROWTH)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_random_mutations_always_bump_epoch_and_invalidate(seed):
     rng = random.Random(seed)
@@ -79,19 +95,37 @@ def test_random_mutations_always_bump_epoch_and_invalidate(seed):
 
     for step in range(12):
         mutation = rng.choice(pool)
-        epoch_before = current_epoch()
+        epoch_before, catalog_before = current_epoch(), catalog_epoch()
+        counters = database.plan_cache_stats()
         mutation()
         assert current_epoch() > epoch_before, (
             f"seed {seed} step {step}: {mutation.__name__} did not bump"
         )
         fresh = database.plan(SQL)
-        assert fresh is not previous_plan, (
-            f"seed {seed} step {step}: pre-mutation plan served after "
-            f"{mutation.__name__}"
-        )
-        assert fresh.plan_info.cache_state == "miss"
-        assert fresh.plan_info.epoch == current_epoch()
-        # and the re-plan with no further mutation hits the new entry
+        after = database.plan_cache_stats()
+        if mutation.__name__ == "insert_row":
+            assert catalog_epoch() == catalog_before
+            assert after["stale_invalidations"] == counters["stale_invalidations"]
+            if _replan_due(previous_plan, database):
+                assert fresh is not previous_plan
+                assert fresh.plan_info.cache_state == "miss"
+                assert after["growth_replans"] == counters["growth_replans"] + 1
+            else:
+                assert fresh is previous_plan, (
+                    f"seed {seed} step {step}: insert re-planned"
+                )
+                assert fresh.plan_info.cache_state == "hit"
+        else:
+            assert catalog_epoch() > catalog_before
+            assert fresh is not previous_plan, (
+                f"seed {seed} step {step}: pre-mutation plan served after "
+                f"{mutation.__name__}"
+            )
+            assert fresh.plan_info.cache_state == "miss"
+            assert after["stale_invalidations"] == counters["stale_invalidations"] + 1
+        assert fresh.plan_info.epoch == catalog_epoch()
+        _assert_answers_fresh(database)
+        # and the re-plan with no further mutation hits the entry
         assert database.plan(SQL) is fresh
         previous_plan = fresh
 
@@ -134,16 +168,24 @@ class TestTheoryInterningAcrossMutations:
             mutation = rng.choice(pool)
             mutation()
             plan = database.plan(SQL)
-            assert plan is not previous_plan, (
-                f"seed {seed} step {step}: stale plan after {mutation.__name__}"
-            )
-            oracle = plan.plan_info.oracle
+            if mutation.__name__ == "insert_row" and not _replan_due(
+                previous_plan, database
+            ):
+                assert plan is previous_plan, (
+                    f"seed {seed} step {step}: insert re-planned"
+                )
+            else:
+                assert plan is not previous_plan, (
+                    f"seed {seed} step {step}: stale plan after {mutation.__name__}"
+                )
+            _assert_answers_fresh(database)
             if mutation.__name__ in ("create_table", "insert_row"):
-                # Same statements, same goals: every answer is memoised.
+                # Same statements, same goals: planning afresh finds every
+                # answer memoised.
+                oracle = database.plan(SQL, use_cache=False).plan_info.oracle
                 assert oracle["implies_calls"] > 0
                 assert oracle["cache_misses"] == 0, mutation.__name__
                 assert oracle["enumerations"] == 0, mutation.__name__
-                assert plan.plan_info.oracle_hit_rate == 1.0
             elif mutation.__name__ == "declare_constraint":
                 theory = build_theory(alias_constraints(database, "t", "t"))
                 assert theory.implies(fd("t.a", "t.b,t.c"))

@@ -89,8 +89,10 @@ class TestInterning:
         assert build_theory(statements) is build_theory(statements)
 
     def test_insert_keeps_theory_and_its_verdicts(self):
-        """After an insert the same statements give the same theory, and
-        re-planning the same query asks the oracle nothing new."""
+        """After an insert the same statements give the same theory: the
+        cached plan is served with no oracle work at all, and planning the
+        same query afresh asks the oracle nothing new — both answering
+        with the inserted row."""
         from repro.optimizer.context import clear_theory_cache
 
         clear_theory_cache()
@@ -102,11 +104,15 @@ class TestInterning:
         assert first.oracle["enumerations"] > 0
         db.table("t").insert((20, 10))
         assert build_theory(alias_constraints(db, "t", "t")) is theory
-        second = db.plan(sql).plan_info
-        assert second is not first and second.cache_state == "miss"
+        served = db.execute(sql)
+        assert served.plan.plan_info is first and first.cache_state == "hit"
+        fresh = db.execute(sql, use_cache=False)
+        second = fresh.plan.plan_info
+        assert second is not first and second.cache_state == "bypass"
         assert second.oracle["cache_misses"] == 0
         assert second.oracle["enumerations"] == 0
         assert second.oracle_hit_rate == 1.0
+        assert served.rows == fresh.rows and served.rows[-1] == (20, 10)
 
     def test_declare_changes_the_next_plans_verdict(self):
         """A goal the new constraint implies flips from refuted to implied

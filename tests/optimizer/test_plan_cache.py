@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dependency import od
+from repro.core.dependency import fd, od
 from repro.engine.database import Database
-from repro.engine.epoch import bump_epoch, current_epoch
+from repro.engine.epoch import bump_epoch, catalog_epoch, current_epoch
 from repro.engine.options import ExecOptions
 from repro.engine.schema import Schema
 from repro.engine.types import DataType
@@ -263,10 +263,121 @@ class TestDatabaseIntegration:
         assert len(database._logical_memo) == database._LOGICAL_MEMO_SIZE
 
     def test_epoch_stamp_recorded_on_plan_info(self):
+        """Plans are stamped with the catalog epoch: a catalog bump
+        re-plans, an insert advances only the data epoch and is served
+        from the stamped plan with the new row in its answer."""
         database = _db()
-        plan = database.plan("SELECT a FROM t")
-        assert plan.plan_info.epoch == current_epoch()
+        sql = "SELECT a FROM t"
+        plan = database.plan(sql)
+        assert plan.plan_info.epoch == catalog_epoch()
         bump_epoch("test")
-        replanned = database.plan("SELECT a FROM t")
+        replanned = database.plan(sql)
         assert replanned is not plan
-        assert replanned.plan_info.epoch == current_epoch()
+        assert replanned.plan_info.epoch == catalog_epoch()
+        before = current_epoch(), catalog_epoch()
+        database.table("t").insert((20, 60, 1))
+        assert current_epoch() > before[0] and catalog_epoch() == before[1]
+        served = database.execute(sql)
+        assert served.plan is replanned
+        assert sorted(served.rows) == sorted(database.execute(sql, use_cache=False).rows)
+        assert (20,) in served.rows
+
+
+# ----------------------------------------------------------------------
+# Why a plan was kept or dropped after a write
+# ----------------------------------------------------------------------
+REASONS = ("stale_invalidations", "fact_invalidations", "growth_replans")
+FK_SQL = "SELECT f.x FROM fact f JOIN dim d ON f.fk = d.k"
+
+
+def _fk_db() -> Database:
+    """A fact whose join to ``dim`` FD join elimination removes."""
+    database = Database("pcfk")
+    dim = database.create_table("dim", Schema.of(("k", DataType.INT), ("v", DataType.INT)))
+    dim.load([(i, i % 3) for i in range(10)])
+    database.declare("dim", fd("k", "v"))
+    fact = database.create_table("fact", Schema.of(("fk", DataType.INT), ("x", DataType.INT)))
+    fact.load([(i % 10, i) for i in range(50)])
+    database.declare_foreign_key("fact", ["fk"], "dim", ["k"])
+    return database
+
+
+class TestReplanReasons:
+    def moved(self, database, before):
+        after = database.plan_cache_stats()
+        return {reason for reason in REASONS if after[reason] != before[reason]}
+
+    def assert_fresh_answer(self, database, sql):
+        served = database.execute(sql)
+        assert sorted(served.rows) == sorted(database.execute(sql, use_cache=False).rows)
+        return served
+
+    def test_valid_append_is_served_and_rechecks_the_fk(self):
+        database = _fk_db()
+        plan = database.plan(FK_SQL)
+        assert [r.rule for r in plan.plan_info.rewrites] == ["join-elimination"]
+        before = database.plan_cache_stats()
+        database.table("fact").insert((3, 50))
+        served = self.assert_fresh_answer(database, FK_SQL)
+        assert served.plan is plan and (50,) in served.rows
+        assert self.moved(database, before) == set()
+
+    def test_orphan_moves_fact_invalidations_only(self):
+        database = _fk_db()
+        plan = database.plan(FK_SQL)
+        before = database.plan_cache_stats()
+        database.table("fact").insert((99, 50))
+        served = self.assert_fresh_answer(database, FK_SQL)
+        assert served.plan is not plan and (50,) not in served.rows
+        assert served.plan.plan_info.rewrites == []
+        assert self.moved(database, before) == {"fact_invalidations"}
+
+    def test_growth_past_the_fraction_moves_growth_replans_only(self):
+        from repro.optimizer.plan_cache import REPLAN_GROWTH
+
+        database = _db()
+        sql = "SELECT a FROM t WHERE a >= 3"
+        plan = database.plan(sql)
+        table = database.table("t")
+        within = int(len(table.rows) * REPLAN_GROWTH)
+        before = database.plan_cache_stats()
+        table.load([(100 + i, 300 + 3 * i, 0) for i in range(within)])
+        assert self.assert_fresh_answer(database, sql).plan is plan
+        table.insert((200, 600, 0))
+        served = self.assert_fresh_answer(database, sql)
+        assert served.plan is not plan and (200,) in served.rows
+        assert self.moved(database, before) == {"growth_replans"}
+
+    def test_shrink_moves_growth_replans_only(self):
+        database = _db()
+        sql = "SELECT a FROM t"
+        plan = database.plan(sql)
+        before = database.plan_cache_stats()
+        database.table("t").rows.pop()
+        served = self.assert_fresh_answer(database, sql)
+        assert served.plan is not plan and len(served.rows) == 19
+        assert self.moved(database, before) == {"growth_replans"}
+
+    def test_catalog_change_moves_stale_invalidations_only(self):
+        database = _fk_db()
+        plan = database.plan(FK_SQL)
+        before = database.plan_cache_stats()
+        database.create_table("other", Schema.of(("z", DataType.INT)))
+        served = self.assert_fresh_answer(database, FK_SQL)
+        assert served.plan is not plan
+        assert self.moved(database, before) == {"stale_invalidations"}
+
+    def test_snapshot_carries_the_counters(self):
+        snapshot = _fk_db().stats_snapshot()
+        for reason in REASONS:
+            assert snapshot["plan_cache"][reason] == 0
+
+    def test_explain_prints_planned_rows_and_facts(self):
+        database = _fk_db()
+        planned = database.explain(FK_SQL, verbose=True)
+        assert "planned on rows: dim 10, fact 50\n" in planned
+        assert "relies on: foreign key fact(fk) -> dim(k)" in planned
+        assert "relies on: unique key dim(k)" in planned
+        database.table("fact").insert((3, 50))
+        served = database.explain(FK_SQL, verbose=True)
+        assert "planned on rows: dim 10, fact 50 (now 51)" in served

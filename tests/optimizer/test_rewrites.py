@@ -212,3 +212,88 @@ class TestDateRewrite:
             "GROUP BY ss_store_sk ORDER BY ss_store_sk"
         )
         assert db.execute(sql, optimize=False).rows == db.execute(sql, optimize=True).rows
+
+
+class TestDateRewriteExactness:
+    """The surrogate range replaces the join only when each fact key in it
+    matches exactly one qualifying dimension row."""
+
+    BASE = datetime.date(2020, 1, 1)
+
+    def build(self, sks, fact_sks=range(1, 11), foreign_key=False):
+        from repro.core.dependency import equiv
+        from repro.engine.database import Database
+        from repro.engine.schema import Schema
+        from repro.engine.types import DataType
+
+        db = Database("exact")
+        dim = db.create_table(
+            "date_dim", Schema.of(("d_date_sk", DataType.INT), ("d_date", DataType.DATE))
+        )
+        dim.load([(sk, self.BASE + datetime.timedelta(days=sk)) for sk in sks])
+        db.declare("date_dim", equiv("d_date_sk", "d_date"))
+        sales = db.create_table(
+            "sales", Schema.of(("f_date_sk", DataType.INT), ("qty", DataType.INT))
+        )
+        sales.load([(sk, 1) for sk in fact_sks])
+        if foreign_key:
+            db.declare_foreign_key("sales", ["f_date_sk"], "date_dim", ["d_date_sk"])
+        return db
+
+    def sql(self):
+        lo = self.BASE + datetime.timedelta(days=3)
+        hi = self.BASE + datetime.timedelta(days=7)
+        return (
+            "SELECT SUM(f.qty) AS q FROM sales f "
+            "JOIN date_dim d ON f.f_date_sk = d.d_date_sk "
+            f"WHERE d.d_date BETWEEN DATE '{lo}' AND DATE '{hi}'"
+        )
+
+    def sqlite_answer(self, db):
+        import sqlite3
+
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE date_dim (d_date_sk INTEGER, d_date TEXT)")
+        conn.execute("CREATE TABLE sales (f_date_sk INTEGER, qty INTEGER)")
+        conn.executemany(
+            "INSERT INTO date_dim VALUES (?, ?)",
+            [(sk, d.isoformat()) for sk, d in db.table("date_dim").rows],
+        )
+        conn.executemany("INSERT INTO sales VALUES (?, ?)", db.table("sales").rows)
+        return conn.execute(self.sql().replace("DATE '", "'")).fetchall()
+
+    def test_fact_orphan_in_a_gap_keeps_the_join(self):
+        db = self.build([sk for sk in range(1, 11) if sk != 5])
+        sql = self.sql()
+        assert db.execute(sql).rows == [(4,)] == self.sqlite_answer(db)
+        assert db.execute(sql, optimize=False).rows == [(4,)]
+        assert db.plan(sql).plan_info.date_rewrites == []
+        assert "Join" in db.explain(sql)
+
+    def test_duplicate_dimension_key_keeps_the_join(self):
+        db = self.build(sorted(list(range(1, 11)) + [4]))
+        sql = self.sql()
+        assert db.execute(sql).rows == [(6,)] == self.sqlite_answer(db)
+        assert db.execute(sql, optimize=False).rows == [(6,)]
+        assert db.plan(sql).plan_info.date_rewrites == []
+        assert "Join" in db.explain(sql)
+
+    def test_contiguous_range_records_its_fact(self):
+        db = self.build(range(1, 11))
+        sql = self.sql()
+        (record,) = db.plan(sql).plan_info.date_rewrites
+        (fact,) = record.facts
+        assert (fact.kind, fact.tables, fact.key) == (
+            "date-range", ("date_dim",), ("date_dim", 3, 7)
+        )
+        assert db.execute(sql).rows == [(5,)] == self.sqlite_answer(db)
+
+    def test_gap_behind_a_verified_foreign_key_rewrites(self):
+        """No fact row can sit in the gap, so the range is exact."""
+        sks = [sk for sk in range(1, 11) if sk != 5]
+        db = self.build(sks, fact_sks=sks, foreign_key=True)
+        sql = self.sql()
+        (record,) = db.plan(sql).plan_info.date_rewrites
+        assert [fact.kind for fact in record.facts] == ["fk", "unique"]
+        assert "foreign key sales(f_date_sk) -> date_dim(d_date_sk)" in record.describe()
+        assert db.execute(sql).rows == [(4,)] == self.sqlite_answer(db)
