@@ -25,6 +25,18 @@ component:
   preserves every OD, and the all-zero vector satisfies everything, so
   until the first non-zero sign only ``0`` and ``+1`` are tried.
 
+A cold decision redoes only the work that depends on its goal.  The first
+search of a theory builds its **component index** once: a union-find over
+premise attributes, mapping each attribute to its component and each
+component to its premises (in premise order), each premise normalized to a
+pair of name tuples — reflexive and repeated premises are never checked.
+The goal's component is then a lookup, not a fixed point over the premises.
+Premises and goals are compiled against the goal's position order to
+``(lhs_positions, rhs_positions)`` pairs, and the DFS checks premises
+**inline**: a premise fails iff its rhs's first non-zero sign is non-zero
+and differs from its lhs's (:func:`repro.core.signs.violates`, without the
+call).
+
 Schema-scale problems (≤ 16 or so attributes) decide in well under a second;
 ``stats()["nodes"]`` counts the sign assignments tried, a cost that does not
 depend on the host.
@@ -66,7 +78,7 @@ from .dependency import (
     to_ods,
 )
 from .relation import Relation
-from .signs import CompiledOD, materialize
+from .signs import compile_od, materialize, violates
 
 __all__ = [
     "ODTheory",
@@ -118,6 +130,11 @@ class _LRUCache:
         return len(self._data)
 
 
+def _normalized(dependency: OrderDependency) -> Tuple[tuple, tuple]:
+    """Both sides as name tuples, repeats dropped (the Normalization axiom)."""
+    return tuple(dict.fromkeys(dependency.lhs)), tuple(dict.fromkeys(dependency.rhs))
+
+
 class TooManyAttributes(RuntimeError):
     """Raised when an implication problem exceeds the enumeration budget."""
 
@@ -153,6 +170,8 @@ class ODTheory:
         #: attributes proven constant ([] ↦ [A]) by earlier queries; lets
         #: the constant fast path reduce goals without touching the oracle.
         self._known_constants: set = set()
+        #: :meth:`_component_index`, built by the first search.
+        self._components: Optional[tuple] = None
         self._counters: Dict[str, int] = {
             "implies_calls": 0,
             "fast_path": 0,
@@ -212,37 +231,71 @@ class ODTheory:
     def _attribute_order(self, extra: frozenset) -> tuple:
         return tuple(sorted(self._universe | extra))
 
+    def _component_index(self) -> tuple:
+        """The theory's attribute components, built on the first search.
+
+        A union-find over premise attributes (quick-find: every attribute
+        maps to its component's attribute set, and a premise merges the
+        sets of the attributes it mentions).  Returns ``(component_of,
+        premises, compiled)``:
+
+        * ``component_of`` maps each premise attribute to its component;
+        * ``premises[c]`` is the indices, in ``self.ods`` order, of the
+          premises that mention some attribute of component ``c``;
+        * ``compiled[i]`` is premise ``i`` as a ``(lhs, rhs)`` pair of
+          normalized name tuples, or ``None`` when it never needs checking:
+          its normalized rhs prefixes its lhs, so it holds on every sign
+          vector (Reflexivity) and only joins components, or an earlier
+          premise has the same normalized sides.
+        """
+        if self._components is not None:
+            return self._components
+        normalized = [_normalized(dependency) for dependency in self.ods]
+        component_of: Dict[str, frozenset] = {}
+        for lhs, rhs in normalized:
+            merged = frozenset(lhs + rhs).union(
+                *(component_of.get(name, ()) for name in lhs + rhs)
+            )
+            for name in merged:
+                component_of[name] = merged
+        premises: Dict[frozenset, list] = {}
+        compiled: list = []
+        seen = set()
+        for i, premise in enumerate(normalized):
+            lhs, rhs = premise
+            if lhs or rhs:
+                premises.setdefault(component_of[(lhs + rhs)[0]], []).append(i)
+            if lhs[: len(rhs)] == rhs or premise in seen:
+                compiled.append(None)
+            else:
+                seen.add(premise)
+                compiled.append(premise)
+        self._components = (
+            component_of,
+            {component: tuple(indices) for component, indices in premises.items()},
+            tuple(compiled),
+        )
+        return self._components
+
     def _relevant_premises(self, goal_attrs: frozenset) -> tuple:
-        """Premises in the attribute-connected component of the goal.
+        """The goal's connected component and the indices, in ``self.ods``
+        order, of the premises inside it.
 
         Sound *and* complete filtering: a two-row model over the component
         extends to a full model by zeroing every other attribute (all-equal
         signs satisfy any OD), so disconnected premises can never block a
         counterexample.  This keeps implication queries exponential only in
-        the *relevant* attribute count, not the schema width.
+        the *relevant* attribute count, not the schema width.  The component
+        is the goal's attributes plus every premise component one of them
+        belongs to — a lookup in :meth:`_component_index`, equal to closing
+        the goal's attributes under "shares an attribute with a premise".
         """
-        component = set(goal_attrs)
-        remaining = list(self.ods)
-        changed = True
-        while changed:
-            changed = False
-            still = []
-            for dependency in remaining:
-                attrs = dependency.attributes
-                if attrs & component:
-                    component |= attrs
-                    changed = True
-                elif not attrs:
-                    continue  # trivially true, never constrains anything
-                else:
-                    still.append(dependency)
-            remaining = still
-        used = tuple(
-            dependency
-            for dependency in self.ods
-            if dependency.attributes and dependency.attributes <= component
-        )
-        return frozenset(component), used
+        component_of, premises, _ = self._component_index()
+        touched = {component_of[a] for a in goal_attrs if a in component_of}
+        component = frozenset(goal_attrs).union(*touched)
+        if len(touched) == 1:
+            return component, premises[next(iter(touched))]
+        return component, tuple(sorted(i for c in touched for i in premises[c]))
 
     @staticmethod
     def _canonical_goals(statement: Statement) -> Tuple[tuple, ...]:
@@ -256,11 +309,9 @@ class ODTheory:
         """
         goals = set()
         for dependency in to_ods(statement):
-            lhs = dependency.lhs.normalized()
-            rhs = dependency.rhs.normalized()
-            if rhs.is_prefix_of(lhs):
-                continue
-            goals.add((tuple(lhs), tuple(rhs)))
+            lhs, rhs = _normalized(dependency)
+            if lhs[: len(rhs)] != rhs:
+                goals.add((lhs, rhs))
         return tuple(sorted(goals))
 
     def _constant_reduced_trivial(self, goals: Tuple[tuple, ...]) -> bool:
@@ -333,18 +384,15 @@ class ODTheory:
                 f"({self.max_attributes}); raise max_attributes explicitly"
             )
         index = {name: i for i, name in enumerate(names)}
-        goals_compiled = tuple(
-            CompiledOD(OrderDependency(AttrList(lhs), AttrList(rhs)), index)
-            for lhs, rhs in goals
-        )
+        targets = tuple(compile_od(lhs, rhs, index) for lhs, rhs in goals)
         # Bucket each premise at its trigger position, so the DFS checks it
         # exactly once per partial assignment.
-        buckets: List[List[CompiledOD]] = [[] for _ in names]
-        for dependency in used:
-            compiled = CompiledOD(dependency, index)
-            buckets[max(compiled.lhs_positions + compiled.rhs_positions)].append(
-                compiled
-            )
+        compiled = self._component_index()[2]
+        buckets: List[list] = [[] for _ in names]
+        for i in used:
+            if compiled[i] is not None:
+                lhs, rhs = check = compile_od(*compiled[i], index)
+                buckets[max(lhs + rhs)].append(check)
 
         decided = len(goal_names) - 1
         last = len(names) - 1
@@ -357,12 +405,26 @@ class ODTheory:
             for value in values:
                 nodes += 1
                 signs[position] = value
-                for premise in checks:
-                    if not premise.holds(signs):
-                        break
+                # ``violates`` inline: a premise fails iff its rhs's first
+                # non-zero sign is non-zero and differs from its lhs's.
+                for lhs, rhs in checks:
+                    for p in rhs:
+                        r = signs[p]
+                        if r:
+                            break
+                    else:
+                        continue  # rhs all equal: holds
+                    for p in lhs:
+                        l = signs[p]
+                        if l:
+                            break
+                    else:
+                        break  # lhs all equal, rhs not: fails
+                    if l != r:
+                        break  # opposite signs: fails
                 else:  # every premise triggered at this position holds
-                    if position == decided and all(
-                        goal.holds(signs) for goal in goals_compiled
+                    if position == decided and not any(
+                        violates(signs, goal) for goal in targets
                     ):
                         continue  # no extension can refute these goals
                     if position == last:
@@ -476,9 +538,9 @@ class ODTheory:
                 f"{len(names)} attributes exceed the enumeration budget"
             )
         index = {name: i for i, name in enumerate(names)}
-        premises = tuple(CompiledOD(dep, index) for dep in self.ods)
+        premises = tuple(compile_od(dep.lhs, dep.rhs, index) for dep in self.ods)
         for combo in itertools.product((-1, 0, 1), repeat=len(names)):
-            if all(compiled.holds(combo) for compiled in premises):
+            if not any(violates(combo, premise) for premise in premises):
                 yield dict(zip(names, combo))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

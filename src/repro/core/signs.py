@@ -23,7 +23,7 @@ the problem's known coNP-hardness while staying fast at schema scale.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, Mapping, Sequence
+from typing import Dict, Iterator, Mapping, Sequence
 
 from .attrs import AttrList, attrlist
 from .dependency import OrderDependency, Statement, to_ods
@@ -37,7 +37,8 @@ __all__ = [
     "enumerate_sign_vectors",
     "materialize",
     "sign_vector_of_pair",
-    "CompiledOD",
+    "compile_od",
+    "violates",
 ]
 
 #: A sign vector: attribute name -> -1, 0, or +1.
@@ -114,46 +115,31 @@ def sign_vector_of_pair(relation: Relation, s, t) -> Dict[str, int]:
     return out
 
 
-class CompiledOD:
-    """An OD pre-resolved to integer positions for tight inner loops.
-
-    The implication oracle evaluates thousands to millions of sign vectors;
-    resolving attribute names to positions once and scanning plain tuples
-    keeps that loop allocation-free.
-    """
-
-    __slots__ = ("lhs_positions", "rhs_positions", "source")
-
-    def __init__(self, dependency: OrderDependency, index: Mapping[str, int]) -> None:
-        self.lhs_positions = tuple(index[a] for a in dependency.lhs)
-        self.rhs_positions = tuple(index[a] for a in dependency.rhs)
-        self.source = dependency
-
-    def holds(self, signs: Sequence[int]) -> bool:
-        """Evaluate against a sign tuple aligned with the compile-time index."""
-        c_lhs = 0
-        for position in self.lhs_positions:
-            value = signs[position]
-            if value:
-                c_lhs = value
-                break
-        c_rhs = 0
-        for position in self.rhs_positions:
-            value = signs[position]
-            if value:
-                c_rhs = value
-                break
-        if c_lhs == 0:
-            return c_rhs == 0
-        return c_rhs == 0 or c_rhs == c_lhs
-
-
-def compile_ods(
-    statements: Iterable[Statement], index: Mapping[str, int]
+def compile_od(
+    lhs: Sequence[str], rhs: Sequence[str], index: Mapping[str, int]
 ) -> tuple:
-    """Compile every component OD of the statements against an index."""
-    compiled = []
-    for statement in statements:
-        for dependency in to_ods(statement):
-            compiled.append(CompiledOD(dependency, index))
-    return tuple(compiled)
+    """``lhs ↦ rhs`` as ``(lhs_positions, rhs_positions)`` into sign tuples
+    laid out by ``index``: the form the implication oracle checks."""
+    position = index.__getitem__
+    return tuple(map(position, lhs)), tuple(map(position, rhs))
+
+
+def violates(signs: Sequence[int], compiled: tuple) -> bool:
+    """Does the sign tuple falsify a compiled OD?
+
+    It does iff the rhs's first non-zero sign is non-zero and differs from
+    the lhs's (0 when every lhs sign is 0) — :func:`od_holds` on positions.
+    The oracle's search runs this same test inline.
+    """
+    lhs, rhs = compiled
+    for position in rhs:
+        c_rhs = signs[position]
+        if c_rhs:
+            break
+    else:
+        return False
+    for position in lhs:
+        c_lhs = signs[position]
+        if c_lhs:
+            return c_lhs != c_rhs
+    return True

@@ -449,6 +449,8 @@ class Database:
                 entry = self.plan_cache.lookup(fp, key, epoch, self)
             if entry is not None:
                 info = entry.plan.plan_info  # type: ignore[attr-defined]
+                for name in info.planned_rows:  # it trusts their facts
+                    self.tables[name].check_appended()
                 info.cache_state = "hit"
                 info.cache_serves = entry.serves
                 return entry.plan

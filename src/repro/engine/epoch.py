@@ -14,11 +14,12 @@ Every mutation is one of two kinds, and each kind has its reader:
   cached plan through the clock.  A plan records what it was planned on
   instead (the row count of every table it read, and the data facts its
   rewrites relied on) and :func:`repro.optimizer.plan_cache.replan_reason`
-  re-checks that record at lookup: a declared OD survives an append
-  because a checked ``load`` rejects a violating row (the paper's
-  Section 2.2 check constraint), and the date rewrite's surrogate range,
-  an FK verdict or a unique key are re-checked only when a table behind
-  them changed.
+  re-checks that record at lookup.  A declared OD survives an append
+  because a checked ``load`` or an ``insert`` rejects a violating row (the
+  paper's Section 2.2 check constraint) and rows appended unchecked are
+  checked before a plan is served (``Table.check_appended``); the date
+  rewrite's surrogate range, an FK verdict or a unique key are re-checked
+  only when a table behind them changed.
 
 Both kinds advance :func:`current_epoch`, which the process pool reads:
 its forked image holds every table's rows, so any mutation re-forks it.

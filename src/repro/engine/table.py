@@ -3,8 +3,10 @@
 The paper proposes declaring ODs as a new kind of *integrity constraint*
 (Section 2.2; their DB2 prototype added exactly such a check constraint).
 :class:`Table` realizes that: statements registered through
-:meth:`Table.declare` are validated on ``load`` and on demand, with
-split/swap witnesses in the error message.
+:meth:`Table.declare` are validated on ``load`` and ``insert``, on demand,
+and — for rows that joined unchecked — before a plan trusts them
+(:meth:`Table.check_appended`), with split/swap witnesses in the error
+message.
 """
 from __future__ import annotations
 
@@ -44,6 +46,10 @@ class Table:
         #: Times a constraint check only looked at the appended rows vs
         #: ran the full pass over the table.
         self.maintenance = {"extended": 0, "rebuilt": 0}
+        #: How many leading rows every declared constraint is known to hold
+        #: on; rows past it joined unchecked (``load(check=False)``, a
+        #: direct append) and :meth:`check_appended` checks them.
+        self._verified_rows = 0
 
     # ------------------------------------------------------------------
     # Data manipulation
@@ -60,11 +66,9 @@ class Table:
         )
 
     def insert(self, row: Sequence[Any]) -> None:
-        """Insert one row, validating types."""
-        self.rows.append(self._validated(row))
-        # A data mutation: it re-forks the process pool; cached plans
-        # re-check what they were planned on instead (see epoch.py).
-        bump_epoch("insert")
+        """Insert one row, validating types and declared constraints: a
+        row a constraint rejects is not kept (see :meth:`load`)."""
+        self.load((row,))
 
     def load(self, rows: Iterable[Sequence[Any]], check: bool = True) -> "Table":
         """Bulk insert; validates declared constraints afterwards.
@@ -78,8 +82,12 @@ class Table:
         before = len(self.rows)
         if validated:
             self.rows.extend(validated)
+            # A data mutation: it re-forks the process pool; cached plans
+            # re-check what they were planned on instead (see epoch.py).
             bump_epoch("insert")
-        if check and self.constraints:
+        if not self.constraints:
+            self._verified_rows = len(self.rows)
+        elif check:
             try:
                 self.check_constraints()
             except ConstraintViolation:
@@ -126,13 +134,22 @@ class Table:
     # Constraints (the paper's OD check constraints)
     # ------------------------------------------------------------------
     def declare(self, statement: Statement, check: bool = True) -> "Table":
-        """Register a dependency statement as an integrity constraint."""
+        """Register a dependency statement as an integrity constraint.
+
+        With ``check=False`` the current rows count as unchecked: the next
+        :meth:`check_constraints` (a checked load, or a plan through
+        :meth:`check_appended`) checks them all.
+        """
         for attribute in sorted(statement.attributes):
             self.schema.resolve(attribute)  # raises on unknown columns
         if check and self.rows and not satisfies(self.as_relation(), statement):
             raise ConstraintViolation(
                 f"{self.name}: {explain_violation(self.as_relation(), statement)}"
             )
+        if not check:
+            self._verified_rows = 0
+        elif not self.constraints:
+            self._verified_rows = len(self.rows)
         self.constraints.append(statement)
         bump_epoch("declare")
         return self
@@ -154,6 +171,7 @@ class Table:
                 appended = self.rows[row_count:]
                 if all(checker.admit(row) for row in appended):
                     self._checked = (constraints, len(self.rows), checker)
+                    self._verified_rows = len(self.rows)
                     if appended:
                         self.maintenance["extended"] += 1
                     return
@@ -168,6 +186,23 @@ class Table:
             len(self.rows),
             AppendChecker(relation.attributes, self.constraints, self.rows),
         )
+        self._verified_rows = len(self.rows)
+
+    def check_appended(self) -> None:
+        """Check rows that joined the table unchecked before a plan trusts
+        its declared constraints.
+
+        The optimizer removes sorts and joins on the strength of declared
+        dependencies, so rows a ``load(check=False)`` or a direct append
+        added since the last passed check go through
+        :meth:`check_constraints` first — the
+        :class:`~repro.core.satisfaction.AppendChecker` admits them one at
+        a time when that check still covers the rows before them.  A
+        violation raises :class:`ConstraintViolation` and leaves the rows
+        in place; a table with nothing unchecked costs one comparison.
+        """
+        if self.constraints and self._verified_rows != len(self.rows):
+            self.check_constraints()
 
     # ------------------------------------------------------------------
     # Bridging to the theory layer

@@ -367,9 +367,10 @@ class Planner:
         aliases = collect_aliases(logical)
         self.resolver = NameResolver(self.database, aliases)
         tables = self.database.tables
-        self.info.planned_rows = {
-            name: len(tables[name].rows) for name in set(aliases.values())
-        }
+        names = set(aliases.values())
+        for name in names:  # declared facts are trusted from here on
+            tables[name].check_appended()
+        self.info.planned_rows = {name: len(tables[name].rows) for name in names}
         # SELECT * exposes the join block's column arrangement directly,
         # so a reordered join must restore the syntactic schema; every
         # other consumer resolves columns by name (the search reads this
