@@ -7,8 +7,8 @@ check constraints, and shows both headline optimizations:
 1. Example 1 — the ``GROUP BY / ORDER BY year, quarter, month`` query whose
    sort disappears once the optimizer may use ``month ↦ quarter``;
 2. the date-dimension join elimination — a natural-date range predicate
-   translated into a surrogate-key range via two probes, removing the join
-   entirely.
+   translated into a surrogate-key range by one scan of the date
+   dimension, removing the join entirely.
 
 Run:  python examples/warehouse_dates.py
 """

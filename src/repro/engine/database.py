@@ -419,7 +419,7 @@ class Database:
 
         ``rewrites`` switches the logical rewrite pack (eager
         aggregation, scan consolidation, FD join elimination — see
-        :mod:`repro.optimizer.rewrite_pack`) ``"on"`` or ``"off"``.
+        :mod:`repro.optimizer.rewrites`) ``"on"`` or ``"off"``.
         """
         options = ExecOptions(
             optimize=optimize,

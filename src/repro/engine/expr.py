@@ -24,7 +24,7 @@ import datetime
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .schema import Schema
 
@@ -40,6 +40,7 @@ __all__ = [
     "InList",
     "Func",
     "FUNCTIONS",
+    "ordered_comparisons",
     "vectorized_kernel",
 ]
 
@@ -304,6 +305,25 @@ class Between(Expr):
             f"{self.operand.render()} BETWEEN {self.low.render()} "
             f"AND {self.high.render()}"
         )
+
+
+def ordered_comparisons(expr: Expr) -> Iterator[Tuple[str, Any]]:
+    """``(column, literal value)`` for every ordered comparison (``<``,
+    ``<=``, ``>``, ``>=``, ``BETWEEN``) of a column with a literal in
+    ``expr``'s boolean structure."""
+    if isinstance(expr, BoolOp):
+        for operand in expr.operands:
+            yield from ordered_comparisons(operand)
+    elif isinstance(expr, Not):
+        yield from ordered_comparisons(expr.operand)
+    elif isinstance(expr, Cmp) and expr.op in ("<", "<=", ">", ">="):
+        for column, literal in ((expr.left, expr.right), (expr.right, expr.left)):
+            if isinstance(column, Col) and isinstance(literal, Lit):
+                yield column.name, literal.value
+    elif isinstance(expr, Between) and isinstance(expr.operand, Col):
+        for bound in (expr.low, expr.high):
+            if isinstance(bound, Lit):
+                yield expr.operand.name, bound.value
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ Two operations matter to the paper's rewrites:
   ``GROUP BY`` (the Example 1 plan) and the fact-table side of the date
   rewrite;
 * ``probe_min`` / ``probe_max`` — the *two probes into the date dimension*
-  of Section 2.3 that translate a natural-date range into a surrogate-key
-  range.
+  Section 2.3 describes for translating a natural-date range into a
+  surrogate-key range (the date rewrite still reads that range off one
+  scan of the dimension).
 """
 from __future__ import annotations
 

@@ -24,6 +24,7 @@ __all__ = [
     "LogicalSort",
     "LogicalLimit",
     "LogicalNode",
+    "node_columns",
     "BindError",
     "bind",
 ]
@@ -80,7 +81,7 @@ class LogicalAggregate:
     group_columns: Tuple[str, ...]
     aggregates: Tuple[AggSpec, ...]
     #: True for the below-the-join stage introduced by eager aggregation
-    #: (repro.optimizer.rewrite_pack); the binder never sets it, so plan
+    #: (repro.optimizer.rewrites); the binder never sets it, so plan
     #: fingerprints (computed on bound trees) are unaffected.
     partial: bool = False
 
@@ -159,6 +160,31 @@ LogicalNode = Union[
     LogicalSort,
     LogicalLimit,
 ]
+
+
+def node_columns(node: LogicalNode) -> Optional[List[str]]:
+    """The column references ``node`` makes itself, not its children:
+    join keys, a filter's predicate columns, grouping columns and
+    aggregate arguments, projected expressions' columns and sort keys, as
+    written (possibly unqualified).  ``None`` for ``SELECT *``, which
+    references every column."""
+    if isinstance(node, LogicalJoin):
+        return [*node.left_columns, *node.right_columns]
+    if isinstance(node, LogicalFilter):
+        return [*node.predicate.columns()]
+    if isinstance(node, LogicalAggregate):
+        columns = list(node.group_columns)
+        for spec in node.aggregates:
+            if spec.expr is not None:
+                columns.extend(spec.expr.columns())
+        return columns
+    if isinstance(node, LogicalProject):
+        if node.exprs is None:
+            return None
+        return [column for expr in node.exprs for column in expr.columns()]
+    if isinstance(node, LogicalSort):
+        return list(node.keys)
+    return []
 
 
 def explain_logical(node: LogicalNode, indent: int = 0) -> str:

@@ -345,7 +345,7 @@ class PartialHashAggregate(HashAggregate):
     """A rewrite-introduced partial fold placed *below* a join (eager
     aggregation).  Execution is exactly :class:`HashAggregate` — the split
     into partial + final stages is the logical rewrite's responsibility
-    (`repro.optimizer.rewrite_pack`), which only fires for decomposable
+    (`repro.optimizer.rewrites`), which only fires for decomposable
     aggregates (COUNT/SUM/MIN/MAX) with integer-typed SUM arguments so the
     recombined results are value-identical to the unrewritten fold.  The
     subclass exists so EXPLAIN trees and tests can tell the stages apart."""

@@ -12,7 +12,7 @@ import datetime
 import enum
 from typing import Any
 
-__all__ = ["DataType", "validate_value", "coerce_literal"]
+__all__ = ["DataType", "validate_value", "coerce_literal", "orderable"]
 
 
 class DataType(enum.Enum):
@@ -36,6 +36,14 @@ class DataType(enum.Enum):
 
 class TypeError_(TypeError):
     """A value does not match its column's declared type."""
+
+
+def orderable(dtype: DataType, value: Any) -> bool:
+    """Can a column of ``dtype`` be ordered against ``value`` (``<``,
+    ``BETWEEN``)?  Any number orders against any numeric column."""
+    if dtype in (DataType.INT, DataType.FLOAT, DataType.BOOL):
+        return isinstance(value, (int, float))
+    return isinstance(value, dtype.python_types())
 
 
 def validate_value(value: Any, dtype: DataType, column: str = "?") -> Any:

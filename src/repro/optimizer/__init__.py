@@ -16,9 +16,12 @@ order, bottom-up):
   constraint qualification, join equivalences, constant bindings, and the
   interned (LRU) :func:`~repro.optimizer.context.build_theory` that keeps
   the oracle's memoized results alive across repeated plannings.
-* :mod:`repro.optimizer.rewrites` — logical rewrites: predicate pushdown
-  and the date-dimension surrogate-key join elimination ([18] /
-  Section 2.3), verified through the property framework.
+* :mod:`repro.optimizer.rewrites` — logical rewrites, one tree walk and
+  one :class:`~repro.optimizer.rewrites.RewriteRecord` per firing:
+  predicate pushdown, the date-dimension surrogate-key join elimination
+  ([18] / Section 2.3, verified through the property framework), and the
+  rewrite pack — scan consolidation, FD join elimination and eager
+  aggregation.
 * :mod:`repro.optimizer.costing` — cardinality + cost estimation,
   pricing sort-avoidance from operators' declared order properties and
   equi-join output sizes from per-column NDVs (containment assumption).
@@ -67,7 +70,7 @@ from .reduce_order import (
     reduce_order_od,
     stream_groupable,
 )
-from .rewrites import DateRewrite, apply_date_rewrite, push_filters
+from .rewrites import RewriteRecord, apply_date_rewrite, push_filters
 
 __all__ = [
     "Planner",
@@ -91,7 +94,7 @@ __all__ = [
     "minimal_groupby",
     "apply_date_rewrite",
     "push_filters",
-    "DateRewrite",
+    "RewriteRecord",
     "build_theory",
     "clear_theory_cache",
     "qualify_statement",

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.attrs import AttrList
 from ..core.dependency import OrderDependency, OrderEquivalence, Statement
-from ..engine.expr import Arith, Between, Cmp, Col, Expr, Func, Lit
+from ..engine.expr import Arith, Between, Cmp, Col, Expr, Func, Lit, ordered_comparisons
 from ..engine.logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -45,8 +45,10 @@ from ..engine.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
+    node_columns,
 )
 from ..engine.options import ExecOptions
+from ..engine.types import TypeError_, orderable
 from ..engine.operators import (
     Filter,
     TopN,
@@ -82,6 +84,7 @@ from .properties import (
 from .rewrites import (
     NameResolver,
     apply_date_rewrite,
+    apply_rewrites,
     collect_aliases,
     push_filters,
     split_conjuncts,
@@ -139,9 +142,10 @@ class PlanInfo:
 
     mode: str
     date_rewrites: list = field(default_factory=list)
-    #: One :class:`~repro.optimizer.rewrite_pack.RewriteRecord` per applied
-    #: rewrite-pack rule (eager aggregation, scan consolidation, FD join
-    #: elimination); empty when the pack was off or nothing fired.
+    #: One :class:`~repro.optimizer.rewrites.RewriteRecord` per fired date
+    #: rewrite (``date_rewrites``) and per fired rewrite-pack rule — scan
+    #: consolidation, FD join elimination, eager aggregation
+    #: (``rewrites``, empty when the pack was off or nothing fired).
     rewrites: list = field(default_factory=list)
     avoided_sorts: int = 0
     stream_aggregates: int = 0
@@ -374,8 +378,10 @@ class Planner:
         # SELECT * exposes the join block's column arrangement directly,
         # so a reordered join must restore the syntactic schema; every
         # other consumer resolves columns by name (the search reads this
-        # to decide whether the compensating projection is needed).
-        self.star_projection = _contains_star(logical)
+        # to decide whether the compensating projection is needed).  The
+        # same walk type-checks WHERE comparisons before any rewrite reads
+        # rows.
+        self.star_projection = _check_tree(logical, self.resolver)
         if self.mode != "naive":
             with self._span("pushdown"):
                 logical = push_filters(logical, self.resolver)
@@ -393,11 +399,9 @@ class Planner:
                 # eliminated date join never blocks aggregate placement.
                 # Because it runs before physical planning, the estimate
                 # below automatically prices the post-rewrite tree.
-                from .rewrite_pack import apply_rewrites  # lazy: cycle
-
                 with self._span("rewrite-pack"):
                     logical, self.info.rewrites = apply_rewrites(
-                        self.database, logical, self.resolver
+                        self.database, logical, self.resolver, self.star_projection
                     )
         self.info.facts = [
             fact
@@ -786,11 +790,35 @@ class Planner:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _contains_star(node: LogicalNode) -> bool:
-    """Does any projection in the tree pass columns through positionally?"""
-    if isinstance(node, LogicalProject) and node.exprs is None:
-        return True
-    return any(_contains_star(child) for child in node.children())
+def _check_tree(node: LogicalNode, resolver) -> bool:
+    """Does any projection in the tree pass columns through positionally
+    (``SELECT *``)?
+
+    The same walk, made before any rewrite reads rows, raises
+    :class:`~repro.engine.types.TypeError_` for a ``WHERE`` comparison
+    that orders a column against a literal of a type the column's values
+    cannot be ordered with (``int_col < 'a'``).  Equality stays legal: it
+    is false on every row.  A ``HAVING`` filter is skipped, since its
+    names are the aggregate's outputs.
+    """
+    star = False
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children())
+        if isinstance(node, LogicalProject) and node.exprs is None:
+            star = True
+        elif isinstance(node, LogicalFilter) and not isinstance(
+            node.child, LogicalAggregate
+        ):
+            for column, value in ordered_comparisons(node.predicate):
+                dtype = resolver.dtype_of(column)
+                if dtype is not None and not orderable(dtype, value):
+                    raise TypeError_(
+                        f"column {column!r} ({dtype.value}) cannot be ordered "
+                        f"against the literal {value!r}"
+                    )
+    return star
 
 
 def _read_columns(node: LogicalNode, resolver) -> Optional[Dict[str, set]]:
@@ -807,22 +835,10 @@ def _read_columns(node: LogicalNode, resolver) -> Optional[Dict[str, set]]:
     while stack:
         node = stack.pop()
         stack.extend(node.children())
-        if isinstance(node, LogicalJoin):
-            references += node.left_columns + node.right_columns
-        elif isinstance(node, LogicalFilter):
-            references += node.predicate.columns()
-        elif isinstance(node, LogicalAggregate):
-            references += node.group_columns
-            for spec in node.aggregates:
-                if spec.expr is not None:
-                    references += spec.expr.columns()
-        elif isinstance(node, LogicalProject):
-            if node.exprs is None:
-                return None
-            for expr in node.exprs:
-                references += expr.columns()
-        elif isinstance(node, LogicalSort):
-            references += node.keys
+        columns = node_columns(node)
+        if columns is None:
+            return None
+        references += columns
     read: Dict[str, set] = {}
     for reference in references:
         try:

@@ -1,6 +1,6 @@
 """Planted-win workload for the logical rewrite pack.
 
-Three table pairs, one per rule in :mod:`repro.optimizer.rewrite_pack`,
+Three table pairs, one per rewrite-pack rule in :mod:`repro.optimizer.rewrites`,
 each shaped so the rewrite has a decisive, deterministic win in
 ``Metrics.work`` (the gated number — exact on every host) while the
 unrewritten plan stays perfectly correct:

@@ -56,13 +56,13 @@ class TestDecide:
         assert verdict.implied and verdict.proof is not None
         assert check_proof(verdict.proof)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(ods, max_size=2), ods)
     def test_agrees_with_oracle(self, premises, goal):
         verdict = decide(premises, goal, max_statements=4000)
         assert verdict.implied == ODTheory(premises).implies(goal)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.lists(ods, max_size=2), ods)
     def test_found_proofs_always_check(self, premises, goal):
         """Soundness of search: anything proved replays through the kernel

@@ -165,3 +165,57 @@ class TestPlanInfo:
     def test_invalid_mode_rejected(self, date_db):
         with pytest.raises(ValueError):
             Planner(date_db, mode="quantum")
+
+
+class TestMixedTypeComparisons:
+    """An ordered comparison of a column with a literal it cannot be
+    ordered against is a typed planning error, in every mode."""
+
+    MODES = ("naive", "fd", "od")
+
+    @pytest.fixture(scope="class")
+    def dd(self):
+        from repro.engine.schema import Schema
+        from repro.engine.types import DataType
+
+        db = Database("mixed")
+        table = db.create_table(
+            "dd", Schema.of(("sk", DataType.INT), ("dt", DataType.INT), ("f", DataType.FLOAT))
+        )
+        table.load([(i, 10 * i, i / 2) for i in range(1, 9)])
+        return db
+
+    @pytest.mark.parametrize("predicate", [
+        "dt < 'a'", "'a' >= dt", "dt BETWEEN 1 AND 'z'", "sk > 0 AND NOT (f <= 'x')",
+    ])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_raises_typed_error_naming_column_and_literal(self, dd, mode, predicate):
+        from repro.engine.types import TypeError_
+
+        with pytest.raises(TypeError_, match=r"column '(dt|f)' .* literal '(a|z|x)'"):
+            plan_for(dd, f"SELECT sk FROM dd WHERE {predicate}", mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("batch_size", [1, 1024])
+    def test_numbers_and_equality_stay_legal(self, dd, mode, batch_size):
+        cases = {
+            "dt < 35.5": [(1,), (2,), (3,)],
+            "f >= 3": [(6,), (7,), (8,)],
+            "dt BETWEEN 20 AND 30.0": [(2,), (3,)],
+            "dt = 'a'": [],
+        }
+        for predicate, expected in cases.items():
+            plan = plan_for(dd, f"SELECT sk FROM dd WHERE {predicate} ORDER BY sk", mode)
+            rows, _ = plan.run(batch_size)
+            assert rows == expected, (predicate, mode)
+
+    def test_date_rewrite_raises_before_reading_the_dimension(self, tpcds):
+        from repro.engine.types import TypeError_
+
+        sql = (
+            "SELECT COUNT(*) AS n FROM store_sales ss "
+            "JOIN date_dim d ON ss.ss_sold_date_sk = d.d_date_sk "
+            "WHERE d.d_date BETWEEN 'a' AND 'b'"
+        )
+        with pytest.raises(TypeError_, match="d.d_date"):
+            tpcds.database.plan(sql, use_cache=False)

@@ -35,7 +35,7 @@ from repro.workloads.snowflake import (
 from repro.workloads.tpcds_lite import DATE_QUERIES, build_tpcds_lite
 
 #: SHA-256 of ``_records()``.
-DIGEST = "3fd9e2d94b65e2dec3ae22e7c01a7ac2b2a40f0e6db545efca5af231a6e12e71"
+DIGEST = "a155a8e0ac4c9b263e20e36321049917991d26bc58aef03716c7e6e4b370490d"
 
 #: (mode, rewrites) — the four planning regimes.
 REGIMES = (("od", "on"), ("od", "off"), ("fd", "on"), ("naive", "on"))

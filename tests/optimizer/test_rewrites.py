@@ -35,6 +35,21 @@ def logical_for(db, sql):
     return node, resolver
 
 
+def surrogate_range(node):
+    """(low, high) of the fact-side BETWEEN a date rewrite put in place."""
+    from repro.engine.expr import Between
+
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LogicalFilter):
+            for conjunct in split_conjuncts(node.predicate):
+                if isinstance(conjunct, Between):
+                    return conjunct.low.value, conjunct.high.value
+        stack.extend(node.children())
+    return None
+
+
 class TestConjuncts:
     def test_split_nested_ands(self):
         from repro.engine.expr import BoolOp, Cmp, Col, Lit
@@ -124,28 +139,29 @@ class TestDateRewrite:
         )
         assert len(applied) == 1
         record = applied[0]
-        assert record.dim_table == "date_dim"
-        assert record.surrogate_low is not None
+        assert record.rule == "date-rewrite"
+        assert record.detail.startswith("date_dim AS d: d_date in ")
+        assert surrogate_range(rewritten) is not None
         assert "Join" not in explain_logical(rewritten)
-        assert "two probes" in record.describe()
+        assert "(one full scan of the dimension; " in record.describe()
 
     def test_probe_values_correct(self, workload):
         lo, hi = workload.date_range(5, 30)
-        _, applied = self.rewrite(
+        rewritten, applied = self.rewrite(
             workload,
             "SELECT COUNT(*) AS n FROM store_sales ss "
             "JOIN date_dim d ON ss.ss_sold_date_sk = d.d_date_sk "
             f"WHERE d.d_date BETWEEN DATE '{lo}' AND DATE '{hi}'",
         )
-        record = applied[0]
+        (record,) = applied
         table = workload.database.table("date_dim")
         lo_d = datetime.date.fromisoformat(lo)
         hi_d = datetime.date.fromisoformat(hi)
         qualifying = [
             row[0] for row in table.rows if lo_d <= row[1] <= hi_d
         ]
-        assert record.surrogate_low == min(qualifying)
-        assert record.surrogate_high == max(qualifying)
+        assert surrogate_range(rewritten) == (min(qualifying), max(qualifying))
+        assert f"BETWEEN {min(qualifying)} AND {max(qualifying)}" in record.detail
 
     def test_skipped_when_dim_columns_used(self, workload):
         lo, hi = workload.date_range(5, 30)
@@ -188,8 +204,8 @@ class TestDateRewrite:
             "JOIN date_dim d ON ss.ss_sold_date_sk = d.d_date_sk "
             f"WHERE d.d_date BETWEEN DATE '{beyond}' AND DATE '{later}'",
         )
-        assert len(applied) == 1
-        assert applied[0].surrogate_low is None
+        (record,) = applied
+        assert [fact.key for fact in record.facts] == [("date_dim", None, None)]
         assert "False" in explain_logical(rewritten)
 
     def test_ge_le_pair_accepted(self, workload):
