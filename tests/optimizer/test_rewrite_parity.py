@@ -2,11 +2,13 @@
 
 A SHA-256 digest over the statements that reach the rewrites — the
 tpcds_lite date templates at fixed windows, the snowflake and skewed
-snowflake sets, the rewrite-pack templates, and a few edge shapes (an
+snowflake sets, the rewrite-pack templates, a few edge shapes (an
 empty date window, a dimension that is read, a gapped calendar behind a
-foreign key, a dimension on the left, a self-join chain, ``SELECT *``) —
-each planned in ``od`` mode with the rewrites on and off, and in ``fd``
-and ``naive`` modes.  Per plan it hashes the physical ``explain()``, the
+foreign key, a dimension on the left, a self-join chain, ``SELECT *``)
+and single-table access-path choices (competing indexes, an ORDER BY or
+GROUP BY an index serves, an equality prefix of a composite key) — each
+planned in ``od`` mode with the rewrites on and off, in ``fd`` and
+``naive`` modes, and with the parse join order in ``od`` and ``fd``.  Per plan it hashes the physical ``explain()``, the
 estimate's bits, each rewrite record's rule and ``describe()``,
 ``PlanInfo.facts`` and the rows.  A change to how the rewrites walk the
 tree, match or record shows here first; recompute the digest on a copy of
@@ -35,10 +37,17 @@ from repro.workloads.snowflake import (
 from repro.workloads.tpcds_lite import DATE_QUERIES, build_tpcds_lite
 
 #: SHA-256 of ``_records()``.
-DIGEST = "a155a8e0ac4c9b263e20e36321049917991d26bc58aef03716c7e6e4b370490d"
+DIGEST = "3b03241d7a25c238ebeb1189c6991e43be86683628b055daadeea1d8c887e689"
 
-#: (mode, rewrites) — the four planning regimes.
-REGIMES = (("od", "on"), ("od", "off"), ("fd", "on"), ("naive", "on"))
+#: (mode, rewrites, join_order) — the planning regimes.
+REGIMES = (
+    ("od", "on", "cost"),
+    ("od", "off", "cost"),
+    ("fd", "on", "cost"),
+    ("naive", "on", "cost"),
+    ("od", "on", "syntactic"),
+    ("fd", "on", "syntactic"),
+)
 
 
 def _gapped_calendar() -> Database:
@@ -58,6 +67,45 @@ def _gapped_calendar() -> Database:
     sales.load([(sk, sk % 7) for sk in sks for _ in range(3)])
     db.declare_foreign_key("sales", ["f_date_sk"], "date_dim", ["d_date_sk"])
     return db
+
+
+def _index_choice() -> Database:
+    """One table with three indexes that compete for its access path:
+    ``a``, ``b`` and the composite ``(c, d)``; ``e`` is declared
+    order-equivalent to ``a``."""
+    db = Database("index_choice")
+    table = db.create_table(
+        "t", Schema.of(*((name, DataType.INT) for name in "abcde"))
+    )
+    table.load([(i, (i * 37) % 1000, i % 10, (i * 7) % 100, 2 * i) for i in range(1_000)])
+    db.declare("t", equiv("a", "e"))
+    db.create_index("t_a", "t", ["a"])
+    db.create_index("t_b", "t", ["b"])
+    db.create_index("t_cd", "t", ["c", "d"])
+    return db
+
+
+#: (label, sql) over :func:`_index_choice`.
+INDEX_CHOICE = (
+    ("two-ranges", "SELECT a, b FROM t WHERE a BETWEEN 100 AND 400 AND b <= 300"),
+    ("equality-and-range", "SELECT a, b FROM t WHERE b = 37 AND a >= 500"),
+    ("order-by-index", "SELECT a, b FROM t WHERE b BETWEEN 10 AND 60 ORDER BY a"),
+    ("order-by-equivalent", "SELECT e, b FROM t WHERE b >= 900 ORDER BY e"),
+    (
+        "group-by-partition",
+        "SELECT c, COUNT(*) AS n, SUM(d) AS s FROM t WHERE a <= 600 GROUP BY c",
+    ),
+    (
+        "composite-prefix",
+        "SELECT c, d, a FROM t WHERE c = 3 AND d BETWEEN 20 AND 60 AND a >= 100",
+    ),
+    ("composite-prefix-order", "SELECT d FROM t WHERE c = 4 AND d >= 50 ORDER BY d"),
+    (
+        "indexed-join-leaves",
+        "SELECT x.a, y.b FROM t x JOIN t y ON x.a = y.b "
+        "WHERE x.c = 2 AND y.b BETWEEN 0 AND 500 ORDER BY x.a",
+    ),
+)
 
 
 def _statements():
@@ -123,6 +171,10 @@ def _statements():
         "GROUP BY o_amount ORDER BY o_amount"
     )
 
+    indexed = _index_choice()
+    for label, sql in INDEX_CHOICE:
+        yield label, indexed, sql
+
 
 def _estimate(info):
     if info.estimate is None:
@@ -134,12 +186,14 @@ def _estimate(info):
 def _records():
     records = []
     for label, database, sql in _statements():
-        for mode, rewrites in REGIMES:
-            plan = Planner(database, mode=mode, rewrites=rewrites).plan(bind(parse(sql)))
+        for mode, rewrites, join_order in REGIMES:
+            plan = Planner(
+                database, mode=mode, rewrites=rewrites, join_order=join_order
+            ).plan(bind(parse(sql)))
             info = plan.plan_info
             rows, _ = plan.run()
             records.append((
-                label, mode, rewrites,
+                label, mode, rewrites, join_order,
                 plan.explain(),
                 _estimate(info),
                 [("date", record.describe()) for record in info.date_rewrites],
@@ -164,8 +218,8 @@ def test_every_rule_fires(records):
     """The digest only guards the rewrites it sees fire."""
     fired = {"date": 0}
     for record in records:
-        fired["date"] += len(record[5])
-        for rule, _ in record[6]:
+        fired["date"] += len(record[6])
+        for rule, _ in record[7]:
             fired[rule] = fired.get(rule, 0) + 1
     for rule in ("date", "eager-agg", "scan-consolidation", "join-elimination"):
         assert fired.get(rule, 0) > 0, fired
