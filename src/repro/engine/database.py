@@ -22,7 +22,7 @@ from ..core.dependency import Statement
 from ..obs import EngineMetrics
 from ..obs.tracer import Tracer
 from .epoch import bump_epoch, catalog_epoch, current_epoch
-from .errors import CancelToken, QueryError, QueryTimeout
+from .errors import CancelToken, QueryTimeout
 from .histogram import pair_selectivity_stats
 from .index import SortedIndex
 from .operators.base import Metrics, Operator
@@ -624,9 +624,13 @@ class Database:
         a hierarchical span trace of the optimizer phases and every
         operator's execution — across worker processes too — and attaches it
         as a Chrome ``trace_event`` dict on ``QueryResult.trace`` (on the
-        raised :class:`QueryError` for failed queries).  Tracing is
+        raised exception for failed queries).  Tracing is
         observational only: rows and ``Metrics`` counters are
         bit-identical to an untraced run.
+
+        Every failed statement — a syntax, binding or type error as much
+        as a :class:`~repro.engine.errors.QueryError` — is counted in
+        ``stats_snapshot()`` and re-raised unchanged.
         """
         options = ExecOptions(
             optimize=optimize,
@@ -651,7 +655,7 @@ class Database:
                     rows, metrics = plan.run(
                         options.batch_size, token=token, tracer=tracer
                     )
-        except QueryError as exc:
+        except Exception as exc:
             wall_ns = perf_counter_ns() - started
             self._registry.record(
                 sql,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .schema import Schema
+from .types import TypeError_
 
 __all__ = [
     "Expr",
@@ -40,6 +41,7 @@ __all__ = [
     "InList",
     "Func",
     "FUNCTIONS",
+    "inclusive_bound",
     "ordered_comparisons",
     "vectorized_kernel",
 ]
@@ -326,6 +328,35 @@ def ordered_comparisons(expr: Expr) -> Iterator[Tuple[str, Any]]:
                 yield expr.operand.name, bound.value
 
 
+#: The comparison a flipped ``literal op column`` states about the column.
+_FLIPPED = {">=": "<=", "<=": ">=", "=": "="}
+
+
+def inclusive_bound(conjunct: Expr):
+    """``(column, low, high)`` for a conjunct that bounds a column
+    inclusively by literals — ``BETWEEN``, ``>=``, ``<=`` or ``=``, the
+    column on either side — with ``None`` for an open end; else ``None``."""
+    if isinstance(conjunct, Between):
+        if isinstance(conjunct.operand, Col) and isinstance(conjunct.low, Lit) \
+                and isinstance(conjunct.high, Lit):
+            return conjunct.operand.name, conjunct.low.value, conjunct.high.value
+        return None
+    if not isinstance(conjunct, Cmp) or conjunct.op not in _FLIPPED:
+        return None
+    op = conjunct.op
+    if isinstance(conjunct.left, Col) and isinstance(conjunct.right, Lit):
+        column, value = conjunct.left.name, conjunct.right.value
+    elif isinstance(conjunct.right, Col) and isinstance(conjunct.left, Lit):
+        column, value, op = conjunct.right.name, conjunct.left.value, _FLIPPED[op]
+    else:
+        return None
+    return (
+        column,
+        None if op == "<=" else value,
+        None if op == ">=" else value,
+    )
+
+
 @dataclass(frozen=True)
 class InList(Expr):
     """``expr IN (v1, v2, ...)`` over literal values."""
@@ -433,7 +464,9 @@ def _build_kernel(expr: Expr, schema: Schema):
     The whole tree becomes a single Python expression evaluated per row
     inside one comprehension — preserving per-row left-to-right,
     short-circuit semantics — so a batch costs one function call plus a
-    C-speed loop instead of a closure chain per row.
+    C-speed loop instead of a closure chain per row.  Operands no operator
+    accepts (``int < str``) raise :class:`~repro.engine.types.TypeError_`
+    naming the expression.
     """
     if isinstance(expr, Col):
         # Pass-through column: the input vector itself, no copy.
@@ -443,25 +476,23 @@ def _build_kernel(expr: Expr, schema: Schema):
     body = expr.vector_source(ctx)
     positions = sorted(ctx.positions)
     if not positions:
-        source = (
-            "def _kernel(columns, n):\n"
-            f"    _value = {body}\n"
-            "    return [_value] * n"
-        )
+        result = f"[{body}] * n"
     elif len(positions) == 1:
         p = positions[0]
-        source = (
-            "def _kernel(columns, n):\n"
-            f"    return [{body} for v{p} in columns[{p}]]"
-        )
+        result = f"[{body} for v{p} in columns[{p}]]"
     else:
         variables = ", ".join(f"v{p}" for p in positions)
         vectors = ", ".join(f"columns[{p}]" for p in positions)
-        source = (
-            "def _kernel(columns, n):\n"
-            f"    return [{body} for ({variables},) in zip({vectors})]"
-        )
+        result = f"[{body} for ({variables},) in zip({vectors})]"
+    source = (
+        "def _kernel(columns, n):\n"
+        "    try:\n"
+        f"        return {result}\n"
+        "    except TypeError as exc:\n"
+        "        raise _type_error(exc) from exc"
+    )
     namespace = ctx.namespace
+    namespace["_type_error"] = lambda exc: TypeError_(f"{expr.render()}: {exc}")
     exec(compile(source, "<vectorized-expr>", "exec"), namespace)
     return namespace["_kernel"]
 

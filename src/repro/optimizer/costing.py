@@ -12,7 +12,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..engine.cost import Cost, hash_cost, probe_cost, scan_cost, sort_cost
-from ..engine.expr import Between, BoolOp, Cmp, Col, Expr, InList, Lit, Not
+from ..engine.expr import (
+    Between,
+    BoolOp,
+    Cmp,
+    Col,
+    Expr,
+    InList,
+    Lit,
+    Not,
+    inclusive_bound,
+)
 from ..engine.operators import (
     Filter,
     HashAggregate,
@@ -149,41 +159,24 @@ def _covered_by_scan(scan, predicate: Expr) -> bool:
     residual filter above the :class:`IndexScan` for safety; estimating
     it again would square the selectivity (a ``BETWEEN`` over 3% of the
     key domain used to estimate 0.09% of the rows).  Conservative match:
-    a single-column scan range on the leading key whose bounds equal the
-    predicate's literals.
+    the conjunct's inclusive bound (:func:`~repro.engine.expr.
+    inclusive_bound`) is on the leading key and equals the scan's
+    single-column range.
     """
     if not isinstance(scan, IndexScan) or not scan.index.key_columns:
         return False
-    key = scan.index.key_columns[0]
-    low = scan.low[0] if scan.low and len(scan.low) == 1 else None
-    high = scan.high[0] if scan.high and len(scan.high) == 1 else None
-
-    def _is_key(col: Expr) -> bool:
-        if not isinstance(col, Col):
+    bound = inclusive_bound(predicate)
+    if bound is None:
+        return False
+    column, low, high = bound
+    try:
+        if scan.schema.resolve(column).split(".", 1)[-1] != scan.index.key_columns[0]:
             return False
-        try:
-            return scan.schema.resolve(col.name).split(".", 1)[-1] == key
-        except (KeyError, ValueError):
-            return False
-
-    if isinstance(predicate, Between):
-        return (
-            _is_key(predicate.operand)
-            and isinstance(predicate.low, Lit)
-            and isinstance(predicate.high, Lit)
-            and predicate.low.value == low
-            and predicate.high.value == high
-        )
-    if isinstance(predicate, Cmp) and isinstance(predicate.right, Lit):
-        if not _is_key(predicate.left):
-            return False
-        if predicate.op == "=":
-            return predicate.right.value == low and low == high
-        if predicate.op in (">=", ">"):
-            return predicate.right.value == low and high is None
-        if predicate.op in ("<=", "<"):
-            return predicate.right.value == high and low is None
-    return False
+    except (KeyError, ValueError):
+        return False
+    scan_low = scan.low[0] if scan.low and len(scan.low) == 1 else None
+    scan_high = scan.high[0] if scan.high and len(scan.high) == 1 else None
+    return low == scan_low and high == scan_high
 
 
 def _filter_selectivity(database, op) -> float:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional
 
 from ..engine.expr import Expr
-from ..engine.logical import LogicalFilter, LogicalJoin, LogicalNode, LogicalScan
+from ..engine.logical import LogicalJoin, LogicalNode
+from .rewrites import _leaf_scan
 
 __all__ = ["BaseRelation", "JoinEdge", "JoinGraph", "extract_join_graph"]
 
@@ -140,10 +141,9 @@ def _collect(
                 return False  # self-conjunct: a filter, not a join edge
             edges.append(JoinEdge(left_alias, left_q, right_alias, right_q))
         return True
-    predicate: Optional[Expr] = None
-    if isinstance(node, LogicalFilter) and isinstance(node.child, LogicalScan):
-        predicate, node = node.predicate, node.child
-    if isinstance(node, LogicalScan):
-        relations.append(BaseRelation(node.alias, node.table, predicate))
-        return True
-    return False
+    leaf = _leaf_scan(node)
+    if leaf is None:
+        return False
+    scan, predicate = leaf
+    relations.append(BaseRelation(scan.alias, scan.table, predicate))
+    return True

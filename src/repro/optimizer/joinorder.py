@@ -25,6 +25,12 @@ The search itself:
   pair of connected components whose best join is cheapest (GOO-style),
   carrying the same Pareto frontiers.
 
+The leaves are the planner's access paths
+(:meth:`~repro.optimizer.planner.Planner.access_paths`): the sequential
+scan and one index scan per index, each under its relation's pushed-down
+filter — the list the single-relation planner picks one path from, so
+the search and the syntactic plan read base tables the same way.
+
 Each frontier entry is a real physical subplan costed by
 :func:`~repro.optimizer.costing.estimate_plan` (NDV-based equi-join
 cardinalities under the containment assumption).  Entries are pruned by
@@ -50,20 +56,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from ..engine.cost import Cost, hash_cost, sort_cost
 from ..engine.expr import Col
 from ..engine.logical import LogicalJoin
-from ..engine.operators import (
-    Filter,
-    IndexScan,
-    MergeJoin,
-    Operator,
-    Project,
-    SeqScan,
-)
+from ..engine.operators import MergeJoin, Operator, Project
 from ..engine.stats import estimate_equijoin
-from .context import alias_constraints
-from .costing import PlanEstimate, _column_stats, estimate_plan, join_key_stats
+from .costing import PlanEstimate, estimate_plan, join_key_stats
 from .joingraph import BaseRelation, JoinEdge, JoinGraph, extract_join_graph
 from .properties import PhysicalProperty
-from .rewrites import split_conjuncts
 
 __all__ = [
     "DP_MAX_RELATIONS",
@@ -254,42 +251,26 @@ def _prune(entries: List[_Entry]) -> List[_Entry]:
 def _leaf_candidates(
     planner, relation: BaseRelation, interests: _Interests
 ) -> List[_Entry]:
-    """Access paths for one base relation: the sequential scan plus one
-    candidate per index (sargable bounds from the local predicate when
-    available, full range otherwise — kept for its order class)."""
-    from .planner import _sargable_bounds  # deferred: planner loads first
-
-    database = planner.database
-    table = database.table(relation.table)
-    statements = alias_constraints(database, relation.alias, relation.table)
-    conjuncts = (
-        split_conjuncts(relation.predicate)
-        if relation.predicate is not None
-        else []
+    """One frontier entry per access path of a base relation
+    (:meth:`~repro.optimizer.planner.Planner.access_paths`): the
+    sequential scan and every index, the unbounded ones kept for their
+    order class."""
+    statements, paths = planner.access_paths(
+        relation.alias, relation.table, relation.predicate
     )
-    statements = statements + planner._constant_statements(
-        relation.alias, conjuncts
-    )
-
-    columns = planner.scan_columns(relation.alias)
-    ops: List[Operator] = [SeqScan(table, relation.alias, columns=columns)]
-    for index in database.indexes_on(relation.table):
-        low, high, _width = _sargable_bounds(
-            index.key_columns, relation.alias, conjuncts, planner.resolver
-        )
-        ops.append(IndexScan(index, relation.alias, low, high, columns=columns))
     entries: List[_Entry] = []
     aliases = frozenset({relation.alias})
-    for op in ops:
-        if relation.predicate is not None:
-            op = Filter(op, relation.predicate)
+    for path in paths:
+        op = planner.scan_operator(
+            relation.alias, relation.table, relation.predicate, path
+        )
         prop = PhysicalProperty(op.provides())
         entries.append(
             _Entry(
                 op=op,
                 statements=list(statements),
                 prop=prop,
-                estimate=estimate_plan(database, op),
+                estimate=estimate_plan(planner.database, op),
                 aliases=aliases,
                 label=relation.alias,
                 satisfied=interests.satisfied(aliases, op, statements, prop),

@@ -9,6 +9,12 @@
   ``ReduceOrder++`` (Eliminate / Left Eliminate drops), and the Section 2.3
   date-dimension join elimination.
 
+A base table is read through one enumerator, :meth:`Planner.access_paths`
+(the sequential scan, then one index range per index); the
+single-relation planner picks one path by the order or grouping it gives
+and its sargable width, and the join-order search keeps every path as a
+leaf.
+
 ``Database.execute(sql, optimize=True)`` maps ``True → "od"`` and
 ``False → "fd"``; benchmarks flip this switch to regenerate each of the
 paper's comparisons.
@@ -34,7 +40,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.attrs import AttrList
 from ..core.dependency import OrderDependency, OrderEquivalence, Statement
-from ..engine.expr import Arith, Between, Cmp, Col, Expr, Func, Lit, ordered_comparisons
+from ..engine.expr import (
+    Arith,
+    Col,
+    Expr,
+    Func,
+    Lit,
+    inclusive_bound,
+    ordered_comparisons,
+)
 from ..engine.logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -536,50 +550,55 @@ class Planner:
         return _Planned(Limit(top, count), planned.statements, planned.prop)
 
     # ------------------------------------------------------------------
-    # Scans (with optional local predicate for sargable ranges)
+    # Access paths: how a base table can be read
     # ------------------------------------------------------------------
+    def access_paths(self, alias: str, table: str, predicate: Optional[Expr]):
+        """``(statements, paths)`` for reading ``table AS alias`` under its
+        pushed-down ``predicate``.
+
+        ``statements`` are the alias's declared constraints plus one
+        constant statement per equality conjunct.  ``paths`` are
+        ``(index, low, high, width)``: the sequential scan first
+        (``index`` ``None``), then — outside ``naive`` mode — one per index
+        with the :func:`_sargable_bounds` its key takes from the
+        predicate.  Both the single-relation choice (:meth:`_plan_scan`)
+        and the join-order search's leaves read base tables from here;
+        :meth:`scan_operator` builds a path.
+        """
+        bounds = _column_bounds(predicate, self.resolver)
+        statements = alias_constraints(self.database, alias, table)
+        statements += _constant_statements(bounds)
+        paths = [(None, None, None, 0)]
+        if self.mode != "naive":
+            for index in self.database.indexes_on(table):
+                bounded = _sargable_bounds(index.key_columns, alias, bounds)
+                paths.append((index,) + bounded)
+        return statements, paths
+
+    def scan_operator(self, alias: str, table: str, predicate, path) -> Operator:
+        """The scan for one of :meth:`access_paths`' paths, under a
+        ``Filter`` of the whole predicate."""
+        index, low, high, _width = path
+        columns = self.scan_columns(alias)
+        if index is None:
+            op: Operator = SeqScan(self.database.table(table), alias, columns=columns)
+        else:
+            op = IndexScan(index, alias, low, high, columns=columns)
+        return op if predicate is None else Filter(op, predicate)
+
     def _plan_scan(
         self,
         node: LogicalScan,
         predicate: Optional[Expr],
         desired: Desired,
     ) -> _Planned:
-        table = self.database.table(node.table)
-        statements = alias_constraints(self.database, node.alias, node.table)
-        conjuncts = split_conjuncts(predicate) if predicate is not None else []
-        statements += self._constant_statements(node.alias, conjuncts)
-
-        chosen = None
-        if self.mode != "naive":
-            chosen = self._choose_index(node, table, conjuncts, desired, statements)
-        columns = self.scan_columns(node.alias)
-        if chosen is None:
-            op: Operator = SeqScan(table, node.alias, columns=columns)
-        else:
-            index, low, high = chosen
-            op = IndexScan(index, node.alias, low, high, columns=columns)
-        if predicate is not None:
-            op = Filter(op, predicate)
-        # Scans (and the preserving Filter above them) declare their own
-        # provided spec — the planner just reads it back.
-        return _Planned(op, statements, PhysicalProperty(op.provides()))
-
-    def _constant_statements(self, alias: str, conjuncts) -> List[Statement]:
-        out: List[Statement] = []
-        for conjunct in conjuncts:
-            column, value = _equality_of(conjunct)
-            if column is not None:
-                try:
-                    out.append(constant_statement(self.resolver.qualify(column)))
-                except (KeyError, ValueError):
-                    pass
-        return out
-
-    def _choose_index(self, node, table, conjuncts, desired, statements):
-        """Pick (index, low, high) maximizing (order benefit, sargability)."""
-        best = None
-        best_score = (False, False, 0)
-        for index in self.database.indexes_on(node.table):
+        """Pick the path scoring highest on (gives the desired order or
+        partition, is sargable, bound width); the first path wins ties,
+        and the sequential scan wins when no index does either."""
+        statements, paths = self.access_paths(node.alias, node.table, predicate)
+        best, best_score = paths[0], (False, False, 0)
+        for path in paths[1:]:
+            index, _low, _high, width = path
             qualified = tuple(f"{node.alias}.{c}" for c in index.key_columns)
             gives_order = bool(desired.order) and self._order_ok(
                 statements, qualified, self._try_qualify(desired.order)
@@ -587,14 +606,13 @@ class Planner:
             gives_partition = bool(desired.partition) and self._partition_ok(
                 statements, qualified, self._try_qualify(desired.partition)
             )
-            low, high, bound_width = _sargable_bounds(
-                index.key_columns, node.alias, conjuncts, self.resolver
-            )
-            score = (gives_order or gives_partition, bound_width > 0, bound_width)
-            if score > best_score and (score[0] or score[1]):
-                best_score = score
-                best = (index, low, high)
-        return best
+            score = (gives_order or gives_partition, width > 0, width)
+            if score > best_score:
+                best, best_score = path, score
+        op = self.scan_operator(node.alias, node.table, predicate, best)
+        # Scans (and the preserving Filter above them) declare their own
+        # provided spec — the planner just reads it back.
+        return _Planned(op, statements, PhysicalProperty(op.provides()))
 
     def _try_qualify(self, names: Sequence[str]) -> Tuple[str, ...]:
         out = []
@@ -610,8 +628,8 @@ class Planner:
         if isinstance(node.child, LogicalScan) and self.mode != "naive":
             return self._plan_scan(node.child, node.predicate, desired)
         child = self._plan(node.child, desired)
-        statements = child.statements + self._constant_statements(
-            "", split_conjuncts(node.predicate)
+        statements = child.statements + _constant_statements(
+            _column_bounds(node.predicate, self.resolver)
         )
         return _Planned(Filter(child.op, node.predicate), statements, child.prop)
 
@@ -869,102 +887,47 @@ def _pruned_scans(op: Operator) -> List[str]:
     return out
 
 
-def _equality_of(conjunct: Expr):
-    """(column, value) for ``col = literal`` conjuncts, else (None, None)."""
-    if isinstance(conjunct, Cmp) and conjunct.op == "=":
-        if isinstance(conjunct.left, Col) and isinstance(conjunct.right, Lit):
-            return conjunct.left.name, conjunct.right.value
-        if isinstance(conjunct.right, Col) and isinstance(conjunct.left, Lit):
-            return conjunct.right.name, conjunct.left.value
-    if isinstance(conjunct, Between) and isinstance(conjunct.operand, Col):
-        if (
-            isinstance(conjunct.low, Lit)
-            and isinstance(conjunct.high, Lit)
-            and conjunct.low.value == conjunct.high.value
-        ):
-            return conjunct.operand.name, conjunct.low.value
-    return None, None
+def _column_bounds(predicate: Optional[Expr], resolver) -> List[tuple]:
+    """``(qualified column, low, high)`` for each conjunct of ``predicate``
+    that bounds a column inclusively by literals (:func:`inclusive_bound`),
+    in conjunct order."""
+    out = []
+    for conjunct in split_conjuncts(predicate) if predicate is not None else ():
+        bound = inclusive_bound(conjunct)
+        if bound is not None:
+            try:
+                out.append((resolver.qualify(bound[0]), bound[1], bound[2]))
+            except (KeyError, ValueError):
+                pass
+    return out
 
 
-def _sargable_bounds(key_columns, alias, conjuncts, resolver):
+def _constant_statements(bounds) -> List[Statement]:
+    """``[] ↦ [col]`` for each bound pinning a column to one value."""
+    return [constant_statement(column) for column, low, high in bounds if low == high]
+
+
+def _sargable_bounds(key_columns, alias, bounds):
     """Bounds (low, high, width) over a prefix of the index key.
 
-    Consumes equality conjuncts along the key prefix, then at most one range
-    conjunct on the next key column.
+    Takes the first equality bound on each key column along the prefix,
+    then the tightest range the bounds give the next key column.
     """
-    eq_values: List = []
+    low: List = []
+    high: List = []
     for column in key_columns:
-        found = None
-        for conjunct in conjuncts:
-            c, v = _equality_of(conjunct)
-            if c is not None:
-                try:
-                    if resolver.qualify(c) == f"{alias}.{column}":
-                        found = v
-                        break
-                except (KeyError, ValueError):
-                    continue
-        if found is None:
+        target = f"{alias}.{column}"
+        on_key = [(lo, hi) for name, lo, hi in bounds if name == target]
+        point = next((lo for lo, hi in on_key if lo == hi), None)
+        if point is None:
+            lows = [lo for lo, _ in on_key if lo is not None]
+            highs = [hi for _, hi in on_key if hi is not None]
+            low += [max(lows)] if lows else []
+            high += [min(highs)] if highs else []
             break
-        eq_values.append(found)
-    position = len(eq_values)
-    low = list(eq_values)
-    high = list(eq_values)
-    if position < len(key_columns):
-        target = f"{alias}.{key_columns[position]}"
-        range_low = range_high = None
-        for conjunct in conjuncts:
-            extracted = _range_bounds(conjunct, target, resolver)
-            if extracted is not None:
-                lo, hi = extracted
-                if lo is not None:
-                    range_low = lo if range_low is None else max(range_low, lo)
-                if hi is not None:
-                    range_high = hi if range_high is None else min(range_high, hi)
-        if range_low is not None:
-            low.append(range_low)
-        if range_high is not None:
-            high.append(range_high)
-    width = max(len(low), len(high))
-    if width == 0:
-        return None, None, 0
-    return (
-        tuple(low) if low else None,
-        tuple(high) if len(high) > len(eq_values) or high else None,
-        width,
-    )
-
-
-def _range_bounds(conjunct: Expr, target: str, resolver):
-    """(low, high) contribution of one conjunct to the target column."""
-    def is_target(name: str) -> bool:
-        try:
-            return resolver.qualify(name) == target
-        except (KeyError, ValueError):
-            return False
-
-    if isinstance(conjunct, Between) and isinstance(conjunct.operand, Col):
-        if is_target(conjunct.operand.name) and isinstance(conjunct.low, Lit) \
-                and isinstance(conjunct.high, Lit):
-            return conjunct.low.value, conjunct.high.value
-    if isinstance(conjunct, Cmp):
-        op = conjunct.op
-        if isinstance(conjunct.left, Col) and isinstance(conjunct.right, Lit):
-            column, value = conjunct.left.name, conjunct.right.value
-        elif isinstance(conjunct.right, Col) and isinstance(conjunct.left, Lit):
-            column, value = conjunct.right.name, conjunct.left.value
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        else:
-            return None
-        if not is_target(column):
-            return None
-        if op == ">=":
-            return value, None
-        if op == "<=":
-            return None, value
-        if op == "=":
-            return value, value
-    return None
+        low.append(point)
+        high.append(point)
+    return tuple(low) or None, tuple(high) or None, max(len(low), len(high))
 
 
 def _projection_statements(expr: Expr, name: str, child_schema) -> List[Statement]:

@@ -64,6 +64,7 @@ from ..engine.expr import (
     InList,
     Lit,
     Not,
+    inclusive_bound,
 )
 from ..engine.logical import (
     LogicalAggregate,
@@ -758,44 +759,25 @@ def _eliminate(join: LogicalJoin, try_side):
 
 
 def _range_of(conjuncts: Sequence[Expr], resolver: NameResolver):
-    """Extract an inclusive (column, low, high) range over one dim column.
+    """Extract an inclusive (column, low, high) range over one dim column
+    from the conjuncts :func:`~repro.engine.expr.inclusive_bound` reads.
 
-    Accepts BETWEEN, ``>=``/``<=``/``=`` comparisons against literals.
     Returns (bare_column, low, high, matched_conjuncts) or ``None``.
     """
     bounds: Dict[str, List] = {}
     matched: Dict[str, List[Expr]] = {}
-
-    def note(column: str, low, high, conjunct: Expr) -> None:
+    for conjunct in conjuncts:
+        bound = inclusive_bound(conjunct)
+        if bound is None:
+            continue
+        column, low, high = bound
+        column = resolver.bare(column)
         entry = bounds.setdefault(column, [None, None])
         if low is not None:
             entry[0] = low if entry[0] is None else max(entry[0], low)
         if high is not None:
             entry[1] = high if entry[1] is None else min(entry[1], high)
         matched.setdefault(column, []).append(conjunct)
-
-    for conjunct in conjuncts:
-        if isinstance(conjunct, Between) and isinstance(conjunct.operand, Col):
-            if not (isinstance(conjunct.low, Lit) and isinstance(conjunct.high, Lit)):
-                continue
-            note(resolver.bare(conjunct.operand.name), conjunct.low.value,
-                 conjunct.high.value, conjunct)
-        elif isinstance(conjunct, Cmp):
-            column, literal, op = None, None, conjunct.op
-            if isinstance(conjunct.left, Col) and isinstance(conjunct.right, Lit):
-                column, literal = conjunct.left.name, conjunct.right.value
-            elif isinstance(conjunct.right, Col) and isinstance(conjunct.left, Lit):
-                column, literal = conjunct.right.name, conjunct.left.value
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-            if column is None:
-                continue
-            bare = resolver.bare(column)
-            if op == ">=":
-                note(bare, literal, None, conjunct)
-            elif op == "<=":
-                note(bare, None, literal, conjunct)
-            elif op == "=":
-                note(bare, literal, literal, conjunct)
     for column, (low, high) in bounds.items():
         if low is not None and high is not None:
             return column, low, high, matched[column]

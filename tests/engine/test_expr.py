@@ -15,6 +15,7 @@ from repro.engine.expr import (
     InList,
     Lit,
     Not,
+    inclusive_bound,
 )
 from repro.engine.schema import Schema
 from repro.engine.types import DataType
@@ -109,3 +110,23 @@ class TestColumnsAndRender:
 
     def test_lit_render_string(self):
         assert Lit("x").render() == "'x'"
+
+
+@pytest.mark.parametrize("conjunct, bound", [
+    (Between(Col("a"), Lit(1), Lit(5)), ("a", 1, 5)),
+    (Cmp(">=", Col("a"), Lit(2)), ("a", 2, None)),
+    (Cmp("<=", Col("a"), Lit(2)), ("a", None, 2)),
+    (Cmp("=", Col("a"), Lit(2)), ("a", 2, 2)),
+    (Cmp("<=", Lit(2), Col("a")), ("a", 2, None)),
+    (Cmp(">=", Lit(2), Col("a")), ("a", None, 2)),
+    (Cmp("=", Lit(2), Col("a")), ("a", 2, 2)),
+    (Cmp(">", Col("a"), Lit(2)), None),
+    (Cmp("<", Lit(2), Col("a")), None),
+    (Cmp("<>", Col("a"), Lit(2)), None),
+    (Cmp("=", Col("a"), Col("b")), None),
+    (Between(Col("a"), Lit(1), Col("b")), None),
+    (Between(Arith("+", Col("a"), Lit(1)), Lit(1), Lit(5)), None),
+    (BoolOp("AND", [Cmp(">=", Col("a"), Lit(2))]), None),
+])
+def test_inclusive_bound(conjunct, bound):
+    assert inclusive_bound(conjunct) == bound

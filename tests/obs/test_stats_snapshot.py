@@ -162,6 +162,28 @@ def test_failures_and_timeouts_are_counted(db):
     assert counters["timeouts"] == 1
 
 
+def test_every_failed_statement_is_counted_and_reraised(db):
+    """A failure before execution, or one no typed query error wraps, is
+    counted like a timeout and reaches the caller as itself."""
+    from repro.engine.sql.lexer import SqlSyntaxError
+    from repro.engine.types import TypeError_
+
+    failing = (
+        ("SELECT nope FROM fact", KeyError),
+        ("SELECT bracket FROM fact WHERE income < 'a'", TypeError_),
+        ("SELECT income < 'a' AS x FROM fact", TypeError_),
+        ("SELEC bracket FROM fact", SqlSyntaxError),
+    )
+    for sql, raised in failing:
+        with pytest.raises(raised) as excinfo:
+            db.execute(sql)
+        assert type(excinfo.value) is raised, sql
+    counters = db.stats_snapshot()["engine"]["counters"]
+    assert counters["queries"] == len(failing)
+    assert counters["failures"] == len(failing)
+    assert counters["timeouts"] == 0
+
+
 def test_failed_traced_query_keeps_its_flight_recorder(db):
     with pytest.raises(QueryTimeout) as excinfo:
         db.execute(SQL, timeout_s=1e-9, trace=True)

@@ -118,3 +118,41 @@ class TestAgreementWithMeasurement:
         base = estimate_plan(db, plan_for(db, sql, "fd"))
         rewritten = estimate_plan(db, plan_for(db, sql, "od"))
         assert rewritten.cost.total < base.cost.total
+
+
+class TestIndexCoveredConjuncts:
+    """A residual conjunct is estimated once, not again above the index
+    range that enforces it: covered means its inclusive bound is on the
+    leading key and equals the scan's single-column range."""
+
+    @pytest.fixture(scope="class")
+    def keyed(self):
+        from repro.engine.schema import Schema
+        from repro.engine.types import DataType
+
+        db = Database()
+        table = db.create_table("t", Schema.of(("k", DataType.INT), ("v", DataType.INT)))
+        table.load([(i, i % 7) for i in range(10_000)])
+        db.create_index("t_k", "t", ["k"])
+        return db
+
+    @staticmethod
+    def planned(db, where):
+        plan = plan_for(db, f"SELECT v FROM t WHERE {where}", "od")
+        rows, _ = plan.run()
+        return plan, plan.plan_info.estimate.rows, len(rows)
+
+    def test_literal_on_the_left_is_covered_like_its_mirror(self, keyed):
+        for flipped, mirror in (("1000 <= k", "k >= 1000"), ("1999 >= k", "k <= 1999")):
+            _, flipped_rows, actual = self.planned(keyed, flipped)
+            _, mirror_rows, _ = self.planned(keyed, mirror)
+            assert flipped_rows == mirror_rows, flipped
+            assert flipped_rows == pytest.approx(actual, rel=1e-3), flipped
+
+    def test_strict_bound_is_not_enforced_by_an_inclusive_range(self, keyed):
+        plan, strict_rows, actual = self.planned(keyed, "k > 1000 AND k >= 1000")
+        assert "[(1000,) .. None]" in plan.explain()
+        _, inclusive_rows, _ = self.planned(keyed, "k >= 1000")
+        # k > 1000 is estimated again above the range it starts.
+        assert strict_rows < 0.95 * inclusive_rows
+        assert actual == 8_999

@@ -185,15 +185,30 @@ class TestMixedTypeComparisons:
         table.load([(i, 10 * i, i / 2) for i in range(1, 9)])
         return db
 
-    @pytest.mark.parametrize("predicate", [
-        "dt < 'a'", "'a' >= dt", "dt BETWEEN 1 AND 'z'", "sk > 0 AND NOT (f <= 'x')",
+    @pytest.mark.parametrize("sql, message", [
+        (f"SELECT sk FROM dd WHERE {predicate}", r"column '(dt|f)' .* literal '(a|z|x)'")
+        for predicate in (
+            "dt < 'a'", "'a' >= dt", "dt BETWEEN 1 AND 'z'", "sk > 0 AND NOT (f <= 'x')",
+        )
+    ] + [
+        # Shapes the planner does not type: the kernel names the
+        # expression and both operand types when it runs.
+        (
+            "SELECT sk, COUNT(*) AS n FROM dd GROUP BY sk HAVING n > 'a'",
+            r"n > 'a': .*'int' and 'str'",
+        ),
+        ("SELECT dt < 'a' AS x FROM dd", r"dt < 'a': .*'int' and 'str'"),
+        ("SELECT sk FROM dd WHERE dt + 1 < 'a'", r"\(dt \+ 1\) < 'a': .*'int' and 'str'"),
     ])
     @pytest.mark.parametrize("mode", MODES)
-    def test_raises_typed_error_naming_column_and_literal(self, dd, mode, predicate):
+    @pytest.mark.parametrize("batch_size", [1, 1024])
+    def test_raises_typed_error_naming_column_and_literal(
+        self, dd, mode, batch_size, sql, message
+    ):
         from repro.engine.types import TypeError_
 
-        with pytest.raises(TypeError_, match=r"column '(dt|f)' .* literal '(a|z|x)'"):
-            plan_for(dd, f"SELECT sk FROM dd WHERE {predicate}", mode)
+        with pytest.raises(TypeError_, match=message):
+            plan_for(dd, sql, mode).run(batch_size)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("batch_size", [1, 1024])
