@@ -484,17 +484,21 @@ def _build_kernel(expr: Expr, schema: Schema):
         variables = ", ".join(f"v{p}" for p in positions)
         vectors = ", ".join(f"columns[{p}]" for p in positions)
         result = f"[{body} for ({variables},) in zip({vectors})]"
-    source = (
-        "def _kernel(columns, n):\n"
-        "    try:\n"
-        f"        return {result}\n"
-        "    except TypeError as exc:\n"
-        "        raise _type_error(exc) from exc"
-    )
     namespace = ctx.namespace
-    namespace["_type_error"] = lambda exc: TypeError_(f"{expr.render()}: {exc}")
+    source = f"def _kernel(columns, n):\n    return {result}"
     exec(compile(source, "<vectorized-expr>", "exec"), namespace)
-    return namespace["_kernel"]
+    kernel = namespace["_kernel"]
+
+    # Wrapped here, not in the generated source: a try block there adds
+    # half again to the compile time of each new kernel, and every new
+    # literal value compiles one.
+    def checked(columns, n):
+        try:
+            return kernel(columns, n)
+        except TypeError as exc:
+            raise TypeError_(f"{expr.render()}: {exc}") from exc
+
+    return checked
 
 
 def _literal_signature(expr: Expr) -> tuple:

@@ -922,8 +922,10 @@ def _sargable_bounds(key_columns, alias, bounds):
         if point is None:
             lows = [lo for lo, _ in on_key if lo is not None]
             highs = [hi for _, hi in on_key if hi is not None]
-            low += [max(lows)] if lows else []
-            high += [min(highs)] if highs else []
+            if lows:
+                low.append(max(lows))
+            if highs:
+                high.append(min(highs))
             break
         low.append(point)
         high.append(point)
