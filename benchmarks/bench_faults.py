@@ -23,20 +23,17 @@ import time
 from repro.engine import faults
 from repro.engine.errors import CancelToken
 from repro.engine.parallel import host_capability, insert_exchanges
-from repro.workloads.microbench import (
-    BENCH_ROWS as ROWS,
-    scan_filter_aggregate,
-)
+from repro.workloads.microbench import scan_filter_aggregate
 
 BATCH_SIZE = 1024
 WORKERS = 2
 
 
-def _record(benchmark, backend: str | None = None, **extra) -> None:
+def _record(benchmark, rows: int, backend: str | None = None, **extra) -> None:
     mean = getattr(getattr(benchmark, "stats", None), "stats", None)
     mean_s = getattr(mean, "mean", None)
     if mean_s:
-        benchmark.extra_info["rows_per_sec"] = round(ROWS / mean_s)
+        benchmark.extra_info["rows_per_sec"] = round(rows / mean_s)
     if backend is not None:
         benchmark.extra_info["backend"] = backend
     benchmark.extra_info.update(extra)
@@ -64,7 +61,7 @@ def test_fault_free_process(benchmark, fact):
     serial_rows, _ = scan_filter_aggregate(fact).run(BATCH_SIZE)
     rows, _ = benchmark(lambda: _process_run(fact))
     assert rows == serial_rows
-    _record(benchmark, "process", scenario="fault_free")
+    _record(benchmark, len(fact.rows), "process", scenario="fault_free")
 
 
 def test_kill_one_worker_and_retry(benchmark, fact):
@@ -79,7 +76,7 @@ def test_kill_one_worker_and_retry(benchmark, fact):
         return rows
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-    _record(benchmark, "process", scenario="kill_retry")
+    _record(benchmark, len(fact.rows), "process", scenario="kill_retry")
 
 
 def test_degrade_to_inline(benchmark, fact):
@@ -94,7 +91,7 @@ def test_degrade_to_inline(benchmark, fact):
         return rows
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-    _record(benchmark, "process", scenario="degrade_to_inline")
+    _record(benchmark, len(fact.rows), "process", scenario="degrade_to_inline")
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +119,7 @@ def test_cancellation_check_overhead_claim(benchmark, fact):
     bare_s, timed_s = benchmark.pedantic(best_pair, rounds=1, iterations=1)
     overhead = timed_s / bare_s
     benchmark.extra_info["cancel_check_overhead"] = round(overhead, 4)
-    _record(benchmark, None, scenario="cancel_overhead")
+    _record(benchmark, len(fact.rows), None, scenario="cancel_overhead")
     assert overhead < 1.02, (
         f"cancellation checks cost {overhead:.4f}x on scan→filter→aggregate "
         "(acceptance bar: <2%)"

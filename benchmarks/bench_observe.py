@@ -25,19 +25,16 @@ import time
 
 from repro.engine.parallel import host_capability, insert_exchanges
 from repro.obs.tracer import Tracer
-from repro.workloads.microbench import (
-    BENCH_ROWS as ROWS,
-    scan_filter_aggregate,
-)
+from repro.workloads.microbench import scan_filter_aggregate
 
 BATCH_SIZE = 1024
 
 
-def _record(benchmark, **extra) -> None:
+def _record(benchmark, rows: int, **extra) -> None:
     mean = getattr(getattr(benchmark, "stats", None), "stats", None)
     mean_s = getattr(mean, "mean", None)
     if mean_s:
-        benchmark.extra_info["rows_per_sec"] = round(ROWS / mean_s)
+        benchmark.extra_info["rows_per_sec"] = round(rows / mean_s)
     benchmark.extra_info.update(extra)
     benchmark.extra_info.update(host_capability())
 
@@ -104,7 +101,7 @@ def test_tracing_disabled_overhead_claim(benchmark, fact):
 
     overhead = benchmark.pedantic(ratio_of_medians, rounds=1, iterations=1)
     benchmark.extra_info["tracing_disabled_overhead"] = round(overhead, 4)
-    _record(benchmark, scenario="tracing_disabled")
+    _record(benchmark, len(fact.rows), scenario="tracing_disabled")
     assert overhead < 1.02, (
         f"disabled tracing costs {overhead:.4f}x on scan→filter→aggregate "
         "(acceptance bar: <2%)"
@@ -153,7 +150,7 @@ def test_tracing_enabled_overhead_claim(benchmark, fact):
 
     overhead = benchmark.pedantic(median_ratio, rounds=1, iterations=1)
     benchmark.extra_info["tracing_enabled_overhead"] = round(overhead, 4)
-    _record(benchmark, scenario="tracing_enabled")
+    _record(benchmark, len(fact.rows), scenario="tracing_enabled")
     assert overhead < 1.10, (
         f"enabled tracing costs {overhead:.4f}x on scan→filter→aggregate "
         "(acceptance bar: <10%)"
@@ -176,7 +173,9 @@ def test_traced_process_exchange(benchmark, fact):
         return len(tracer.spans)
 
     spans = benchmark.pedantic(run, rounds=3, iterations=1)
-    _record(benchmark, scenario="traced_process_exchange", spans=spans)
+    _record(
+        benchmark, len(fact.rows), scenario="traced_process_exchange", spans=spans
+    )
 
 
 def test_stats_snapshot_cost(benchmark):
@@ -194,4 +193,4 @@ def test_stats_snapshot_cost(benchmark):
 
     snapshot = benchmark(db.stats_snapshot)
     assert snapshot["engine"]["counters"]["queries"] >= 1
-    _record(benchmark, scenario="stats_snapshot")
+    _record(benchmark, len(fact.rows), scenario="stats_snapshot")

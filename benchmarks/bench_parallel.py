@@ -29,15 +29,11 @@ import time
 
 import pytest
 
-# Shared fixtures (fact/dim) come from conftest.py; the pipeline shapes
-# and scaled size from repro.workloads.microbench — one workload
-# definition for this module, bench_vectorized, and the regression proxies.
+# Shared fixtures (fact/dim, scaled) come from conftest.py; the pipeline
+# shapes from repro.workloads.microbench — one workload definition for
+# this module, bench_vectorized, and the regression proxies.
 from repro.engine.parallel import host_capability, insert_exchanges
-from repro.workloads.microbench import (
-    BENCH_ROWS as ROWS,
-    join_aggregate,
-    scan_filter_aggregate,
-)
+from repro.workloads.microbench import join_aggregate, scan_filter_aggregate
 
 BATCH_SIZE = 1024
 BACKENDS = ("process",)
@@ -73,7 +69,7 @@ def test_scan_filter_aggregate_serial(benchmark, fact):
         lambda: scan_filter_aggregate(fact).run(BATCH_SIZE)
     )
     assert len(result[0]) > 0
-    _record(benchmark, ROWS)
+    _record(benchmark, len(fact.rows))
 
 
 @pytest.mark.parametrize(("backend", "workers"), PARALLEL_CASES, ids=PARALLEL_IDS)
@@ -84,7 +80,7 @@ def test_scan_filter_aggregate_parallel(benchmark, fact, backend, workers):
         ).run(BATCH_SIZE)
     )
     assert len(result[0]) > 0
-    _record(benchmark, ROWS, backend)
+    _record(benchmark, len(fact.rows), backend)
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +89,7 @@ def test_scan_filter_aggregate_parallel(benchmark, fact, backend, workers):
 def test_join_aggregate_serial(benchmark, fact, dim):
     result = benchmark(lambda: join_aggregate(fact, dim).run(BATCH_SIZE))
     assert len(result[0]) > 0
-    _record(benchmark, ROWS)
+    _record(benchmark, len(fact.rows))
 
 
 @pytest.mark.parametrize(("backend", "workers"), PARALLEL_CASES, ids=PARALLEL_IDS)
@@ -104,7 +100,7 @@ def test_join_aggregate_parallel(benchmark, fact, dim, backend, workers):
         ).run(BATCH_SIZE)
     )
     assert len(result[0]) > 0
-    _record(benchmark, ROWS, backend)
+    _record(benchmark, len(fact.rows), backend)
 
 
 # ----------------------------------------------------------------------

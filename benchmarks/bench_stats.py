@@ -1,36 +1,31 @@
-"""Estimate-vs-actual Q-error: histogram statistics vs the uniform baseline.
+"""Estimate-vs-actual Q-error of the cardinality model.
 
 Every skewed snowflake template (``SNOWFLAKE_SKEWED_QUERIES`` — fact
 dates beta(2,2)-distributed, promo calendar overlapping only the thin
-tail) plans and executes under both estimation modes:
+tail) is planned and executed once; per template the Q-error
+``max(est/actual, actual/est)`` of the root cardinality estimate is
+recorded, with the join order SK1 chose and its deterministic
+``Metrics.work``.  Results must equal the ``join_order="syntactic"`` run:
+estimates pick among plans, never answers.
 
-* ``uniform`` — the pre-histogram model: min/max interpolation,
-  ``rows/ndv`` equalities, NDV-under-containment joins (with this PR's
-  degenerate-case bug fixes, so the comparison isolates the *model*);
-* ``histogram`` — equi-depth histograms, KMV sketch overlap, FD key
-  caps, OD interleaved-merge join bounds.
-
-Per template the Q-error ``max(est/actual, actual/est)`` of the root
-cardinality estimate is recorded; ``test_stats_qerror_claim`` is the
-acceptance record: the histogram mode's median Q-error must beat the
-uniform baseline's, and the planted SK1 plan flip must hold — under
-uniform statistics the search drags the item-filtered fact through the
-promo hash, under histogram statistics it probes the promo join first,
-measurably cheaper in deterministic ``Metrics.work``.
-``tests/harness/test_bench_regression.py`` re-checks the committed
-claims plus a live proxy on every CI run.
+The committed ``BENCH_bench_stats.json`` is the record of the ablation
+run made while a second, uniform model still existed (median Q-error
+3.696 uniform → 1.318 histogram; SK1 probes the promo join first,
+1.264× less work); ``tests/harness/test_bench_regression.py`` re-checks
+that record plus a live proxy of the one model on every CI run.
 """
 from __future__ import annotations
 
 import statistics
 
-from repro.engine.stats import set_estimation_mode
 from repro.optimizer.costing import estimate_plan
 from repro.workloads.snowflake import skewed_query_sql
 from repro.workloads.tpcds_lite import DATE_QUERIES
 
-#: The template whose join order must flip between the modes.
+#: The planted template: containment would join the item filter first;
+#: the histogram merge bound probes the promo join first.
 FLIP_QUERY = "SK1"
+FLIP_ORDER = ("((f ⋈ p) ⋈ i)",)
 
 
 def _canon_rows(rows):
@@ -45,86 +40,56 @@ def _canon_rows(rows):
     )
 
 
-def _measure_mode(db, sqls: dict, mode: str) -> dict:
-    """Per-template (estimate, actual, work, join orders) under one mode."""
-    previous = set_estimation_mode(mode)
-    try:
-        out = {}
-        for qid, sql in sqls.items():
-            plan = db.plan(sql, use_cache=False)
-            estimate = max(1.0, estimate_plan(db, plan).rows)
-            orders = tuple(d.chosen for d in plan.plan_info.join_orders)
-            result = db.execute(sql, use_cache=False)
-            actual = max(1, len(result.rows))
-            out[qid] = {
-                "estimate": estimate,
-                "actual": actual,
-                "qerror": max(estimate / actual, actual / estimate),
-                "work": result.metrics.work,
-                "orders": orders,
-                "rows": _canon_rows(result.rows),
-            }
-        return out
-    finally:
-        set_estimation_mode(previous)
+def _measure(db, sqls: dict) -> dict:
+    """Per-template (estimate, actual, work, join orders, rows)."""
+    out = {}
+    for qid, sql in sqls.items():
+        plan = db.plan(sql, use_cache=False)
+        estimate = max(1.0, estimate_plan(db, plan).rows)
+        orders = tuple(d.chosen for d in plan.plan_info.join_orders)
+        result = db.execute(sql, use_cache=False)
+        actual = max(1, len(result.rows))
+        out[qid] = {
+            "estimate": estimate,
+            "actual": actual,
+            "qerror": max(estimate / actual, actual / estimate),
+            "work": result.metrics.work,
+            "orders": orders,
+            "rows": _canon_rows(result.rows),
+        }
+    return out
 
 
 # ----------------------------------------------------------------------
-# The acceptance claim, asserted where the baseline is recorded
+# The skewed snowflake suite
 # ----------------------------------------------------------------------
 def test_stats_qerror_claim(benchmark, snowflake):
-    """Median Q-error must improve and the SK1 join order must flip to a
-    measurably cheaper plan."""
+    """Per-template Q-errors, SK1's join order, and answers equal to the
+    syntactic join order's."""
     db = snowflake.database
     sqls = skewed_query_sql(snowflake)
+    measured = benchmark.pedantic(
+        lambda: _measure(db, sqls), rounds=1, iterations=1
+    )
 
-    def measure():
-        uniform = _measure_mode(db, sqls, "uniform")
-        histogram = _measure_mode(db, sqls, "histogram")
-        return uniform, histogram
-
-    uniform, histogram = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    for qid in sqls:
-        assert uniform[qid]["rows"] == histogram[qid]["rows"], (
-            f"{qid}: result rows differ between estimation modes — "
+    for qid, sql in sqls.items():
+        syntactic = db.execute(sql, use_cache=False, join_order="syntactic")
+        assert measured[qid]["rows"] == _canon_rows(syntactic.rows), (
+            f"{qid}: result rows differ from the syntactic join order — "
             "estimates must never change answers"
         )
 
-    median_uniform = statistics.median(e["qerror"] for e in uniform.values())
-    median_histogram = statistics.median(e["qerror"] for e in histogram.values())
-    benchmark.extra_info["median_q_uniform"] = round(median_uniform, 3)
-    benchmark.extra_info["median_q_histogram"] = round(median_histogram, 3)
-    benchmark.extra_info["qerror_uniform"] = {
-        qid: round(e["qerror"], 2) for qid, e in uniform.items()
-    }
+    median = statistics.median(e["qerror"] for e in measured.values())
+    benchmark.extra_info["median_q_histogram"] = round(median, 3)
     benchmark.extra_info["qerror_histogram"] = {
-        qid: round(e["qerror"], 2) for qid, e in histogram.items()
+        qid: round(e["qerror"], 2) for qid, e in measured.items()
     }
-
-    flip_uniform = uniform[FLIP_QUERY]
-    flip_histogram = histogram[FLIP_QUERY]
+    flip = measured[FLIP_QUERY]
     benchmark.extra_info["flip_query"] = FLIP_QUERY
-    benchmark.extra_info["flip_uniform_order"] = " ".join(flip_uniform["orders"])
-    benchmark.extra_info["flip_histogram_order"] = " ".join(
-        flip_histogram["orders"]
-    )
-    benchmark.extra_info["flip_work_uniform"] = round(flip_uniform["work"])
-    benchmark.extra_info["flip_work_histogram"] = round(flip_histogram["work"])
-    work_ratio = flip_uniform["work"] / max(1.0, flip_histogram["work"])
-    benchmark.extra_info["flip_work_ratio"] = round(work_ratio, 3)
-
-    assert median_histogram < median_uniform, (
-        f"histogram statistics lost their edge: median Q-error "
-        f"{median_histogram:.2f} vs uniform baseline {median_uniform:.2f}"
-    )
-    assert flip_uniform["orders"] != flip_histogram["orders"], (
-        f"{FLIP_QUERY} no longer flips its join order between modes"
-    )
-    assert work_ratio >= 1.1, (
-        f"the {FLIP_QUERY} flip is no longer measurably cheaper: "
-        f"uniform-order work is only {work_ratio:.2f}x the histogram-order "
-        "work (acceptance bar: 1.1x)"
+    benchmark.extra_info["flip_histogram_order"] = " ".join(flip["orders"])
+    benchmark.extra_info["flip_work_histogram"] = round(flip["work"])
+    assert flip["orders"] == FLIP_ORDER, (
+        f"{FLIP_QUERY} no longer probes the promo join first: {flip['orders']}"
     )
 
 
@@ -143,20 +108,11 @@ def test_stats_qerror_tpcds(benchmark, tpcds):
             lo, hi = tpcds.date_range(first, length)
             sqls[f"{qid}-{label}"] = template.format(lo=lo, hi=hi)
 
-    def measure():
-        uniform = _measure_mode(db, sqls, "uniform")
-        histogram = _measure_mode(db, sqls, "histogram")
-        return uniform, histogram
-
-    uniform, histogram = benchmark.pedantic(measure, rounds=1, iterations=1)
-    median_uniform = statistics.median(e["qerror"] for e in uniform.values())
-    median_histogram = statistics.median(e["qerror"] for e in histogram.values())
-    benchmark.extra_info["median_q_uniform"] = round(median_uniform, 3)
-    benchmark.extra_info["median_q_histogram"] = round(median_histogram, 3)
-    assert median_histogram <= median_uniform, (
-        f"histogram statistics regressed on TPC-DS-lite: median Q-error "
-        f"{median_histogram:.2f} vs uniform {median_uniform:.2f}"
+    measured = benchmark.pedantic(
+        lambda: _measure(db, sqls), rounds=1, iterations=1
     )
+    median = statistics.median(e["qerror"] for e in measured.values())
+    benchmark.extra_info["median_q_histogram"] = round(median, 3)
 
 
 # ----------------------------------------------------------------------

@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import pytest
 
-# Shared fixtures (fact/dim) come from conftest.py; the pipeline shapes
-# and scaled size from repro.workloads.microbench — one workload
-# definition for this module, bench_parallel, and the regression proxies.
-from repro.workloads.microbench import (
-    BENCH_ROWS as ROWS,
-    join_aggregate,
-    scan_filter_aggregate,
-)
+# Shared fixtures (fact/dim, scaled) come from conftest.py; the pipeline
+# shapes from repro.workloads.microbench — one workload definition for
+# this module, bench_parallel, and the regression proxies.
+from repro.workloads.microbench import join_aggregate, scan_filter_aggregate
 
 BATCH_SIZES = (1, 64, 1024)
 
@@ -46,7 +42,7 @@ def test_scan_filter_aggregate_batch(benchmark, fact, batch_size):
         lambda: scan_filter_aggregate(fact).run(batch_size)
     )
     assert len(result[0]) > 0
-    _record_rate(benchmark, ROWS)
+    _record_rate(benchmark, len(fact.rows))
 
 
 # ----------------------------------------------------------------------
@@ -56,5 +52,5 @@ def test_scan_filter_aggregate_batch(benchmark, fact, batch_size):
 def test_join_aggregate_batch(benchmark, fact, dim, batch_size):
     result = benchmark(lambda: join_aggregate(fact, dim).run(batch_size))
     assert len(result[0]) > 0
-    _record_rate(benchmark, ROWS)
+    _record_rate(benchmark, len(fact.rows))
 

@@ -29,13 +29,13 @@ def scaled(n: int) -> int:
 # so the baselines test_bench_regression.py compares can never
 # desynchronize.  The builders and pipeline shapes live in
 # repro.workloads.microbench — the regression proxies import the same
-# ones.
+# ones.  Bench modules report rows/s from ``len(fact.rows)``.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
 def fact():
-    from repro.workloads.microbench import BENCH_ROWS, build_fact
+    from repro.workloads.microbench import build_fact
 
-    return build_fact(BENCH_ROWS)
+    return build_fact(scaled(120_000))
 
 
 @pytest.fixture(scope="session")

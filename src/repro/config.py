@@ -1,15 +1,12 @@
 """The engine's environment variables, read here and nowhere else.
 
-Three are read **once at import** — they configure module state other
+Two are read **once at import** — they configure module state other
 code snapshots at construction:
 
 * ``REPRO_TRACE`` — a truthy value traces every ``Database.execute``
   call by default (a per-call ``trace=`` still wins);
 * ``REPRO_SLOW_QUERY_MS`` — wall-clock threshold of the slow-query ring
-  (default 100 ms);
-* ``REPRO_STATS_MODE`` — the estimator's starting model, ``histogram``
-  (default) or ``uniform``; :func:`repro.engine.stats.set_estimation_mode`
-  changes it at run time.
+  (default 100 ms).
 
 Two are read **on every call**, so a test or harness can set them after
 import:
@@ -26,7 +23,6 @@ import os
 __all__ = [
     "TRACE_DEFAULT",
     "SLOW_QUERY_MS",
-    "STATS_MODE",
     "faults_spec",
     "start_method",
 ]
@@ -41,9 +37,6 @@ TRACE_DEFAULT = os.environ.get("REPRO_TRACE", "").strip().lower() not in (
 
 #: Queries slower than this (wall milliseconds) enter the slow-query ring.
 SLOW_QUERY_MS = float(os.environ.get("REPRO_SLOW_QUERY_MS", "100"))
-
-#: The estimation model ``repro.engine.stats`` starts in.
-STATS_MODE = os.environ.get("REPRO_STATS_MODE", "histogram")
 
 
 def faults_spec() -> str:

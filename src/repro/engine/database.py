@@ -28,7 +28,7 @@ from .index import SortedIndex
 from .operators.base import Metrics, Operator
 from .options import ExecOptions
 from .schema import Schema
-from .stats import MaintainedStats, TableStats, estimation_mode
+from .stats import MaintainedStats, TableStats
 from .table import Table
 
 #: Stable empty mapping for fault-free/serial results' ``exchange_stats``.
@@ -330,24 +330,19 @@ class Database:
         """Cached table statistics, current with the table's rows.
 
         The cached :class:`~repro.engine.stats.MaintainedStats` is stamped
-        with the row count, constraint count, index count and estimation
-        mode it was brought up to; while those read the same — one tuple
-        comparison, this is called ~80× per cold planning — it is served
-        as is.  Otherwise it is extended by the appended rows or rebuilt
-        (see ``MaintainedStats.refresh``), so cardinality estimates are
-        never computed from pre-mutation row counts, and writes to *other*
-        tables cost this one nothing.
+        with the row count, constraint count and index count it was
+        brought up to; while those read the same — one tuple comparison
+        of three lengths, this is called ~80× per cold planning — it is
+        served as is.  Otherwise it is extended by the appended rows or
+        rebuilt (see ``MaintainedStats.refresh``), so cardinality estimates
+        are never computed from pre-mutation row counts, and writes to
+        *other* tables cost this one nothing.
         """
         entry = self._stats.get(table_name)
         if entry is None:
             entry = self._stats[table_name] = MaintainedStats(self.table(table_name))
         table = entry.table
-        stamp = (
-            len(table.rows),
-            len(table.constraints),
-            len(self.indexes),
-            estimation_mode(),
-        )
+        stamp = (len(table.rows), len(table.constraints), len(self.indexes))
         if stamp != entry.stamp or refresh:
             outcome = entry.refresh(self.indexes_on(table_name), force=refresh)
             if outcome is not None:

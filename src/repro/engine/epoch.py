@@ -5,9 +5,9 @@ Every mutation is one of two kinds, and each kind has its reader:
 * the **catalog** kind — which tables and indexes exist (index choice is
   baked into a physical plan), the constraint registry (declared ODs,
   FDs and FKs drive sort elimination, join elimination and
-  stream-aggregate selection) and the estimation mode.  Tags
-  ``create-table``, ``create-index``, ``declare``, ``declare-fk`` and
-  ``stats-mode:*`` (and any tag not listed in :data:`DATA_REASONS`).
+  stream-aggregate selection).  Tags ``create-table``, ``create-index``,
+  ``declare`` and ``declare-fk`` (and any tag not listed in
+  :data:`DATA_REASONS`).
   These advance :func:`catalog_epoch`; a cached plan stamped with another
   catalog epoch is a miss (``stale_invalidations``);
 * the **data** kind — ``insert`` and ``load-rejected``.  These reach no
@@ -49,10 +49,9 @@ interned theory     its statement tuple        nothing (``M ⊨ φ`` is over  ``
                                                all instances); a           reuse=False)``
                                                ``declare`` is a new key
 ``Database.stats``  the table's rows,          when something plans:       ``collect_stats``
-                    constraint count, indexes  append: extended; shrink,
-                    and the estimation mode    ``declare``, new index,
-                                               mode flip, unorderable
-                                               value: rebuilt
+                    constraint count and       append: extended; shrink,
+                    indexes                    ``declare``, new index,
+                                               unorderable value: rebuilt
 pair selectivity    the two histogram objects  never: replaced with its    from-scratch merge
                     (``merge_join_rows``)      statistics (new histogram   walk (``histogram.
                                                = new entry; the old one    _merge_walk``)

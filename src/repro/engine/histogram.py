@@ -171,18 +171,6 @@ class EquiDepthHistogram:
         fraction = (window_hi - window_lo) / (hi_ord - lo_ord)
         return self.counts[i] * max(0.0, min(1.0, fraction))
 
-    def distinct_in(self, low: Any, high: Any) -> float:
-        """Estimated distinct values inside the closed window (≥ 1 when
-        the window overlaps the domain at all)."""
-        if self.total == 0:
-            return 0.0
-        out = 0.0
-        for i in range(len(self.counts)):
-            overlap = self._bucket_overlap(i, low, high)
-            if overlap > 0.0 and self.counts[i]:
-                out += self.distincts[i] * (overlap / self.counts[i])
-        return out
-
     def interval_mass(
         self, low: Any, high: Any, include_low: bool
     ) -> Tuple[float, float]:

@@ -94,9 +94,12 @@ class Metrics:
 
     @property
     def work(self) -> float:
-        """A single scalar summary: rows touched, with sorts and probes
-        weighted as in :mod:`repro.engine.cost`.  Cached against the
-        counter revision — counters only change through :meth:`add`."""
+        """A single scalar summary: scanned rows at 1, index probes at 4,
+        hash build and probe rows at 1.5 each, and ``1.2·n·log2 n`` for
+        ``n`` sorted rows.  These are its own weights, not the cost
+        model's (:mod:`repro.engine.cost` prices hash build and probe
+        rows at 1.75 and 1.25).  Cached against the counter revision —
+        counters only change through :meth:`add`."""
         if self._work_rev == self._rev:
             return self._work_cache
         total = 0.0

@@ -12,30 +12,24 @@ every OD ``X ↦ Y`` implies the FD ``X → Y``).
 Everything is collected in the single :func:`collect_stats` pass and
 cached per table by :meth:`repro.engine.database.Database.stats` as a
 :class:`MaintainedStats`, which records how many rows of its table (and
-which constraints, indexes and estimation mode) it covers: a read that
-finds more rows folds the new ones in, a read that finds anything else
-changed runs the full pass again.  Writes to other tables and unrelated
-DDL leave it alone.
+which constraints and indexes) it covers: a read that finds more rows
+folds the new ones in, a read that finds anything else changed runs the
+full pass again.  Writes to other tables and unrelated DDL leave it
+alone.
 
-Two estimation modes exist, selected by :func:`set_estimation_mode` (or
-the ``REPRO_STATS_MODE`` environment variable):
-
-* ``"histogram"`` (default) — histogram selectivities, sketch-measured
-  join overlap, FD key caps and OD interleaved-merge join bounds;
-* ``"uniform"`` — the pre-histogram model (uniform min/max interpolation,
-  NDV-under-containment joins), kept as the ablation baseline the
-  Q-error benchmark (``benchmarks/bench_stats.py``) compares against.
-
-Switching modes bumps the catalog epoch: estimates feed cached plans, so
-a mode flip must invalidate them like any other catalog change.
+There is one estimation model: histogram selectivities, sketch-measured
+join overlap, FD key caps and OD interleaved-merge join bounds.  Where
+the data gives a summary nothing to answer with — a column whose values
+do not compare has no histogram, a bound that does not compare with the
+column's values — it falls back to uniform interpolation over
+[minimum, maximum], ``1/distinct`` equality and NDV containment joins.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..config import STATS_MODE
 from .histogram import (
     EquiDepthHistogram,
     KMVSketch,
@@ -52,11 +46,8 @@ __all__ = [
     "TableStats",
     "collect_stats",
     "MaintainedStats",
-    "equijoin_rows",
     "estimate_equijoin",
     "JoinKeyStats",
-    "estimation_mode",
-    "set_estimation_mode",
 ]
 
 #: Selectivity assumed for predicates the estimator cannot analyze — an
@@ -65,35 +56,6 @@ __all__ = [
 #: while the non-numeric range fallback here used 0.3; the estimates they
 #: feed are compared against each other, so they must agree).
 DEFAULT_SELECTIVITY = 0.33
-
-#: Estimation mode: ``"histogram"`` (full subsystem) or ``"uniform"``
-#: (the pre-histogram baseline).  Module state rather than a parameter so
-#: every estimate in one planning reads the same model.
-_MODE = STATS_MODE
-
-
-def estimation_mode() -> str:
-    return _MODE
-
-
-def set_estimation_mode(mode: str) -> str:
-    """Select the estimation model; returns the previous mode.
-
-    Bumps the catalog epoch on change — cached plans embed join orders
-    chosen from the previous model's estimates, and the epoch clock is
-    the plan cache's staleness signal.
-    """
-    global _MODE
-    if mode not in ("histogram", "uniform"):
-        raise ValueError(f"unknown estimation mode {mode!r}")
-    previous = _MODE
-    if mode != previous:
-        from .epoch import bump_epoch
-
-        _MODE = mode
-        bump_epoch(f"stats-mode:{mode}")
-    return previous
-
 
 @dataclass(frozen=True)
 class ColumnStats:
@@ -130,10 +92,10 @@ class ColumnStats:
         """Fraction of rows with values in the requested window.
 
         ``None`` bounds are open ends; inclusiveness distinguishes
-        ``<`` from ``<=``.  With a histogram (and histogram mode on) the
-        bucket profile answers; otherwise the uniform model interpolates
-        over [minimum, maximum] with three guarantees the original model
-        lacked:
+        ``<`` from ``<=``.  With a histogram the bucket profile answers;
+        without one (values that do not compare) or for a bound the
+        histogram cannot place, :meth:`_uniform_range` interpolates over
+        [minimum, maximum].  Three guarantees hold either way:
 
         * a window disjoint from the observed domain estimates **0.0**
           (including on constant columns, where ``span == 0`` used to
@@ -146,7 +108,7 @@ class ColumnStats:
         """
         if self.minimum is None or self.maximum is None:
             return 1.0
-        # Domain-disjointness: decisive in every mode.  Exclusive bounds
+        # Domain-disjointness: decisive for every summary.  Exclusive bounds
         # touching the domain edge exclude it entirely.
         try:
             if low is not None and (
@@ -173,7 +135,7 @@ class ColumnStats:
         )
         if point_range:
             return self.equality_selectivity(low)
-        if _MODE == "histogram" and self.histogram is not None:
+        if self.histogram is not None:
             fraction = self.histogram.range_fraction(
                 low, high, low_inclusive, high_inclusive
             )
@@ -226,7 +188,7 @@ class ColumnStats:
                     return 0.0
             except TypeError:
                 return DEFAULT_SELECTIVITY
-            if _MODE == "histogram" and self.histogram is not None:
+            if self.histogram is not None:
                 return self.histogram.equality_fraction(value)
         return 1.0 / max(1, self.distinct)
 
@@ -240,44 +202,6 @@ class TableStats:
 
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name)
-
-
-def equijoin_rows(
-    left_rows: float,
-    right_rows: float,
-    key_ndvs: Iterable[Tuple[Optional[int], Optional[int]]],
-) -> float:
-    """Equi-join output cardinality under the containment assumption.
-
-    For each join-key pair the smaller key domain is assumed contained in
-    the larger (System R's classic heuristic), so every left/right row
-    pair matches with probability ``1 / max(ndv_left, ndv_right)``::
-
-        |L ⋈ R| = |L| · |R| / Π max(ndv_l, ndv_r)
-
-    Key pairs with no usable NDV on either side (``None`` or 0 — no
-    statistics collected, empty column) fall back to dividing by
-    ``max(|L|, |R|)`` — the pre-NDV heuristic — applied at most once so
-    multi-key joins without statistics don't collapse to zero.
-
-    This is the ``"uniform"``-mode estimator and the fallback for key
-    pairs without distribution summaries; :func:`estimate_equijoin`
-    layers the FD/OD-aware bounds on top.
-    """
-    rows = float(left_rows) * float(right_rows)
-    fallback_used = False
-    applied = False
-    for left_ndv, right_ndv in key_ndvs:
-        denominator = max(left_ndv or 0, right_ndv or 0)
-        if denominator > 0:
-            rows /= denominator
-            applied = True
-        elif not fallback_used:
-            rows /= max(left_rows, right_rows, 1.0)
-            fallback_used = True
-    if not applied and not fallback_used:
-        rows /= max(left_rows, right_rows, 1.0)
-    return max(1.0, rows)
 
 
 @dataclass(frozen=True)
@@ -294,7 +218,7 @@ def estimate_equijoin(
     right_rows: float,
     keys: Sequence[JoinKeyStats],
 ) -> float:
-    """FD/OD-aware equi-join output estimate (histogram mode).
+    """FD/OD-aware equi-join output estimate.
 
     Per key pair, most-informed model first:
 
@@ -308,26 +232,16 @@ def estimate_equijoin(
        probability is ``|A ∩ B| / (ndv_l · ndv_r)`` with the intersection
        measured by the KMV sketches (containment is the special case
        ``|A ∩ B| = min(ndv)``);
-    3. **containment** — the classic ``1 / max(ndv)``.
+    3. **containment** — the classic ``1 / max(ndv)`` (System R: the
+       smaller key domain is assumed contained in the larger); a key
+       pair with no usable NDV on either side divides by
+       ``max(|L|, |R|)`` instead, at most once, so multi-key joins
+       without statistics don't collapse to zero.
 
     Then the FD layer caps the result: a key column on one side matches
     at most one row per probe-side row, so the output can never exceed
-    the other side's cardinality.  In ``"uniform"`` mode everything above
-    is bypassed in favor of :func:`equijoin_rows` — the ablation
-    baseline.
+    the other side's cardinality.
     """
-    if _MODE != "histogram":
-        return equijoin_rows(
-            left_rows,
-            right_rows,
-            [
-                (
-                    key.left.distinct if key.left is not None else None,
-                    key.right.distinct if key.right is not None else None,
-                )
-                for key in keys
-            ],
-        )
     rows = float(left_rows) * float(right_rows)
     fallback_used = False
     applied = False
@@ -479,11 +393,10 @@ class MaintainedStats:
     """One table's statistics, extended by appended rows.
 
     ``rows`` and ``shape`` record what ``stats`` covers: how many of the
-    table's rows, and its constraint count, indexes and the estimation
-    mode.  :meth:`refresh` folds rows past ``rows`` into the retained
-    sorted column values; a shrunken table, any other ``shape`` or a
-    value that does not compare with its column goes through
-    :func:`collect_stats` again.  The result always equals
+    table's rows, and its constraint count and indexes.  :meth:`refresh`
+    folds rows past ``rows`` into the retained sorted column values; a
+    shrunken table, any other ``shape`` or a value that does not compare
+    with its column goes through :func:`collect_stats` again.  The result always equals
     ``collect_stats(table, indexes)``.
 
     Nothing is retained by the first collection — most tables are
@@ -508,7 +421,7 @@ class MaintainedStats:
         ``"extended"``, ``"rebuilt"`` or ``None`` (nothing it depends on
         changed)."""
         table = self.table
-        shape = (len(table.constraints), tuple(indexes), _MODE)
+        shape = (len(table.constraints), tuple(indexes))
         row_count = len(table.rows)
         if shape == self.shape and not force:
             if row_count == self.rows:

@@ -3,8 +3,9 @@
 The planner itself is rule-based (the paper's rewrites are always-good when
 their preconditions hold), but a cost estimate per plan is what a cost-based
 optimizer would compare — and what the ablation benchmarks report alongside
-measured work.  Estimates use per-table statistics (row counts, per-column
-distinct counts and min/max) with textbook selectivity heuristics.
+measured work.  Estimates read the per-table statistics of
+:mod:`repro.engine.stats`: histograms, distinct sketches and FD/OD facts,
+with min/max and distinct counts where a column has no histogram.
 """
 from __future__ import annotations
 
@@ -292,7 +293,7 @@ def estimate_plan(database, op: Operator) -> PlanEstimate:
         # FD/OD-aware equi-join cardinality: histogram merge-overlap for
         # OD-ordered keys, sketch-measured domain intersection, key caps
         # from the declared FDs — with NDV-under-containment as the
-        # fallback (and the whole model in "uniform" estimation mode).
+        # fallback for keys without distribution summaries.
         rows = estimate_equijoin(
             left.rows, right.rows, join_key_stats(database, op)
         )

@@ -50,6 +50,7 @@ from ..engine.expr import (
     ordered_comparisons,
 )
 from ..engine.logical import (
+    BindError,
     LogicalAggregate,
     LogicalDistinct,
     LogicalFilter,
@@ -393,8 +394,8 @@ class Planner:
         # so a reordered join must restore the syntactic schema; every
         # other consumer resolves columns by name (the search reads this
         # to decide whether the compensating projection is needed).  The
-        # same walk type-checks WHERE comparisons before any rewrite reads
-        # rows.
+        # same walk binds every column reference and type-checks WHERE
+        # comparisons before any rewrite reads rows.
         self.star_projection = _check_tree(logical, self.resolver)
         if self.mode != "naive":
             with self._span("pushdown"):
@@ -809,34 +810,99 @@ class Planner:
 # Helpers
 # ----------------------------------------------------------------------
 def _check_tree(node: LogicalNode, resolver) -> bool:
-    """Does any projection in the tree pass columns through positionally
-    (``SELECT *``)?
+    """Bind every column reference; does any projection pass columns
+    through positionally (``SELECT *``)?
 
-    The same walk, made before any rewrite reads rows, raises
-    :class:`~repro.engine.types.TypeError_` for a ``WHERE`` comparison
-    that orders a column against a literal of a type the column's values
-    cannot be ordered with (``int_col < 'a'``).  Equality stays legal: it
-    is false on every row.  A ``HAVING`` filter is skipped, since its
-    names are the aggregate's outputs.
+    A reference resolves as the physical plan will resolve it (the exact
+    name, else a unique ``.name`` suffix) against what its node sees: the
+    statement's tables, then the grouping columns and aggregate outputs,
+    then a projection's names — ``ORDER BY`` also sees the columns the
+    select list drops.  One that does not raises
+    :class:`~repro.engine.logical.BindError` naming it and every column
+    of the statement's tables.  The same walk, made before any rewrite
+    reads rows, raises :class:`~repro.engine.types.TypeError_` for a
+    ``WHERE`` comparison that orders a column against a literal of a type
+    the column's values cannot be ordered with (``int_col < 'a'``).
+    Equality stays legal: it is false on every row.
     """
     star = False
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children())
-        if isinstance(node, LogicalProject) and node.exprs is None:
-            star = True
-        elif isinstance(node, LogicalFilter) and not isinstance(
-            node.child, LogicalAggregate
-        ):
+    #: id(projection) -> what its input sees, for ORDER BY.
+    below: Dict[int, Optional[Tuple[str, ...]]] = {}
+
+    def sees(names, reference) -> bool:
+        """``names`` is ``None`` for the statement's tables."""
+        if names is None:
+            return resolver.knows(reference)
+        return reference in names or any(
+            name.endswith("." + reference) for name in names
+        )
+
+    def bind(names, grouped, references, clause, dropped=False) -> None:
+        """``dropped``: what a projection below hides from ``names``."""
+        for reference in references:
+            if sees(names, reference) or (
+                dropped is not False and sees(dropped, reference)
+            ):
+                continue
+            problem = "not selected"
+            if not resolver.knows(reference):
+                problem = "unknown"
+            elif grouped:
+                problem = "neither grouped nor aggregated"
+            raise BindError(
+                f"column {reference!r} in {clause} is {problem}; the "
+                f"statement's tables have {', '.join(resolver.columns())}"
+            )
+
+    def visible(node) -> Tuple[Optional[Tuple[str, ...]], bool]:
+        """The names above ``node`` (``None``: the tables' columns), and
+        whether they are grouped."""
+        nonlocal star
+        if isinstance(node, LogicalScan):
+            return None, False
+        if isinstance(node, LogicalJoin):
+            visible(node.left)
+            visible(node.right)
+            bind(None, False, node_columns(node), "ON")
+            return None, False
+        names, grouped = visible(node.child)
+        if isinstance(node, LogicalFilter):
+            clause = "HAVING" if grouped else "WHERE"
+            bind(names, grouped, node.predicate.columns(), clause)
             for column, value in ordered_comparisons(node.predicate):
-                dtype = resolver.dtype_of(column)
+                dtype = None if grouped else resolver.dtype_of(column)
                 if dtype is not None and not orderable(dtype, value):
                     raise TypeError_(
                         f"column {column!r} ({dtype.value}) cannot be ordered "
                         f"against the literal {value!r}"
                     )
+        elif isinstance(node, LogicalAggregate):
+            references, split = node_columns(node), len(node.group_columns)
+            bind(names, False, references[:split], "GROUP BY")
+            bind(names, False, references[split:], "an aggregate")
+            keys = [_qualified(resolver, c) for c in node.group_columns]
+            return (*keys, *(spec.name for spec in node.aggregates)), True
+        elif isinstance(node, LogicalProject) and node.exprs is None:
+            star = True
+        elif isinstance(node, LogicalProject):
+            bind(names, grouped, node_columns(node), "the SELECT list")
+            below[id(node)] = names
+            return node.names, grouped
+        elif isinstance(node, LogicalSort):
+            dropped = below.get(id(node.child), False)
+            bind(names, grouped, node.keys, "ORDER BY", dropped)
+        return names, grouped
+
+    visible(node)
     return star
+
+
+def _qualified(resolver, reference: str) -> str:
+    """``reference`` as its scan names it, when one column owns it."""
+    try:
+        return resolver.qualify(reference)
+    except (KeyError, ValueError):
+        return reference
 
 
 def _read_columns(node: LogicalNode, resolver) -> Optional[Dict[str, set]]:

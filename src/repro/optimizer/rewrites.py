@@ -165,6 +165,14 @@ class NameResolver:
             raise KeyError(f"unknown column {reference!r}")
         raise ValueError(f"ambiguous column {reference!r}: {candidates}")
 
+    def knows(self, reference: str) -> bool:
+        """Does some column of the statement's tables answer to it?"""
+        return reference in self._by_qualified or reference in self._by_bare
+
+    def columns(self) -> Tuple[str, ...]:
+        """Every ``alias.column`` of the statement's tables."""
+        return tuple(self._by_qualified)
+
     def alias_of(self, reference: str) -> str:
         return self.qualify(reference).split(".", 1)[0]
 

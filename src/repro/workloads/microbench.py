@@ -11,7 +11,6 @@ can never drift onto different workload shapes.
 """
 from __future__ import annotations
 
-import os
 import random
 
 from ..engine.expr import Between, Col, Lit
@@ -28,7 +27,6 @@ from ..engine.table import Table
 from ..engine.types import DataType
 
 __all__ = [
-    "BENCH_ROWS",
     "build_fact",
     "build_dim",
     "scan_filter_aggregate",
@@ -37,13 +35,6 @@ __all__ = [
 
 #: Group count of the dimension side (brackets 0..40 cover incomes to 400k).
 DIM_GROUPS = 40
-
-#: The benchmark-scale fact size, honoring the same ``REPRO_BENCH_SCALE``
-#: knob as ``benchmarks/conftest.py`` — resolved here so the bench
-#: modules stay importable outside the pytest rootdir.
-BENCH_ROWS = max(
-    1, int(120_000 * float(os.environ.get("REPRO_BENCH_SCALE", "1.0")))
-)
 
 
 def build_fact(rows: int, seed: int = 11) -> Table:

@@ -1,7 +1,6 @@
 """One env reader: ``repro/config.py`` is the only module under
-``src/repro`` that touches the process environment (the workload
-generators' ``REPRO_BENCH_SCALE`` excepted), and the README's env tables
-list exactly the variables that exist."""
+``src/repro`` that touches the process environment, and the README's env
+tables list exactly the variables that exist."""
 from __future__ import annotations
 
 import pathlib
@@ -12,7 +11,6 @@ SRC = ROOT / "src" / "repro"
 ENGINE_VARS = {
     "REPRO_TRACE",
     "REPRO_SLOW_QUERY_MS",
-    "REPRO_STATS_MODE",
     "REPRO_FAULTS",
     "REPRO_START_METHOD",
 }
@@ -28,7 +26,6 @@ def test_environment_is_read_only_in_config():
         for path in SRC.rglob("*.py")
         if re.search(r"os\.environ|getenv", path.read_text())
         and path != SRC / "config.py"
-        and SRC / "workloads" not in path.parents
     ]
     assert offenders == []
     assert _names((SRC / "config.py").read_text()) == ENGINE_VARS
@@ -36,7 +33,7 @@ def test_environment_is_read_only_in_config():
 
 def test_readme_env_tables_list_exactly_the_variables_in_use():
     harness = set()
-    for folder in (ROOT / "tests", ROOT / "benchmarks", SRC / "workloads"):
+    for folder in (ROOT / "tests", ROOT / "benchmarks"):
         for path in folder.rglob("*.py"):
             if path != pathlib.Path(__file__).resolve():
                 harness |= _names(path.read_text())
@@ -45,5 +42,4 @@ def test_readme_env_tables_list_exactly_the_variables_in_use():
     assert listed == ENGINE_VARS | harness
     # Nothing else in the engine mentions a variable config.py does not read.
     for path in SRC.rglob("*.py"):
-        if SRC / "workloads" not in path.parents:
-            assert _names(path.read_text()) <= ENGINE_VARS, path
+        assert _names(path.read_text()) <= ENGINE_VARS, path

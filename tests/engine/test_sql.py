@@ -265,3 +265,71 @@ def test_malformed_sql_fails_typed_and_counted(sql, marker):
         assert error.position == expected_position
         counters = database.stats_snapshot()["engine"]["counters"]
         assert counters["failures"] == attempt
+
+
+# ----------------------------------------------------------------------
+# Column references bind before anything reads rows
+# ----------------------------------------------------------------------
+UNBOUND = [
+    ("SELECT nope FROM t", "'nope' in the SELECT list is unknown"),
+    ("SELECT a FROM t WHERE nope = 1", "'nope' in WHERE is unknown"),
+    ("SELECT a FROM t ORDER BY nope", "'nope' in ORDER BY is unknown"),
+    ("SELECT a FROM t GROUP BY nope", "'nope' in GROUP BY is unknown"),
+    ("SELECT t.nope FROM t", "'t.nope' in the SELECT list is unknown"),
+    ("SELECT x.a FROM t", "'x.a' in the SELECT list is unknown"),
+    (
+        "SELECT a FROM t GROUP BY b",
+        "'a' in the SELECT list is neither grouped nor aggregated",
+    ),
+    ("SELECT SUM(nope) AS s FROM t", "'nope' in an aggregate is unknown"),
+    (
+        "SELECT b, COUNT(*) AS n FROM t GROUP BY b HAVING nope > 0",
+        "'nope' in HAVING is unknown",
+    ),
+    (
+        "SELECT b, COUNT(*) AS n FROM t GROUP BY b ORDER BY c",
+        "'c' in ORDER BY is neither grouped nor aggregated",
+    ),
+    ("SELECT DISTINCT a FROM t ORDER BY b", "'b' in ORDER BY is not selected"),
+]
+
+
+def _abc_database():
+    database = Database()
+    table = database.create_table(
+        "t", Schema.of(("a", DataType.INT), ("b", DataType.INT), ("c", DataType.INT))
+    )
+    table.load([(1, 2, 3), (2, 2, 4), (3, 5, 6)])
+    return database
+
+
+@pytest.mark.parametrize("batch_size", [1, 1024])
+@pytest.mark.parametrize("sql,marker", UNBOUND)
+def test_unknown_column_fails_typed_naming_every_column(sql, marker, batch_size):
+    """Not the pruned scan's columns in a bare ``KeyError``: every column
+    of the statement's tables, in a :class:`BindError` raised before any
+    statistics are collected."""
+    database = _abc_database()
+    with pytest.raises(BindError) as excinfo:
+        database.execute(sql, batch_size=batch_size)
+    message = str(excinfo.value)
+    assert marker in message
+    assert message.endswith("the statement's tables have t.a, t.b, t.c")
+    assert database.stats_snapshot()["maintenance"]["stats"]["rebuilt"] == 0
+
+
+@pytest.mark.parametrize("batch_size", [1, 1024])
+@pytest.mark.parametrize(
+    "sql,rows",
+    [
+        ("SELECT a AS z FROM t ORDER BY z", [(1,), (2,), (3,)]),
+        ("SELECT a FROM t ORDER BY c", [(1,), (2,), (3,)]),
+        ("SELECT a FROM t AS x ORDER BY x.a", [(1,), (2,), (3,)]),
+        ("SELECT b, COUNT(*) AS n FROM t GROUP BY b HAVING n > 1", [(2, 2)]),
+        ("SELECT t.b, SUM(c) AS s FROM t GROUP BY b ORDER BY s", [(5, 6), (2, 7)]),
+        ("SELECT b FROM t GROUP BY b HAVING b > 2", [(5,)]),
+    ],
+)
+def test_aliases_and_dropped_order_keys_still_bind(sql, rows, batch_size):
+    database = _abc_database()
+    assert database.execute(sql, batch_size=batch_size).rows == rows

@@ -165,11 +165,12 @@ def test_failures_and_timeouts_are_counted(db):
 def test_every_failed_statement_is_counted_and_reraised(db):
     """A failure before execution, or one no typed query error wraps, is
     counted like a timeout and reaches the caller as itself."""
+    from repro.engine.logical import BindError
     from repro.engine.sql.lexer import SqlSyntaxError
     from repro.engine.types import TypeError_
 
     failing = (
-        ("SELECT nope FROM fact", KeyError),
+        ("SELECT nope FROM fact", BindError),
         ("SELECT bracket FROM fact WHERE income < 'a'", TypeError_),
         ("SELECT income < 'a' AS x FROM fact", TypeError_),
         ("SELEC bracket FROM fact", SqlSyntaxError),

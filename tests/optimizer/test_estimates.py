@@ -10,12 +10,15 @@ The two seed bugs, as reported:
   estimated ``rows/ndv`` — a zero-width window under the uniform
   interpolation, un-floored.
 
-Everything here runs in both estimation modes where meaningful: the bug
-fixes hold in ``"uniform"`` mode too (they are model-independent), the
-distribution-aware cases pin ``"histogram"`` mode.
+Where meaningful a case runs over both summaries a column can have: the
+bug fixes hold for the ``"fallback"`` (no histogram — what a column whose
+values do not compare gets, answered by uniform interpolation over
+[minimum, maximum] and ``1/distinct``) as for the ``"histogram"``; the
+distribution-aware cases read the histogram.
 """
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import struct
 
@@ -39,45 +42,45 @@ from repro.engine.stats import (
     JoinKeyStats,
     collect_stats,
     estimate_equijoin,
-    set_estimation_mode,
 )
 from repro.engine.table import Table
 from repro.engine.types import DataType
 from repro.workloads.microbench import build_dim, build_fact
 
 
-@pytest.fixture(autouse=True)
-def _histogram_mode():
-    """Each test starts from the default mode and restores it."""
-    previous = set_estimation_mode("histogram")
-    yield
-    set_estimation_mode(previous)
+SUMMARIES = ["fallback", "histogram"]
 
 
-def _stats(values, mode="histogram"):
+def _summary(column, summary):
+    """``column`` as collected, or without its histogram (``"fallback"``)."""
+    if summary == "fallback":
+        return dataclasses.replace(column, histogram=None)
+    return column
+
+
+def _stats(values, summary="histogram"):
     """ColumnStats over a literal value list, via the real collector."""
     table = Table("t", Schema.of(("k", DataType.INT)))
     table.load((v,) for v in values)
-    set_estimation_mode(mode)
-    return collect_stats(table).column("k")
+    return _summary(collect_stats(table).column("k"), summary)
 
 
 # ----------------------------------------------------------------------
 # Satellite 1: constant columns
 # ----------------------------------------------------------------------
 class TestConstantColumns:
-    @pytest.mark.parametrize("mode", ["uniform", "histogram"])
-    def test_disjoint_window_is_zero(self, mode):
+    @pytest.mark.parametrize("summary", SUMMARIES)
+    def test_disjoint_window_is_zero(self, summary):
         """The reported repro: a window excluding the only value."""
-        set_estimation_mode(mode)
         assert ColumnStats(1, 5, 5).range_selectivity(10, 20) == 0.0
+        assert _stats([5] * 10, summary).range_selectivity(10, 20) == 0.0
 
-    @pytest.mark.parametrize("mode", ["uniform", "histogram"])
-    def test_covering_window_is_one(self, mode):
-        set_estimation_mode(mode)
-        assert ColumnStats(1, 5, 5).range_selectivity(0, 20) == 1.0
-        assert ColumnStats(1, 5, 5).range_selectivity(5, 5) == 1.0
-        assert ColumnStats(1, 5, 5).range_selectivity(None, None) == 1.0
+    @pytest.mark.parametrize("summary", SUMMARIES)
+    def test_covering_window_is_one(self, summary):
+        for stats in (ColumnStats(1, 5, 5), _stats([5] * 10, summary)):
+            assert stats.range_selectivity(0, 20) == 1.0
+            assert stats.range_selectivity(5, 5) == 1.0
+            assert stats.range_selectivity(None, None) == 1.0
 
     def test_below_and_above(self):
         stats = ColumnStats(1, 5, 5)
@@ -96,9 +99,9 @@ class TestConstantColumns:
 # Satellite 2: point ranges floor at equality
 # ----------------------------------------------------------------------
 class TestPointRanges:
-    @pytest.mark.parametrize("mode", ["uniform", "histogram"])
-    def test_point_range_equals_equality(self, mode):
-        stats = _stats([1, 2, 3, 4, 5] * 20, mode)
+    @pytest.mark.parametrize("summary", SUMMARIES)
+    def test_point_range_equals_equality(self, summary):
+        stats = _stats([1, 2, 3, 4, 5] * 20, summary)
         assert stats.range_selectivity(3, 3) == stats.equality_selectivity(3)
         assert stats.range_selectivity(3, 3) > 0.0
 
@@ -115,24 +118,28 @@ class TestPointRanges:
         assert between.plan_info.estimate.rows == pytest.approx(100.0)
 
     def test_closed_window_floors_at_equality(self):
-        stats = _stats(list(range(1000)), "uniform")
+        stats = _stats(list(range(1000)), "fallback")
         narrow = stats.range_selectivity(500, 500)
         assert narrow >= stats.equality_selectivity()
+        # Not a point range: the floor is the fallback's own.
+        assert stats._uniform_range(500, 500.5, True, True) == pytest.approx(
+            stats.equality_selectivity()
+        )
 
 
 # ----------------------------------------------------------------------
 # Disjoint ranges and window edges
 # ----------------------------------------------------------------------
 class TestDisjointRanges:
-    @pytest.mark.parametrize("mode", ["uniform", "histogram"])
-    def test_window_above_domain(self, mode):
-        stats = _stats(list(range(100)), mode)
+    @pytest.mark.parametrize("summary", SUMMARIES)
+    def test_window_above_domain(self, summary):
+        stats = _stats(list(range(100)), summary)
         assert stats.range_selectivity(200, 300) == 0.0
         assert stats.range_selectivity(200, None) == 0.0
 
-    @pytest.mark.parametrize("mode", ["uniform", "histogram"])
-    def test_window_below_domain(self, mode):
-        stats = _stats(list(range(100, 200)), mode)
+    @pytest.mark.parametrize("summary", SUMMARIES)
+    def test_window_below_domain(self, summary):
+        stats = _stats(list(range(100, 200)), summary)
         assert stats.range_selectivity(0, 50) == 0.0
         assert stats.range_selectivity(None, 50) == 0.0
 
@@ -147,17 +154,16 @@ class TestDisjointRanges:
 # Date domains
 # ----------------------------------------------------------------------
 class TestDateDomains:
-    def _dates(self, mode="histogram"):
+    def _dates(self, summary="histogram"):
         base = datetime.date(2001, 1, 1)
         days = [base + datetime.timedelta(days=i) for i in range(365)]
         table = Table("t", Schema.of(("d", DataType.DATE)))
         table.load((d,) for d in days)
-        set_estimation_mode(mode)
-        return collect_stats(table).column("d")
+        return _summary(collect_stats(table).column("d"), summary)
 
-    @pytest.mark.parametrize("mode", ["uniform", "histogram"])
-    def test_window_interpolates_by_days(self, mode):
-        stats = self._dates(mode)
+    @pytest.mark.parametrize("summary", SUMMARIES)
+    def test_window_interpolates_by_days(self, summary):
+        stats = self._dates(summary)
         lo = datetime.date(2001, 1, 1)
         hi = datetime.date(2001, 2, 5)  # 36 of 365 days
         sel = stats.range_selectivity(lo, hi)
@@ -271,30 +277,6 @@ class TestHistograms:
         dense = stats.range_selectivity(900, 999)
         assert sparse == pytest.approx(0.1, rel=0.3)
         assert dense == pytest.approx(0.9, rel=0.2)
-
-    def test_uniform_mode_ignores_histogram(self):
-        values = [7] * 900 + list(range(100))
-        stats = _stats(values, "uniform")
-        assert stats.histogram is not None  # collected either way
-        assert stats.equality_selectivity(7) == pytest.approx(
-            1 / stats.distinct
-        )
-
-    def test_mode_flip_bumps_epoch(self):
-        from repro.engine.epoch import current_epoch
-
-        before = current_epoch()
-        set_estimation_mode("uniform")
-        assert current_epoch() > before
-        same = current_epoch()
-        set_estimation_mode("uniform")  # no-op: same mode
-        assert current_epoch() == same
-        set_estimation_mode("histogram")
-        assert current_epoch() > same
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_estimation_mode("psychic")
 
 
 # ----------------------------------------------------------------------
@@ -544,23 +526,6 @@ class TestPairSelectivity:
         assert comparable > 0.0
         assert merge_join_rows(100, 8, ints, strs) == -1.0  # from the entry
         assert merge_join_rows(8, 100, strs, ints) == -1.0  # its own pair
-
-    def test_uniform_mode_never_consults_the_walks(self):
-        left, right = _stats(range(1000)), _stats(range(900, 1900))
-        ordered = [
-            ColumnStats(c.distinct, c.minimum, c.maximum, c.histogram, c.sketch,
-                        od_ordered=True)
-            for c in (left, right)
-        ]
-        keys = [JoinKeyStats(*ordered)]
-        set_estimation_mode("uniform")
-        before = pair_selectivity_stats()
-        assert estimate_equijoin(1000, 1000, keys) == 1000.0  # containment
-        assert pair_selectivity_stats() == before
-        set_estimation_mode("histogram")
-        assert estimate_equijoin(1000, 1000, keys) == pytest.approx(100, rel=0.3)
-        after = pair_selectivity_stats()
-        assert after["computed"] == before["computed"] + 1
 
     def test_append_prices_the_new_histogram_afresh(self):
         """``Table.load`` ⇒ ``Database.stats`` replaces the histogram

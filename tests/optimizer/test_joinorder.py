@@ -433,28 +433,23 @@ def test_cold_sn6_prices_each_pair_once_and_asks_per_class():
     theories): one merge walk per histogram pair however many candidates
     the DP prices, and the oracle asked per (subset, order) class."""
     from repro.engine.histogram import pair_selectivity_stats
-    from repro.engine.stats import set_estimation_mode
     from repro.optimizer.context import clear_theory_cache
 
-    previous = set_estimation_mode("histogram")
-    try:
-        workload = build_snowflake()
-        sql = QUERIES["SN6"][0]
-        clear_theory_cache()
-        before = pair_selectivity_stats()
-        info = workload.database.plan(sql, use_cache=False).plan_info
-        after = pair_selectivity_stats()
-        # Only item_sk is OD-ordered on both sides: (item, sales) and
-        # (sales, item), priced 92 times between them.
-        assert after["computed"] - before["computed"] == 2
-        assert after["reused"] - before["reused"] == 90
-        decision = info.join_orders[0]
-        assert (decision.satisfied_evaluated, decision.satisfied_reused) == (51, 172)
-        assert info.oracle["implies_calls"] == 562
+    workload = build_snowflake()
+    sql = QUERIES["SN6"][0]
+    clear_theory_cache()
+    before = pair_selectivity_stats()
+    info = workload.database.plan(sql, use_cache=False).plan_info
+    after = pair_selectivity_stats()
+    # Only item_sk is OD-ordered on both sides: (item, sales) and
+    # (sales, item), priced 92 times between them.
+    assert after["computed"] - before["computed"] == 2
+    assert after["reused"] - before["reused"] == 90
+    decision = info.join_orders[0]
+    assert (decision.satisfied_evaluated, decision.satisfied_reused) == (51, 172)
+    assert info.oracle["implies_calls"] == 562
 
-        clear_theory_cache()
-        again = workload.database.plan(sql, use_cache=False).plan_info
-        assert again.oracle == info.oracle
-        assert pair_selectivity_stats()["computed"] == after["computed"]
-    finally:
-        set_estimation_mode(previous)
+    clear_theory_cache()
+    again = workload.database.plan(sql, use_cache=False).plan_info
+    assert again.oracle == info.oracle
+    assert pair_selectivity_stats()["computed"] == after["computed"]
