@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 from time import perf_counter_ns
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -61,6 +62,18 @@ class _FkCoverage:
     child_rows: int
     parent_rows: int
     contained: bool
+
+
+@dataclass
+class _UniqueCoverage:
+    """A key-uniqueness verdict and what it covers: the key values read
+    (bare values for a one-column key, tuples otherwise; dropped once a
+    duplicate is found), the table's rows and its constraint count."""
+
+    keys: Optional[set]
+    rows: int
+    constraints: int
+    unique: bool
 
 
 @dataclass
@@ -153,11 +166,15 @@ class Database:
         #: what each one's latest containment verdict covers.
         self._foreign_keys: List[ForeignKey] = []
         self._fk_checks: Dict[ForeignKey, _FkCoverage] = {}
-        #: Times statistics / FK verdicts were extended by appended rows
-        #: vs rebuilt by a full pass (monotonic; :meth:`stats_snapshot`
-        #: adds the indexes' and tables' own counters).
+        #: (table, key columns) → its uniqueness verdict; see
+        #: :meth:`verified_unique_key`.
+        self._unique_checks: Dict[Tuple[str, Tuple[str, ...]], _UniqueCoverage] = {}
+        #: Times statistics / FK / uniqueness verdicts were extended by
+        #: appended rows vs rebuilt by a full pass (monotonic;
+        #: :meth:`stats_snapshot` adds the indexes' and tables' own
+        #: counters).
         self._maintenance: Dict[str, Dict[str, int]] = {
-            kind: {"extended": 0, "rebuilt": 0} for kind in ("stats", "fk")
+            kind: {"extended": 0, "rebuilt": 0} for kind in ("stats", "fk", "unique")
         }
         #: Cumulative query/timing counters + slow-query ring (see
         #: :mod:`repro.obs.registry`); surfaced by :meth:`stats_snapshot`.
@@ -325,6 +342,65 @@ class Database:
             cover.child_rows, cover.parent_rows = child_rows, parent_rows
             self._maintenance["fk"]["extended"] += 1
         return cover.contained
+
+    @staticmethod
+    def _unique_cover(table: Table, columns: Sequence[str]) -> _UniqueCoverage:
+        """The full uniqueness pass, keeping what later appends extend."""
+        values = Database._key_values(table, columns)
+        keys = set(values)
+        unique = len(keys) == len(values)
+        return _UniqueCoverage(
+            keys if unique else None,
+            len(table.rows),
+            len(table.constraints),
+            unique,
+        )
+
+    @staticmethod
+    def _key_values(table: Table, columns: Sequence[str], start: int = 0) -> list:
+        """The key of each row of ``table.rows[start:]``: the bare value
+        for a one-column key, a tuple otherwise."""
+        key = itemgetter(*(table.schema.position(c) for c in columns))
+        return list(map(key, table.rows[start:]))
+
+    def _key_unique(self, table_name: str, columns: Sequence[str]) -> bool:
+        """One O(n) pass: no two rows agree on ``columns`` (the reference
+        for :meth:`verified_unique_key`)."""
+        return self._unique_cover(self.table(table_name), columns).unique
+
+    def verified_unique_key(self, table_name: str, columns: Sequence[str]) -> bool:
+        """Do no two rows of ``table_name`` agree on ``columns``?
+
+        An FD proof (``is_superkey``) says rows agreeing on a key agree on
+        everything, which duplicate rows satisfy trivially, so a rule that
+        takes a key to match exactly once reads this verdict too.  It is
+        kept with the keys it read: an append folds in the new rows' keys
+        only, and a duplicate, once found, stays found until the table
+        shrinks; a shrink or a ``declare`` on the table runs the full pass
+        again.
+        """
+        table = self.table(table_name)
+        key = (table_name, tuple(columns))
+        cover = self._unique_checks.get(key)
+        rows = len(table.rows)
+        if (
+            cover is None
+            or rows < cover.rows
+            or len(table.constraints) != cover.constraints
+        ):
+            cover = self._unique_checks[key] = self._unique_cover(table, columns)
+            self._maintenance["unique"]["rebuilt"] += 1
+        elif rows != cover.rows:
+            if cover.unique:
+                added = self._key_values(table, columns, cover.rows)
+                fresh = set(added)
+                if len(fresh) == len(added) and cover.keys.isdisjoint(fresh):
+                    cover.keys |= fresh
+                else:
+                    cover.keys, cover.unique = None, False
+            cover.rows = rows
+            self._maintenance["unique"]["extended"] += 1
+        return cover.unique
 
     def stats(self, table_name: str, refresh: bool = False) -> TableStats:
         """Cached table statistics, current with the table's rows.
@@ -498,12 +574,11 @@ class Database:
         * ``exchange`` — lifetime parallel-execution totals (retries,
           degradations, process-backend serialization bytes);
         * ``maintenance`` — per kind of derived state (``stats``,
-          ``index``, ``fk``, ``constraints``, ``columnar``), how often a
-          read after a write ``extended`` it by the appended rows and how
-          often it was ``rebuilt`` by the full pass (first builds
-          included).  A
-          workload whose ``rebuilt`` keeps pace with its writes is
-          falling back every time;
+          ``index``, ``fk``, ``unique``, ``constraints``, ``columnar``),
+          how often a read after a write ``extended`` it by the appended
+          rows and how often it was ``rebuilt`` by the full pass (first
+          builds included).  A workload whose ``rebuilt`` keeps pace with
+          its writes is falling back every time;
         * ``pair_selectivity`` — the join estimator's histogram-pair merge
           walks ``computed`` and ``reused`` and their map's live ``size``
           (process-wide, like ``theory_cache``); ``computed`` keeping

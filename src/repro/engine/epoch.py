@@ -17,9 +17,11 @@ Every mutation is one of two kinds, and each kind has its reader:
   re-checks that record at lookup.  A declared OD survives an append
   because a checked ``load`` or an ``insert`` rejects a violating row (the
   paper's Section 2.2 check constraint) and rows appended unchecked are
-  checked before a plan is served (``Table.check_appended``); the date
-  rewrite's surrogate range, an FK verdict or a unique key are re-checked
-  only when a table behind them changed.
+  checked before a plan is served (``Table.check_appended``); the facts
+  a rewrite relied on are re-checked when a table behind them changed:
+  an FK verdict and a key uniqueness verdict through the maintained
+  state in the table below, the date rewrite's surrogate range by
+  re-planning.
 
 Both kinds advance :func:`current_epoch`, which the process pool reads:
 its forked image holds every table's rows, so any mutation re-forks it.
@@ -45,7 +47,7 @@ cached plan         the catalog; the row       catalog bump: re-plan;      ``pla
                     rewrites relied on         GROWTH``, or a fact broke:
                                                re-plan; else served
 process pool image  data of every table        any bump: re-fork           ``backend="inline"``
-interned theory     its statement tuple        nothing (``M ⊨ φ`` is over  ``build_theory(
+interned theory     its statement set          nothing (``M ⊨ φ`` is over  ``build_theory(
                                                all instances); a           reuse=False)``
                                                ``declare`` is a new key
 ``Database.stats``  the table's rows,          when something plans:       ``collect_stats``
@@ -60,6 +62,10 @@ pair selectivity    the two histogram objects  never: replaced with its    from-
                                                in; shrink: rebuilt
 FK verdict          child and parent rows      append: new rows / new      ``Database.
                                                keys only; shrink: rebuilt  _fk_contained``
+key uniqueness      the table's rows and       append: new keys only (a    ``Database.
+verdict             constraint count           duplicate stays found);     _key_unique``
+                                               shrink, ``declare``:
+                                               rebuilt
 constraint check    the table's rows and       append: each new row        ``explain_violation``
                     constraints                against its neighbours; a
                                                violation, ``declare`` or

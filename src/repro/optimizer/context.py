@@ -79,8 +79,14 @@ def alias_constraints(database, alias: str, table_name: str) -> List[Statement]:
 
 def join_equivalence(left_column: str, right_column: str) -> Statement:
     """``[l] ↔ [r]``: equi-joined columns are equal row-by-row, hence
-    order-equivalent in the join output."""
-    return OrderEquivalence(AttrList([left_column]), AttrList([right_column]))
+    order-equivalent in the join output.
+
+    The statement has one canonical orientation, the two names in sorted
+    order, so ``join_equivalence(a, b) == join_equivalence(b, a)``: the
+    statement set of a join tree does not depend on which side probed, and
+    every tree over one relation subset shares one interned theory."""
+    first, second = sorted((left_column, right_column))
+    return OrderEquivalence(AttrList([first]), AttrList([second]))
 
 
 def constant_statement(column: str) -> Statement:
@@ -88,34 +94,42 @@ def constant_statement(column: str) -> Statement:
     return OrderDependency(EMPTY, AttrList([column]))
 
 
-#: Interned theories keyed on the exact statement tuple, LRU-bounded.
-#: Repeated plannings of the same query template assemble identical
-#: statement lists, so they get the *same* ``ODTheory`` instance back —
-#: and with it the theory's memoized implication results.  The statements
-#: are the whole key because ``M ⊨ φ`` quantifies over *all* instances: no
-#: insert can change a verdict, and a ``declare`` changes what
-#: :func:`alias_constraints` returns and with it the key.
+#: Interned theories keyed on the statement *set*, LRU-bounded.
+#: Repeated plannings of the same query template — and every join tree
+#: over one relation subset, whichever side probed — assemble the same
+#: statements, so they get the *same* ``ODTheory`` instance back, and with
+#: it the theory's memoized implication results.  ``M ⊨ φ`` reads ``M`` as
+#: a set, and quantifies over *all* instances: no insert can change a
+#: verdict, and a ``declare`` changes what :func:`alias_constraints`
+#: returns and with it the key.
 _THEORY_CACHE_SIZE = 256
-_theory_cache: "OrderedDict[tuple, ODTheory]" = OrderedDict()
+_theory_cache: "OrderedDict[frozenset, ODTheory]" = OrderedDict()
+
+
+def _statement_order(statement: Statement) -> tuple:
+    """A total order on statements, so an interned theory's premises do
+    not depend on which caller built it first."""
+    return type(statement).__name__, tuple(statement.lhs), tuple(statement.rhs)
 
 
 def build_theory(statements: Iterable[Statement], reuse: bool = True) -> ODTheory:
     """Assemble the query-scoped theory (bounded for big schemas).
 
-    ``reuse=True`` (the default) interns theories by statement tuple, so
-    the oracle's result cache survives across queries and across writes
-    (a changed constraint set is a different tuple); pass ``reuse=False``
-    for a fresh, isolated instance (tests, one-off analyses).
+    ``reuse=True`` (the default) interns theories by statement set, its
+    premises in one canonical order, so the oracle's result cache survives
+    across queries and across writes (a changed constraint set is a
+    different key); pass ``reuse=False`` for a fresh, isolated instance
+    over the statements as given (tests, one-off analyses).
     """
-    statements = tuple(statements)
     if not reuse:
-        return ODTheory(statements, max_attributes=20)
-    theory = _theory_cache.get(statements)
+        return ODTheory(tuple(statements), max_attributes=20)
+    key = frozenset(statements)
+    theory = _theory_cache.get(key)
     if theory is None:
-        theory = ODTheory(statements, max_attributes=20)
-        _theory_cache[statements] = theory
+        theory = ODTheory(sorted(key, key=_statement_order), max_attributes=20)
+        _theory_cache[key] = theory
     else:
-        _theory_cache.move_to_end(statements)
+        _theory_cache.move_to_end(key)
     while len(_theory_cache) > _THEORY_CACHE_SIZE:
         _theory_cache.popitem(last=False)
     return theory

@@ -198,21 +198,27 @@ def _filter_selectivity(database, op) -> float:
     return out
 
 
-def join_key_stats(database, op) -> list:
+def join_key_stats(database, op, memo: Optional[dict] = None) -> list:
     """Per-key-pair :class:`JoinKeyStats` for a physical join operator.
 
     Shared by :func:`estimate_plan` and the join-order search so both
     read the same column profiles (histogram, sketch, keyness,
-    OD-orderedness) when pricing a join.
+    OD-orderedness) when pricing a join.  ``memo`` (key pair → its
+    :class:`JoinKeyStats`) serves a caller whose keys name the same base
+    column under every join it prices — the search, inside one join
+    block — so each pair's subtrees are walked once.
     """
     pairs = []
     for left_key, right_key in zip(op.left_keys, op.right_keys):
-        pairs.append(
-            JoinKeyStats(
+        pair = None if memo is None else memo.get((left_key, right_key))
+        if pair is None:
+            pair = JoinKeyStats(
                 left=_column_stats(database, op.left, left_key),
                 right=_column_stats(database, op.right, right_key),
             )
-        )
+            if memo is not None:
+                memo[left_key, right_key] = pair
+        pairs.append(pair)
     return pairs
 
 

@@ -33,7 +33,16 @@ the search and the syntactic plan read base tables the same way.
 
 Each frontier entry is a real physical subplan costed by
 :func:`~repro.optimizer.costing.estimate_plan` (NDV-based equi-join
-cardinalities under the containment assumption).  Entries are pruned by
+cardinalities under the containment assumption).  It also carries the
+answers the search needs about it, each asked once (:class:`_Interests`;
+the interesting orders are fixed up front and every check on an entry is
+a set lookup — the framework of Simmen, Shekita and Malkemus, SIGMOD
+1996): the interned theory its relation subset shares, the interesting
+orders it satisfies — a joined entry inherits its probe's and asks only
+the rest — and, per join-key tuple, whether its order is merge-ready,
+which :meth:`~repro.optimizer.planner.Planner.join_planned` takes as
+given.  A join-key pair's column statistics are looked up once per
+search.  Entries are pruned by
 dominance: an entry dies when another satisfies at least the same
 interesting orders at no greater cost.  Final selection adds *completion
 penalties* — a sort the consumer would need if the entry's order does not
@@ -60,7 +69,7 @@ from ..engine.operators import MergeJoin, Operator, Project
 from ..engine.stats import estimate_equijoin
 from .costing import PlanEstimate, estimate_plan, join_key_stats
 from .joingraph import BaseRelation, JoinEdge, JoinGraph, extract_join_graph
-from .properties import PhysicalProperty
+from .properties import PhysicalProperty, groupable, satisfies
 
 __all__ = [
     "DP_MAX_RELATIONS",
@@ -95,15 +104,21 @@ class _Interest:
 
 @dataclass
 class _Entry:
-    """One Pareto-frontier member: a physical subplan over ``aliases``."""
+    """One Pareto-frontier member: a physical subplan over ``aliases``,
+    with what the search asked about it, each asked once: the interned
+    theory of its statements (one per alias subset), the interesting
+    orders it satisfies, and per join-key tuple whether its order is
+    merge-ready (``ready``)."""
 
     op: Operator
     statements: list
+    theory: object  # the interned ODTheory of ``statements``
     prop: PhysicalProperty
     estimate: PlanEstimate
     aliases: FrozenSet[str]
     label: str
-    satisfied: FrozenSet[_Interest]
+    satisfied: FrozenSet[_Interest] = frozenset()
+    ready: Dict[Tuple[str, ...], bool] = field(default_factory=dict)
 
     @property
     def cost(self) -> float:
@@ -127,9 +142,12 @@ class JoinOrderDecision:
     chosen_cost: float
     syntactic: str
     syntactic_cost: float
-    #: ``(relation subset, order)`` classes put to the oracle / candidates
-    #: that took a class's answer: search effort, not part of the decision.
-    satisfied_evaluated: int = field(default=0, compare=False)
+    #: Where each candidate's answer about each interesting order it can
+    #: name came from: put to the oracle, inherited from its probe input,
+    #: or reused from a candidate of the same ``(relation subset, order)``
+    #: class.  Search effort, not part of the decision.
+    satisfied_asked: int = field(default=0, compare=False)
+    satisfied_inherited: int = field(default=0, compare=False)
     satisfied_reused: int = field(default=0, compare=False)
 
     def describe(self) -> str:
@@ -146,8 +164,9 @@ class JoinOrderDecision:
                 f"completed cost {self.syntactic_cost:.1f}"
             )
         return (
-            f"{report}; satisfied orders: {self.satisfied_evaluated} "
-            f"evaluated, {self.satisfied_reused} reused"
+            f"{report}; satisfied orders: {self.satisfied_asked} asked, "
+            f"{self.satisfied_inherited} inherited from the probe, "
+            f"{self.satisfied_reused} reused"
         )
 
 
@@ -181,52 +200,117 @@ def _interesting_orders(planner, graph: JoinGraph, desired) -> Tuple[_Interest, 
     return tuple(dict.fromkeys(interests))
 
 
-def _satisfied(planner, op, statements, prop, interests) -> FrozenSet[_Interest]:
-    """Which interesting orders this subplan's declared property covers.
-
-    Satisfaction goes through the planner's mode-dispatched oracle layer,
-    so in ``od`` mode an OD-implied order counts — this is where
-    order-equivalent frontier entries collapse into one class.
-    """
-    out = []
-    for interest in interests:
-        try:
-            resolved = tuple(op.schema.resolve(c) for c in interest.columns)
-        except (KeyError, ValueError):
-            continue  # not this subplan's columns
-        if interest.kind == "order":
-            ok = planner._order_ok(statements, prop.order, resolved)
-        else:
-            ok = planner._partition_ok(statements, prop.order, resolved)
-        if ok:
-            out.append(interest)
-    return frozenset(out)
-
-
 class _Interests:
-    """One search's interesting orders, and :func:`_satisfied` asked once
-    per ``(alias subset, provided order)``: every join tree over a subset
-    carries the same statements (its leaves' plus one equivalence per join
-    edge inside it — each crosses exactly one split) and ``M ⊨ X ↦ Y``
-    reads ``M`` as a set, so such candidates agree on the answer."""
+    """One search's interesting orders, and every answer about them asked
+    once.
+
+    * **Per class.**  Every join tree over one alias subset carries the
+      same statement *set* — its leaves' statements plus one equivalence
+      per join edge inside it, in one orientation
+      (:func:`~repro.optimizer.context.join_equivalence`) — and so shares
+      one interned theory (:meth:`theory`).  ``M ⊨ X ↦ Y`` reads ``M`` as a
+      set, so candidates with the same ``(alias subset, provided order)``
+      agree on every answer: the first one asks, the rest reuse.
+    * **Per join.**  A joined candidate's statements are a superset of its
+      probe's and its order is the probe's, so an answer that is one
+      implication stays true: it is inherited, and only the rest are
+      asked.  Grouping answers are implications in both modes and order
+      answers in ``od`` mode; ``fd`` mode's order test FD-reduces the
+      requirement and then matches a prefix, which more statements can
+      break, so there order answers are asked again.
+    * **Per join input.**  Merge-readiness, ``order ↦ join keys``, is
+      answered once per ``(entry, keys)`` (:meth:`ready`); a single key is
+      one of the interesting orders, whose answer the entry holds.
+
+    ``asked`` + ``inherited`` + ``reused`` counts every candidate's
+    answer about every interesting order its columns can name — what
+    asking each candidate directly would put to the oracle.  The search's
+    join-key statistics are looked up here too, once per key pair
+    (``pair_stats``): inside one join block a key always names its alias's
+    base column.
+    """
 
     def __init__(self, planner, orders: Tuple[_Interest, ...]) -> None:
         self.planner = planner
         self.orders = orders
-        self.evaluated = 0
+        self.asked = 0
+        self.inherited = 0
         self.reused = 0
-        self._memo: Dict[tuple, FrozenSet[_Interest]] = {}
+        #: (alias subset, provided order) -> (satisfied, answers it holds)
+        self._memo: Dict[tuple, Tuple[FrozenSet[_Interest], int]] = {}
+        self._theories: Dict[FrozenSet[str], object] = {}
+        #: The answers a join keeps (see above).
+        self._kept = frozenset(
+            interest
+            for interest in orders
+            if interest.kind == "partition" or planner.mode == "od"
+        )
+        self.pair_stats: Dict[Tuple[str, str], object] = {}
 
-    def satisfied(self, aliases, op, statements, prop) -> FrozenSet[_Interest]:
-        key = (aliases, prop.order)
+    def theory(self, aliases: FrozenSet[str], statements) -> object:
+        """The interned theory every join tree over ``aliases`` shares."""
+        theory = self._theories.get(aliases)
+        if theory is None:
+            theory = self._theories[aliases] = self.planner._theory(statements)
+        return theory
+
+    def satisfied(self, entry: _Entry, probe: Optional[_Entry] = None):
+        """The interesting orders ``entry`` satisfies; ``probe`` is the
+        order-preserving input of a joined entry."""
+        key = (entry.aliases, entry.prop.order)
         found = self._memo.get(key)
         if found is None:
-            found = self._memo[key] = _satisfied(
-                self.planner, op, statements, prop, self.orders
-            )
-            self.evaluated += 1
+            inherit = probe.satisfied & self._kept if probe is not None else frozenset()
+            found = self._memo[key] = self.ask(entry, inherit)
         else:
-            self.reused += 1
+            self.reused += found[1]
+        return found[0]
+
+    def ask(self, entry: _Entry, inherit) -> Tuple[FrozenSet[_Interest], int]:
+        """Answer every interesting order ``entry``'s columns can name,
+        taking the ones in ``inherit`` as given; also returns how many
+        answers that was.
+
+        Satisfaction goes through the planner's mode-dispatched oracle
+        layer on the entry's theory, so in ``od`` mode an OD-implied order
+        counts — this is where order-equivalent frontier entries collapse
+        into one class.
+        """
+        mode = self.planner.mode
+        order = entry.prop.order
+        out = []
+        answers = 0
+        for interest in self.orders:
+            try:
+                resolved = tuple(entry.op.schema.resolve(c) for c in interest.columns)
+            except (KeyError, ValueError):
+                continue  # not this subplan's columns
+            answers += 1
+            if interest in inherit:
+                self.inherited += 1
+                out.append(interest)
+                continue
+            self.asked += 1
+            if interest.kind == "order":
+                ok = satisfies(entry.theory, order, resolved, mode)
+            else:
+                ok = groupable(entry.theory, order, resolved, mode)
+            if ok:
+                out.append(interest)
+        return frozenset(out), answers
+
+    def ready(self, entry: _Entry, keys: Tuple[str, ...]) -> bool:
+        """Does ``entry``'s order satisfy its side's join ``keys``?"""
+        found = entry.ready.get(keys)
+        if found is None:
+            single = _Interest("order", keys)
+            if len(keys) == 1 and single in self.orders:
+                # Edge columns are qualified as the scans name them, so
+                # the interest was asked about exactly these columns.
+                found = single in entry.satisfied
+            else:
+                found = satisfies(entry.theory, entry.prop.order, keys, self.planner.mode)
+            entry.ready[keys] = found
         return found
 
 
@@ -260,22 +344,22 @@ def _leaf_candidates(
     )
     entries: List[_Entry] = []
     aliases = frozenset({relation.alias})
+    theory = interests.theory(aliases, statements)
     for path in paths:
         op = planner.scan_operator(
             relation.alias, relation.table, relation.predicate, path
         )
-        prop = PhysicalProperty(op.provides())
-        entries.append(
-            _Entry(
-                op=op,
-                statements=list(statements),
-                prop=prop,
-                estimate=estimate_plan(planner.database, op),
-                aliases=aliases,
-                label=relation.alias,
-                satisfied=interests.satisfied(aliases, op, statements, prop),
-            )
+        entry = _Entry(
+            op=op,
+            statements=list(statements),
+            theory=theory,
+            prop=PhysicalProperty(op.provides()),
+            estimate=estimate_plan(planner.database, op),
+            aliases=aliases,
+            label=relation.alias,
         )
+        entry.satisfied = interests.satisfied(entry)
+        entries.append(entry)
     return _prune(entries)
 
 
@@ -283,7 +367,11 @@ def _leaf_candidates(
 # Joining two frontier entries
 # ----------------------------------------------------------------------
 def _join_estimate(
-    database, op: Operator, probe_est: PlanEstimate, build_est: PlanEstimate
+    database,
+    op: Operator,
+    probe_est: PlanEstimate,
+    build_est: PlanEstimate,
+    pair_stats: dict,
 ) -> PlanEstimate:
     """Incremental join estimate: the children's estimates already live
     on the frontier entries, so only the join's own arm is computed —
@@ -292,7 +380,7 @@ def _join_estimate(
     candidate's whole subtree would duplicate at super-linear search
     cost), via the shared ``join_key_stats`` profile lookup."""
     rows = estimate_equijoin(
-        probe_est.rows, build_est.rows, join_key_stats(database, op)
+        probe_est.rows, build_est.rows, join_key_stats(database, op, pair_stats)
     )
     if isinstance(op, MergeJoin):
         extra = Cost(cpu=0.2 * (probe_est.rows + build_est.rows))
@@ -305,44 +393,42 @@ def _join_entries(
     planner,
     probe: _Entry,
     build: _Entry,
-    cross_edges: Sequence[JoinEdge],
+    probe_keys: Tuple[str, ...],
+    build_keys: Tuple[str, ...],
+    aliases: FrozenSet[str],
     interests: _Interests,
 ) -> _Entry:
     """Join two subplans with ``probe`` as the (order-preserving) left
     input, through the planner's shared join construction — the same
-    merge-readiness gate and statement threading the syntactic path
-    uses, so the two orderings can never diverge physically."""
+    statement threading the syntactic path uses, with the merge-readiness
+    the two entries already hold, so the two orderings can never diverge
+    physically."""
     from .planner import _Planned  # deferred: planner loads first
 
-    probe_keys: List[str] = []
-    build_keys: List[str] = []
-    for edge in cross_edges:
-        if edge.left_alias in probe.aliases:
-            probe_keys.append(edge.left_column)
-            build_keys.append(edge.right_column)
-        else:
-            probe_keys.append(edge.right_column)
-            build_keys.append(edge.left_column)
     planned = planner.join_planned(
         _Planned(probe.op, probe.statements, probe.prop),
         _Planned(build.op, build.statements, build.prop),
         probe_keys,
         build_keys,
+        ready=interests.ready(probe, probe_keys) and interests.ready(build, build_keys),
     )
-    aliases = probe.aliases | build.aliases
-    return _Entry(
+    entry = _Entry(
         op=planned.op,
         statements=planned.statements,
+        theory=interests.theory(aliases, planned.statements),
         prop=planned.prop,
         estimate=_join_estimate(
-            planner.database, planned.op, probe.estimate, build.estimate
+            planner.database,
+            planned.op,
+            probe.estimate,
+            build.estimate,
+            interests.pair_stats,
         ),
         aliases=aliases,
         label=f"({probe.label} ⋈ {build.label})",
-        satisfied=interests.satisfied(
-            aliases, planned.op, planned.statements, planned.prop
-        ),
     )
+    entry.satisfied = interests.satisfied(entry, probe)
+    return entry
 
 
 def _combine(
@@ -353,14 +439,26 @@ def _combine(
     interests: _Interests,
 ) -> List[_Entry]:
     """Every join of an entry from each frontier, in both directions."""
+    aliases_a = frontier_a[0].aliases
+    aliases = aliases_a | frontier_b[0].aliases
+    keys_a: List[str] = []
+    keys_b: List[str] = []
+    for edge in cross_edges:
+        if edge.left_alias in aliases_a:
+            keys_a.append(edge.left_column)
+            keys_b.append(edge.right_column)
+        else:
+            keys_a.append(edge.right_column)
+            keys_b.append(edge.left_column)
+    a, b = tuple(keys_a), tuple(keys_b)
     out: List[_Entry] = []
     for entry_a in frontier_a:
         for entry_b in frontier_b:
             out.append(
-                _join_entries(planner, entry_a, entry_b, cross_edges, interests)
+                _join_entries(planner, entry_a, entry_b, a, b, aliases, interests)
             )
             out.append(
-                _join_entries(planner, entry_b, entry_a, cross_edges, interests)
+                _join_entries(planner, entry_b, entry_a, b, a, aliases, interests)
             )
     return out
 
@@ -450,10 +548,12 @@ def _greedy_search(
 # ----------------------------------------------------------------------
 # Final selection
 # ----------------------------------------------------------------------
-def _completed_cost(planner, op, statements, prop, estimate, want) -> float:
+def _completed_cost(planner, op, statements, prop, estimate, want, satisfied=None) -> float:
     """Entry cost plus what the consumer (``want``: its desired order,
     else its desired grouping, else None) still has to pay: a sort if the
-    order is not provided, a hash pass if the grouping cannot stream."""
+    order is not provided, a hash pass if the grouping cannot stream.
+    ``satisfied`` is a frontier entry's answers, ``want`` among the
+    orders they cover; without it the planner is asked."""
     total = estimate.cost.total
     if want is None:
         return total
@@ -461,10 +561,15 @@ def _completed_cost(planner, op, statements, prop, estimate, want) -> float:
         resolved = tuple(op.schema.resolve(c) for c in want.columns)
     except (KeyError, ValueError):
         return total
-    if want.kind == "order":
-        if not planner._order_ok(statements, prop.order, resolved):
-            total += sort_cost(estimate.rows).total
-    elif not planner._partition_ok(statements, prop.order, resolved):
+    if satisfied is not None:
+        ok = want in satisfied
+    elif want.kind == "order":
+        ok = planner._order_ok(statements, prop.order, resolved)
+    else:
+        ok = planner._partition_ok(statements, prop.order, resolved)
+    if not ok and want.kind == "order":
+        total += sort_cost(estimate.rows).total
+    elif not ok:
         total += hash_cost(estimate.rows, 0).total
     return total
 
@@ -505,7 +610,12 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
         return None
 
     scored = [
-        (_completed_cost(planner, e.op, e.statements, e.prop, e.estimate, want), e)
+        (
+            _completed_cost(
+                planner, e.op, e.statements, e.prop, e.estimate, want, e.satisfied
+            ),
+            e,
+        )
         for e in frontier
     ]
     best_completed, best = min(scored, key=lambda pair: (pair[0], pair[1].label))
@@ -551,7 +661,8 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
         chosen_cost=chosen_completed,
         syntactic=syntactic_label,
         syntactic_cost=syntactic_completed,
-        satisfied_evaluated=interests.evaluated,
+        satisfied_asked=interests.asked,
+        satisfied_inherited=interests.inherited,
         satisfied_reused=interests.reused,
     )
     return JoinOrderResult(planned=planned, record=record)

@@ -43,11 +43,11 @@ moves one counter and makes the caller re-plan:
    past the fraction leaves the join order priced on stale estimates.
 3. **The facts** its rewrites relied on (``PlanInfo.facts``).  A fact
    whose tables all hold their planned row counts is not re-checked.  An
-   FK fact whose tables grew is re-checked through the maintained verdict
-   (``Database.verified_foreign_key``, which extends by the appended
-   rows); any other fact whose tables grew — the date rewrite's surrogate
-   range, a unique key — fails.  Either failure counts as
-   ``fact_invalidations``.
+   FK or unique-key fact whose tables grew is re-checked through its
+   maintained verdict (``Database.verified_foreign_key`` /
+   ``verified_unique_key``, which extend by the appended rows); a date
+   rewrite's surrogate range whose dimension grew fails.  Either failure
+   counts as ``fact_invalidations``.
 
 Everything else a plan decided stays right across an append: a declared
 OD survives because a checked ``load`` rejects a violating row, and scans
@@ -152,7 +152,11 @@ def replan_reason(database, info) -> Optional[str]:
     for fact in info.facts:
         if all(current[name] == planned_rows[name] for name in fact.tables):
             continue
-        if fact.kind != "fk" or not database.verified_foreign_key(*fact.key):
+        if fact.kind == "fk":
+            holds = database.verified_foreign_key(*fact.key)
+        else:
+            holds = fact.kind == "unique" and database.verified_unique_key(*fact.key)
+        if not holds:
             return "fact_invalidations"
     return None
 

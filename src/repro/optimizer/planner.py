@@ -674,21 +674,27 @@ class Planner:
         right: _Planned,
         left_keys: Sequence[str],
         right_keys: Sequence[str],
+        ready: Optional[bool] = None,
     ) -> _Planned:
         """Join two planned subtrees on resolved keys: a merge join when
         both declared orders provably satisfy their keys, a hash join
         otherwise.  The single construction point shared by the syntactic
         path and the cost-based search, so the two orderings can never
         diverge in when they emit MergeJoin vs HashJoin or in how join
-        equivalences thread into the statement set."""
+        equivalences thread into the statement set.
+
+        ``ready`` is that merge-readiness when the caller already holds
+        it (the search asks it once per input and keys); ``None`` asks
+        :meth:`_order_ok`, the reference."""
         statements = left.statements + right.statements
         for l, r in zip(left_keys, right_keys):
             statements.append(join_equivalence(l, r))
 
-        both_sorted = self.mode != "naive" and (
-            self._order_ok(left.statements, left.prop.order, left_keys)
-            and self._order_ok(right.statements, right.prop.order, right_keys)
-        )
+        if ready is None:
+            ready = self._order_ok(
+                left.statements, left.prop.order, left_keys
+            ) and self._order_ok(right.statements, right.prop.order, right_keys)
+        both_sorted = self.mode != "naive" and ready
         if both_sorted:
             op: Operator = MergeJoin(left.op, right.op, left_keys, right_keys)
         else:
@@ -817,9 +823,12 @@ def _check_tree(node: LogicalNode, resolver) -> bool:
     name, else a unique ``.name`` suffix) against what its node sees: the
     statement's tables, then the grouping columns and aggregate outputs,
     then a projection's names — ``ORDER BY`` also sees the columns the
-    select list drops.  One that does not raises
-    :class:`~repro.engine.logical.BindError` naming it and every column
-    of the statement's tables.  The same walk, made before any rewrite
+    select list drops.  An ``ON`` clause sees only its own join's inputs,
+    each side of a key pair its own side's tables.  A reference no scope
+    resolves to exactly one column raises
+    :class:`~repro.engine.logical.BindError` naming it: unknown (with every
+    column of the statement's tables), ambiguous (with its matches), or
+    not visible where it is used.  The same walk, made before any rewrite
     reads rows, raises :class:`~repro.engine.types.TypeError_` for a
     ``WHERE`` comparison that orders a column against a literal of a type
     the column's values cannot be ordered with (``int_col < 'a'``).
@@ -829,30 +838,51 @@ def _check_tree(node: LogicalNode, resolver) -> bool:
     #: id(projection) -> what its input sees, for ORDER BY.
     below: Dict[int, Optional[Tuple[str, ...]]] = {}
 
-    def sees(names, reference) -> bool:
-        """``names`` is ``None`` for the statement's tables."""
+    def found(names, reference) -> List[str]:
+        """What answers to ``reference`` in ``names`` (``None``: the
+        statement's tables)."""
         if names is None:
-            return resolver.knows(reference)
-        return reference in names or any(
-            name.endswith("." + reference) for name in names
+            return resolver.matches(reference)
+        if reference in names:
+            return [reference]
+        return [name for name in names if name.endswith("." + reference)]
+
+    def unbound(reference, clause, problem) -> BindError:
+        return BindError(
+            f"column {reference!r} in {clause} is {problem}; the statement's "
+            f"tables have {', '.join(resolver.columns())}"
         )
 
     def bind(names, grouped, references, clause, dropped=False) -> None:
         """``dropped``: what a projection below hides from ``names``."""
         for reference in references:
-            if sees(names, reference) or (
-                dropped is not False and sees(dropped, reference)
-            ):
+            scopes = [found(names, reference)]
+            if dropped is not False:
+                scopes.append(found(dropped, reference))
+            if any(len(matches) == 1 for matches in scopes):
                 continue
+            ambiguous = next((m for m in scopes if len(m) > 1), None)
             problem = "not selected"
-            if not resolver.knows(reference):
+            if not resolver.matches(reference):
                 problem = "unknown"
+            elif ambiguous:
+                problem = f"ambiguous (it matches {', '.join(ambiguous)})"
             elif grouped:
                 problem = "neither grouped nor aggregated"
-            raise BindError(
-                f"column {reference!r} in {clause} is {problem}; the "
-                f"statement's tables have {', '.join(resolver.columns())}"
-            )
+            raise unbound(reference, clause, problem)
+
+    def bind_on(references, aliases) -> None:
+        """Join keys see the tables of their own side of the join."""
+        for reference in references:
+            matches = resolver.matches(reference, aliases)
+            if len(matches) == 1:
+                continue
+            problem = f"not a column of {', '.join(sorted(aliases))}"
+            if not resolver.matches(reference):
+                problem = "unknown"
+            elif matches:
+                problem = f"ambiguous (it matches {', '.join(matches)})"
+            raise unbound(reference, "ON", problem)
 
     def visible(node) -> Tuple[Optional[Tuple[str, ...]], bool]:
         """The names above ``node`` (``None``: the tables' columns), and
@@ -863,7 +893,8 @@ def _check_tree(node: LogicalNode, resolver) -> bool:
         if isinstance(node, LogicalJoin):
             visible(node.left)
             visible(node.right)
-            bind(None, False, node_columns(node), "ON")
+            bind_on(node.left_columns, collect_aliases(node.left))
+            bind_on(node.right_columns, collect_aliases(node.right))
             return None, False
         names, grouped = visible(node.child)
         if isinstance(node, LogicalFilter):

@@ -26,8 +26,9 @@ The rewrite pack runs after it, in ``od`` mode with ``rewrites="on"``
 serve each other's trees):
 
 * **Scan consolidation** — a self-join of one table on an FD-proven key
-  (``is_superkey`` over the declared constraints, re-verified unique on
-  the data so duplicate rows cannot inflate the join) matches every row
+  (``is_superkey`` over the declared constraints, and unique on the data
+  by the maintained verdict ``Database.verified_unique_key``, so
+  duplicate rows cannot inflate the join) matches every row
   only with itself, so both scans merge into one carrying both sides'
   predicates, and references to the removed alias are renamed to the
   kept one.  Blocked under ``SELECT *`` (the join exposed two copies of
@@ -165,9 +166,17 @@ class NameResolver:
             raise KeyError(f"unknown column {reference!r}")
         raise ValueError(f"ambiguous column {reference!r}: {candidates}")
 
-    def knows(self, reference: str) -> bool:
-        """Does some column of the statement's tables answer to it?"""
-        return reference in self._by_qualified or reference in self._by_bare
+    def matches(self, reference: str, aliases=None) -> List[str]:
+        """Every ``alias.column`` that answers to it, of the tables under
+        ``aliases`` (all of the statement's when ``None``)."""
+        alias = self._by_qualified.get(reference)
+        if alias is not None:
+            found = [reference]
+        else:
+            found = self._by_bare.get(reference, [])
+        if aliases is None:
+            return list(found)
+        return [name for name in found if self._by_qualified[name] in aliases]
 
     def columns(self) -> Tuple[str, ...]:
         """Every ``alias.column`` of the statement's tables."""
@@ -273,7 +282,8 @@ class Fact:
     ``"date-range"`` (``key`` = the dimension and the surrogate range its
     qualifying rows filled, ``None`` bounds when none qualified).  A cached
     plan re-checks a fact only when one of its ``tables`` changed size:
-    an FK through its maintained verdict, any other kind by re-planning.
+    an FK or a unique key through its maintained verdict, a date range by
+    re-planning.
     """
 
     kind: str
@@ -321,24 +331,6 @@ class RewriteRecord:
         return f"{self.rule}({self.detail})"
 
 
-def _key_unique(table, bare_columns: Sequence[str]) -> bool:
-    """Data-verified uniqueness of a column set (one O(n) pass).
-
-    The FD proof (``is_superkey``) guarantees rows agreeing on the key
-    agree on *everything* — which duplicate rows satisfy trivially — so
-    the rules that treat a key as match-exactly-once re-verify genuine
-    uniqueness first.
-    """
-    positions = [table.schema.position(c) for c in bare_columns]
-    seen: Set[tuple] = set()
-    for row in table.rows:
-        key = tuple(row[p] for p in positions)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
-
-
 def _declared_superkey(database, table_name: str, bare_columns: Sequence[str]) -> bool:
     table = database.table(table_name)
     return is_superkey(bare_columns, table.schema.names, fds_of(table.constraints))
@@ -361,7 +353,7 @@ def _exactly_one_match(
     fk = (fact_table, fact_bares, dim_table, tuple(dim_bares))
     if not database.verified_foreign_key(*fk):
         return None
-    if not _key_unique(database.table(dim_table), dim_bares):
+    if not database.verified_unique_key(dim_table, dim_bares):
         return None
     return (
         Fact("fk", (fact_table, dim_table), fk),
@@ -642,7 +634,7 @@ class _Rules:
         table_name = left_scan.table
         if not _declared_superkey(self.database, table_name, bares):
             return None
-        if not _key_unique(self.database.table(table_name), bares):
+        if not self.database.verified_unique_key(table_name, bares):
             return None
 
         conjuncts: List[Expr] = []

@@ -1,14 +1,16 @@
 """Derived state extended by appended rows equals the from-scratch pass.
 
-Statistics, index entries, foreign-key verdicts, constraint checks and the
-column view each record how many rows they cover and fold further rows in.
-The full passes — ``collect_stats``, ``SortedIndex.build``,
-``Database._fk_contained``, ``explain_violation`` and the transpose
-``zip(*rows)`` — are the references here: after every step of a random
-history the maintained value must equal what the full pass computes from
-the same rows.
+Statistics, index entries, foreign-key and key-uniqueness verdicts,
+constraint checks and the column view each record how many rows they
+cover and fold further rows in.  The full passes — ``collect_stats``,
+``SortedIndex.build``, ``Database._fk_contained``, ``Database._key_unique``,
+``explain_violation`` and the transpose ``zip(*rows)`` — are the
+references here: after every step of a random history the maintained
+value must equal what the full pass computes from the same rows.
 """
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.engine.schema import Schema
 from repro.engine.stats import collect_stats
 from repro.engine.table import ConstraintViolation, Table
 from repro.engine.types import DataType
+from repro.workloads.rewrite_pack import REWRITE_PACK_QUERIES, build_rewrite_pack
 
 ROW = st.tuples(
     st.integers(0, 12),
@@ -196,6 +199,110 @@ class TestForeignKeys:
         db.table("child").insert((5,))
         assert not _verified(db)
         assert db.stats_snapshot()["maintenance"]["fk"] == {"extended": 5, "rebuilt": 1}
+
+
+# ----------------------------------------------------------------------
+# Key uniqueness verdicts
+# ----------------------------------------------------------------------
+KEY_ROW = st.tuples(st.integers(0, 9), st.integers(0, 2))
+UNIQUE_STEP = st.one_of(
+    st.tuples(st.just("append"), st.lists(KEY_ROW, min_size=1, max_size=4)),
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("truncate"), st.integers(0, 3)),
+    st.tuples(st.just("declare"), st.none()),
+)
+KEYS = (["a"], ["a", "b"])
+
+
+def _unique_database():
+    db = Database()
+    table = db.create_table("k", Schema.of(("a", DataType.INT), ("b", DataType.INT)))
+    return db, table
+
+
+def _assert_unique_current(db: Database) -> None:
+    for columns in KEYS:
+        keys = [tuple(row[:len(columns)]) for row in db.table("k").rows]
+        assert db._key_unique("k", columns) == (len(set(keys)) == len(keys))
+        assert db.verified_unique_key("k", columns) == db._key_unique("k", columns)
+
+
+class TestUniqueKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(UNIQUE_STEP, min_size=1, max_size=16))
+    def test_verdict_equals_the_full_pass(self, steps):
+        db, table = _unique_database()
+        _assert_unique_current(db)
+        for kind, argument in steps:
+            if kind == "append":
+                table.load(argument, check=False)
+            elif kind == "pop" and table.rows:
+                table.rows.pop()
+            elif kind == "truncate":
+                del table.rows[argument:]
+            elif kind == "declare":
+                table.declare(fd("a", "b"), check=False)
+            _assert_unique_current(db)
+
+    def test_unique_rows_a_duplicate_a_truncation_and_a_declare(self):
+        db, table = _unique_database()
+        table.load([(1, 0), (2, 0)])
+        steps = [
+            (lambda: None, True, "rebuilt"),                    # first verdict
+            (lambda: table.load([(3, 0), (4, 1)]), True, "extended"),
+            (lambda: table.load([(2, 1)]), False, "extended"),  # a duplicate
+            (lambda: table.load([(5, 0)]), False, "extended"),  # stays found
+            (lambda: table.rows.__delitem__(slice(3, None)), True, "rebuilt"),
+            (lambda: table.declare(fd("a", "b")), True, "rebuilt"),
+        ]
+        counts = {"extended": 0, "rebuilt": 0}
+        for step, unique, path in steps:
+            step()
+            assert db.verified_unique_key("k", ["a"]) is unique
+            assert unique == db._key_unique("k", ["a"])
+            counts[path] += 1
+            assert db.stats_snapshot()["maintenance"]["unique"] == counts
+        # A one-column key keeps bare values.
+        assert db._unique_checks["k", ("a",)].keys == {1, 2, 3}
+
+
+RW2 = dict((qid, sql) for qid, sql, _ in REWRITE_PACK_QUERIES)["RW2"]
+
+
+def _sqlite_rows(table: Table, sql: str) -> list:
+    conn = sqlite3.connect(":memory:")
+    conn.execute(f"CREATE TABLE {table.name} ({', '.join(table.schema.names)})")
+    conn.executemany(f"INSERT INTO {table.name} VALUES (?, ?, ?)", table.rows)
+    return conn.execute(sql).fetchall()
+
+
+def test_cached_consolidation_replans_after_a_duplicate_key():
+    """The self-join RW2 merges into one scan because ``w_id`` is unique:
+    a cached plan re-checks that through the maintained verdict, is served
+    after an append of new keys, and re-plans after a duplicate key."""
+    db = build_rewrite_pack(fact_rows=200, wide_rows=300, order_rows=200, customers=50)
+    wide = db.table("wide")
+    plan = db.plan(RW2)
+    assert [record.rule for record in plan.plan_info.rewrites] == ["scan-consolidation"]
+
+    wide.load([(301, 500, 100), (302, 900, 200)])
+    before = db.plan_cache_stats()
+    served = db.execute(RW2)
+    assert served.plan is plan
+    assert sorted(served.rows) == sorted(_sqlite_rows(wide, RW2))
+
+    # An exact duplicate of a row RW2 returns: the FD still holds, and the
+    # self-join now matches its key four times.
+    duplicate = next(row for row in wide.rows if row[1] >= 300 and row[2] < 700)
+    wide.load([duplicate])
+    replanned = db.execute(RW2)
+    assert replanned.plan is not plan
+    assert replanned.plan.plan_info.rewrites == []
+    after = db.plan_cache_stats()
+    assert after["fact_invalidations"] == before["fact_invalidations"] + 1
+    assert sorted(replanned.rows) == sorted(_sqlite_rows(wide, RW2))
+    keys = [row[0] for row in replanned.rows]
+    assert keys == sorted(keys) and keys.count(duplicate[0]) == 4
 
 
 # ----------------------------------------------------------------------

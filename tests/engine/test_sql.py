@@ -318,6 +318,63 @@ def test_unknown_column_fails_typed_naming_every_column(sql, marker, batch_size)
     assert database.stats_snapshot()["maintenance"]["stats"]["rebuilt"] == 0
 
 
+def _two_table_database():
+    database = Database()
+    for name, columns in (("t", ("a", "b")), ("u", ("a", "d")), ("c", ("z",))):
+        table = database.create_table(
+            name, Schema.of(*((column, DataType.INT) for column in columns))
+        )
+        table.load([tuple(range(1, len(columns) + 1))])
+    return database
+
+
+@pytest.mark.parametrize("batch_size", [1, 1024])
+@pytest.mark.parametrize(
+    "sql,marker",
+    [
+        (
+            "SELECT a FROM t JOIN u ON t.a = u.a",
+            "'a' in the SELECT list is ambiguous (it matches t.a, u.a)",
+        ),
+        (
+            "SELECT b FROM t JOIN u ON t.a = u.a WHERE a > 0",
+            "'a' in WHERE is ambiguous (it matches t.a, u.a)",
+        ),
+        (
+            "SELECT t.a, u.a FROM t JOIN u ON t.a = u.a ORDER BY a",
+            "'a' in ORDER BY is ambiguous (it matches t.a, u.a)",
+        ),
+        (
+            "SELECT * FROM t JOIN u ON t.a = c.z JOIN c ON u.d = c.z",
+            "'c.z' in ON is not a column of u",
+        ),
+        ("SELECT b FROM t JOIN u ON d = b", "'d' in ON is not a column of t"),
+    ],
+)
+def test_ambiguous_or_out_of_scope_names_fail_typed(sql, marker, batch_size):
+    """No name that several columns answer to, and no ON key outside its
+    own join's inputs: a :class:`BindError` before any statistics are
+    collected, not a bare ``ValueError``/``KeyError`` from planning."""
+    database = _two_table_database()
+    with pytest.raises(BindError) as excinfo:
+        database.execute(sql, batch_size=batch_size)
+    assert marker in str(excinfo.value)
+    assert database.stats_snapshot()["maintenance"]["stats"]["rebuilt"] == 0
+
+
+@pytest.mark.parametrize(
+    "sql,rows",
+    [
+        ("SELECT t.a AS a FROM t JOIN u ON t.a = u.a ORDER BY a", [(1,)]),
+        ("SELECT t.a FROM t JOIN u ON t.a = u.a ORDER BY a", [(1,)]),
+        ("SELECT b, d FROM t JOIN u ON u.a = t.a ORDER BY b", [(2, 2)]),
+        ("SELECT z FROM t JOIN u ON t.a = u.a JOIN c ON u.a = z", [(1,)]),
+    ],
+)
+def test_names_one_scope_resolves_still_bind(sql, rows):
+    assert _two_table_database().execute(sql).rows == rows
+
+
 @pytest.mark.parametrize("batch_size", [1, 1024])
 @pytest.mark.parametrize(
     "sql,rows",

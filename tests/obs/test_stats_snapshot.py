@@ -52,6 +52,7 @@ def test_maintenance_counts_every_kind_both_ways():
         db.stats("p")
         len(db.indexes["p_k"])
         db.verified_foreign_key("c", ["k"], "p", ["k"])
+        db.verified_unique_key("p", ["k"])
         parent.check_constraints()
         parent.columnar()
         return db.stats_snapshot()["maintenance"]
@@ -64,7 +65,7 @@ def test_maintenance_counts_every_kind_both_ways():
             if after[kind][outcome] > before[kind][outcome]
         }
 
-    kinds = ("stats", "index", "fk", "constraints", "columnar")
+    kinds = ("stats", "index", "fk", "unique", "constraints", "columnar")
     first = reading()
     assert set(first) == set(kinds)
     assert all(set(first[kind]) == {"extended", "rebuilt"} for kind in kinds)
@@ -74,7 +75,7 @@ def test_maintenance_counts_every_kind_both_ways():
     second = reading()  # statistics keep nothing until they are collected twice
     assert moved(first, second) == {
         ("stats", "rebuilt"), ("index", "extended"), ("fk", "extended"),
-        ("constraints", "extended"), ("columnar", "extended"),
+        ("unique", "extended"), ("constraints", "extended"), ("columnar", "extended"),
     }
     parent.load([(4, 40)], check=False)
     third = reading()
@@ -135,10 +136,12 @@ def test_pair_selectivity_reuse_and_thrash_are_visible(monkeypatch):
         line for line in db.explain(sql, verbose=True).splitlines()
         if line.startswith("join order:")
     )
-    evaluated, reused = re.search(
-        r"satisfied orders: (\d+) evaluated, (\d+) reused$", line
+    asked, inherited, reused = re.search(
+        r"satisfied orders: (\d+) asked, (\d+) inherited from the probe, "
+        r"(\d+) reused$",
+        line,
     ).groups()
-    assert int(evaluated) > 0 and int(reused) > 0
+    assert int(asked) > 0 and int(inherited) > 0 and int(reused) > 0
 
 
 def test_engine_counters_are_monotonic_across_queries(db):

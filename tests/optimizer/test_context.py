@@ -40,8 +40,11 @@ class TestQualify:
 
 class TestBuildingBlocks:
     def test_join_equivalence(self):
+        """One orientation whichever side probes, so a join tree's
+        statement set does not depend on the join direction."""
         statement = join_equivalence("f.sk", "d.sk")
-        assert statement == equiv("f.sk", "d.sk")
+        assert statement == join_equivalence("d.sk", "f.sk")
+        assert statement == equiv("d.sk", "f.sk")
 
     def test_constant(self):
         statement = constant_statement("t.year")

@@ -392,21 +392,20 @@ def _memo_cases():
 
 def test_memoised_search_equals_direct_search(monkeypatch):
     """Every workload statement, a cyclic join graph and a self-join, in
-    both planning modes: asking the oracle once per (subset, order) gives
-    the decision, operator tree and estimate of asking once per
-    candidate."""
+    both planning modes: asking the oracle once per (subset, order) and
+    inheriting the probe's answers gives the decision, operator tree and
+    estimate of asking every candidate about every order."""
     from repro.optimizer import joinorder
 
-    def direct(self, aliases, op, statements, prop):
-        self.evaluated += 1
-        return joinorder._satisfied(self.planner, op, statements, prop, self.orders)
+    def direct(self, entry, probe=None):
+        return self.ask(entry, frozenset())[0]
 
     def facts(db, sql, optimize):
         plan = db.plan(sql, optimize=optimize, use_cache=False)
         info = plan.plan_info
         return info.join_orders, plan.explain(), info.estimate
 
-    searched = reused = 0
+    searched = reused = inherited = 0
     covered = set()
     for qid, db, sql in _memo_cases():
         covered.add(qid)
@@ -419,21 +418,25 @@ def test_memoised_search_equals_direct_search(monkeypatch):
             for with_memo, without in zip(memoised[0], bypassed[0]):
                 searched += 1
                 reused += with_memo.satisfied_reused
-                assert without.satisfied_reused == 0
+                inherited += with_memo.satisfied_inherited
+                assert without.satisfied_reused == without.satisfied_inherited == 0
                 assert (
-                    with_memo.satisfied_evaluated + with_memo.satisfied_reused
-                    == without.satisfied_evaluated
+                    with_memo.satisfied_asked
+                    + with_memo.satisfied_inherited
+                    + with_memo.satisfied_reused
+                    == without.satisfied_asked
                 )
-    assert searched > 40 and reused > 0
+    assert searched > 40 and reused > 0 and inherited > 0
     assert {"triangle", "self-join", "SN6", "SK5", "RW2", "Q3"} <= covered
 
 
 def test_cold_sn6_prices_each_pair_once_and_asks_per_class():
-    """The two exact counts the issue pins (default-size snowflake, cold
-    theories): one merge walk per histogram pair however many candidates
-    the DP prices, and the oracle asked per (subset, order) class."""
+    """Exact counts (default-size snowflake, cold theories): one merge
+    walk per histogram pair however many candidates the DP prices; each
+    candidate's answers asked, inherited from its probe or reused from
+    its (subset, order) class; one interned theory per statement set."""
     from repro.engine.histogram import pair_selectivity_stats
-    from repro.optimizer.context import clear_theory_cache
+    from repro.optimizer.context import clear_theory_cache, theory_cache_len
 
     workload = build_snowflake()
     sql = QUERIES["SN6"][0]
@@ -446,8 +449,13 @@ def test_cold_sn6_prices_each_pair_once_and_asks_per_class():
     assert after["computed"] - before["computed"] == 2
     assert after["reused"] - before["reused"] == 90
     decision = info.join_orders[0]
-    assert (decision.satisfied_evaluated, decision.satisfied_reused) == (51, 172)
-    assert info.oracle["implies_calls"] == 562
+    assert (
+        decision.satisfied_asked,
+        decision.satisfied_inherited,
+        decision.satisfied_reused,
+    ) == (212, 42, 1220)
+    assert info.oracle["implies_calls"] == 243
+    assert theory_cache_len() == 15
 
     clear_theory_cache()
     again = workload.database.plan(sql, use_cache=False).plan_info
