@@ -169,6 +169,10 @@ class Database:
         #: (table, key columns) → its uniqueness verdict; see
         #: :meth:`verified_unique_key`.
         self._unique_checks: Dict[Tuple[str, Tuple[str, ...]], _UniqueCoverage] = {}
+        #: (table, alias) → (catalog epoch, the table's constraints
+        #: qualified by the alias); see
+        #: :func:`~repro.optimizer.context.alias_constraints`.
+        self.qualified_constraints: Dict[Tuple[str, str], tuple] = {}
         #: Times statistics / FK / uniqueness verdicts were extended by
         #: appended rows vs rebuilt by a full pass (monotonic;
         #: :meth:`stats_snapshot` adds the indexes' and tables' own
@@ -350,7 +354,9 @@ class Database:
         keys = set(values)
         unique = len(keys) == len(values)
         return _UniqueCoverage(
-            keys if unique else None,
+            # A set grown one element at a time keeps about twice the
+            # table a copy of it is sized to; the copy is what is kept.
+            set(keys) if unique else None,
             len(table.rows),
             len(table.constraints),
             unique,

@@ -47,6 +47,8 @@ cached plan         the catalog; the row       catalog bump: re-plan;      ``pla
                     rewrites relied on         GROWTH``, or a fact broke:
                                                re-plan; else served
 process pool image  data of every table        any bump: re-fork           ``backend="inline"``
+qualified           the catalog                catalog bump: qualified     ``qualify_statement``
+constraints                                    again
 interned theory     its statement set          nothing (``M ⊨ φ`` is over  ``build_theory(
                                                all instances); a           reuse=False)``
                                                ``declare`` is a new key

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .expr import Col, Expr
 from .operators.base import AggSpec
-from .sql.ast import AggCall, JoinClause, SelectStatement
+from .sql.ast import AggCall, SelectStatement
 
 __all__ = [
     "LogicalScan",
@@ -198,24 +198,6 @@ def explain_logical(node: LogicalNode, indent: int = 0) -> str:
 # ----------------------------------------------------------------------
 # Binder
 # ----------------------------------------------------------------------
-def _oriented(join: JoinClause) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """The ON pairs as (earlier tables' columns, joined table's columns).
-
-    SQL lets either side of ``=`` name the joined table; the join node's
-    right columns must be its own.  A pair whose left column is qualified
-    by the joined table's alias, and whose right column is not, is
-    swapped.  Unqualified references stay as written.
-    """
-    prefix = join.table.alias + "."
-    lefts, rights = [], []
-    for left, right in zip(join.left_columns, join.right_columns):
-        if left.startswith(prefix) and not right.startswith(prefix):
-            left, right = right, left
-        lefts.append(left)
-        rights.append(right)
-    return tuple(lefts), tuple(rights)
-
-
 def _lift_aggregates(expr: Expr, specs: List[AggSpec], counter: List[int]) -> Expr:
     """Replace AggCall nodes inside a HAVING predicate by references to
     (possibly new, hidden) aggregate outputs."""
@@ -274,13 +256,17 @@ def bind(statement: SelectStatement) -> LogicalNode:
     must be grouping columns (checked at physical planning, where schemas
     are known).  A HAVING predicate becomes a filter over the aggregate's
     output, with its aggregate calls lifted to (hidden) aggregate columns.
+    ON pairs keep the sides they were written on: which table owns an
+    unqualified column is a catalog question, and the planner orients them
+    (:func:`~repro.optimizer.rewrites.orient_join_keys`).
     """
     node: LogicalNode = LogicalScan(statement.table.table, statement.table.alias)
     for join in statement.joins:
         node = LogicalJoin(
             node,
             LogicalScan(join.table.table, join.table.alias),
-            *_oriented(join),
+            join.left_columns,
+            join.right_columns,
         )
     if statement.where is not None:
         node = LogicalFilter(node, statement.where)
@@ -315,7 +301,9 @@ def bind(statement: SelectStatement) -> LogicalNode:
         having = statement.having
         if having is not None:
             having = _lift_aggregates(having, agg_specs, [counter])
-        node = LogicalAggregate(node, statement.group_by, tuple(agg_specs))
+        # A repeated key groups by nothing more: keep its first occurrence.
+        keys = tuple(dict.fromkeys(statement.group_by))
+        node = LogicalAggregate(node, keys, tuple(agg_specs))
         if having is not None:
             node = LogicalFilter(node, having)
 

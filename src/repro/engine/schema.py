@@ -6,7 +6,26 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .types import DataType
 
-__all__ = ["Column", "Schema"]
+__all__ = ["Column", "Schema", "resolve_name"]
+
+
+def resolve_name(names, reference: str) -> str:
+    """The one name in ``names`` (exact column names, in order) that
+    ``reference`` answers to: itself, else the unique name ending in
+    ``"." + reference``.
+
+    :meth:`Schema.resolve`'s rule, for callers that hold names without a
+    schema.  Raises ``KeyError`` if nothing matches and ``ValueError`` if
+    several names do.
+    """
+    if reference in names:
+        return reference
+    matches = [name for name in names if name.endswith("." + reference)]
+    if not matches:
+        raise KeyError(f"no column matching {reference!r} in {tuple(names)}")
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous column {reference!r}: matches {sorted(matches)}")
+    return matches[0]
 
 
 @dataclass(frozen=True)
@@ -70,18 +89,7 @@ class Schema:
         """
         if reference in self._positions:
             return reference
-        matches = [
-            name
-            for name in self._positions
-            if name.endswith("." + reference)
-        ]
-        if not matches:
-            raise KeyError(f"no column matching {reference!r} in {self.names}")
-        if len(matches) > 1:
-            raise ValueError(
-                f"ambiguous column {reference!r}: matches {sorted(matches)}"
-            )
-        return matches[0]
+        return resolve_name(self._positions, reference)
 
     def dtype_of(self, reference: str) -> DataType:
         return self.columns[self.position(self.resolve(reference))].dtype

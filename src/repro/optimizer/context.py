@@ -30,6 +30,7 @@ from ..core.dependency import (
     Statement,
 )
 from ..core.inference import ODTheory
+from ..engine.epoch import catalog_epoch
 
 __all__ = [
     "qualify_statement",
@@ -70,11 +71,23 @@ def qualify_statement(statement: Statement, alias: str) -> Statement:
 
 
 def alias_constraints(database, alias: str, table_name: str) -> List[Statement]:
-    """Every declared constraint of the table, qualified by the alias."""
-    return [
-        qualify_statement(statement, alias)
-        for statement in database.constraints_on(table_name)
-    ]
+    """Every declared constraint of the table, qualified by the alias, in
+    a new list the caller may extend.
+
+    Qualified once per ``(table, alias)`` and catalog epoch: a
+    ``declare`` advances the epoch, so the next call qualifies again."""
+    memo = database.qualified_constraints
+    epoch = catalog_epoch()
+    found = memo.get((table_name, alias))
+    if found is None or found[0] != epoch:
+        found = memo[table_name, alias] = (
+            epoch,
+            tuple(
+                qualify_statement(statement, alias)
+                for statement in database.constraints_on(table_name)
+            ),
+        )
+    return list(found[1])
 
 
 def join_equivalence(left_column: str, right_column: str) -> Statement:

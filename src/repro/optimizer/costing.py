@@ -198,23 +198,26 @@ def _filter_selectivity(database, op) -> float:
     return out
 
 
-def join_key_stats(database, op, memo: Optional[dict] = None) -> list:
-    """Per-key-pair :class:`JoinKeyStats` for a physical join operator.
+def join_key_stats(database, keys, memo: Optional[dict] = None) -> list:
+    """Per-key-pair :class:`JoinKeyStats` for an equi-join.
 
-    Shared by :func:`estimate_plan` and the join-order search so both
-    read the same column profiles (histogram, sketch, keyness,
-    OD-orderedness) when pricing a join.  ``memo`` (key pair → its
-    :class:`JoinKeyStats`) serves a caller whose keys name the same base
-    column under every join it prices — the search, inside one join
-    block — so each pair's subtrees are walked once.
+    ``keys`` holds one ``(left owner, left key, right owner, right key)``
+    per key pair; an owner is a subtree holding the scan that reads its
+    key — a join input for :func:`estimate_plan`, the key's own leaf for
+    the join-order search, which prices joins it has not built — and each
+    key's column profile (histogram, sketch, keyness, OD-orderedness) is
+    found by walking its owner down to that scan.  ``memo`` (key pair →
+    its :class:`JoinKeyStats`) serves a caller whose keys name the same
+    base column under every join it prices — the search, inside one join
+    block — so each pair is looked up once.
     """
     pairs = []
-    for left_key, right_key in zip(op.left_keys, op.right_keys):
+    for left_owner, left_key, right_owner, right_key in keys:
         pair = None if memo is None else memo.get((left_key, right_key))
         if pair is None:
             pair = JoinKeyStats(
-                left=_column_stats(database, op.left, left_key),
-                right=_column_stats(database, op.right, right_key),
+                left=_column_stats(database, left_owner, left_key),
+                right=_column_stats(database, right_owner, right_key),
             )
             if memo is not None:
                 memo[left_key, right_key] = pair
@@ -300,9 +303,11 @@ def estimate_plan(database, op: Operator) -> PlanEstimate:
         # OD-ordered keys, sketch-measured domain intersection, key caps
         # from the declared FDs — with NDV-under-containment as the
         # fallback for keys without distribution summaries.
-        rows = estimate_equijoin(
-            left.rows, right.rows, join_key_stats(database, op)
-        )
+        keys = [
+            (op.left, left_key, op.right, right_key)
+            for left_key, right_key in zip(op.left_keys, op.right_keys)
+        ]
+        rows = estimate_equijoin(left.rows, right.rows, join_key_stats(database, keys))
         if isinstance(op, HashJoin):
             extra = hash_cost(right.rows, left.rows)
         elif isinstance(op, MergeJoin):

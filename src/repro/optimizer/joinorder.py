@@ -31,18 +31,25 @@ scan and one index scan per index, each under its relation's pushed-down
 filter — the list the single-relation planner picks one path from, so
 the search and the syntactic plan read base tables the same way.
 
-Each frontier entry is a real physical subplan costed by
-:func:`~repro.optimizer.costing.estimate_plan` (NDV-based equi-join
-cardinalities under the containment assumption).  It also carries the
-answers the search needs about it, each asked once (:class:`_Interests`;
-the interesting orders are fixed up front and every check on an entry is
-a set lookup — the framework of Simmen, Shekita and Malkemus, SIGMOD
+Each frontier entry is a *description* of a subplan, not operators: a
+leaf is an access path's built scan, estimated by
+:func:`~repro.optimizer.costing.estimate_plan`; a join is its two input
+entries, their keys and its kind (merge or hash), priced incrementally
+from its inputs' estimates and the join-key statistics
+(:func:`~repro.optimizer.costing.join_key_stats`, NDV-based equi-join
+cardinalities under the containment assumption).  After selection the
+one chosen entry is built, through the planner's only join constructor
+(:meth:`~repro.optimizer.planner.Planner.join_planned`); no other
+candidate ever becomes operators.  Each entry also carries the answers
+the search needs about it, each asked once (:class:`_Interests`; the
+interesting orders are fixed up front and every check on an entry is a
+set lookup — the framework of Simmen, Shekita and Malkemus, SIGMOD
 1996): the interned theory its relation subset shares, the interesting
 orders it satisfies — a joined entry inherits its probe's and asks only
 the rest — and, per join-key tuple, whether its order is merge-ready,
-which :meth:`~repro.optimizer.planner.Planner.join_planned` takes as
-given.  A join-key pair's column statistics are looked up once per
-search.  Entries are pruned by
+which decides its join kind and is handed to ``join_planned`` when it is
+built.  Column names are resolved once per relation subset, and a
+join-key pair's statistics once per search.  Entries are pruned by
 dominance: an entry dies when another satisfies at least the same
 interesting orders at no greater cost.  Final selection adds *completion
 penalties* — a sort the consumer would need if the entry's order does not
@@ -65,8 +72,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from ..engine.cost import Cost, hash_cost, sort_cost
 from ..engine.expr import Col
 from ..engine.logical import LogicalJoin
-from ..engine.operators import MergeJoin, Operator, Project
+from ..engine.operators import Operator, Project
+from ..engine.schema import resolve_name
 from ..engine.stats import estimate_equijoin
+from .context import join_equivalence
 from .costing import PlanEstimate, estimate_plan, join_key_stats
 from .joingraph import BaseRelation, JoinEdge, JoinGraph, extract_join_graph
 from .properties import PhysicalProperty, groupable, satisfies
@@ -104,25 +113,49 @@ class _Interest:
 
 @dataclass
 class _Entry:
-    """One Pareto-frontier member: a physical subplan over ``aliases``,
-    with what the search asked about it, each asked once: the interned
-    theory of its statements (one per alias subset), the interesting
-    orders it satisfies, and per join-key tuple whether its order is
-    merge-ready (``ready``)."""
+    """One Pareto-frontier member: a *description* of a subplan over
+    ``aliases``, priced but not built.
 
-    op: Operator
-    statements: list
-    theory: object  # the interned ODTheory of ``statements``
-    prop: PhysicalProperty
-    estimate: PlanEstimate
+    A leaf holds its built access-path scan (``scan``).  A join holds its
+    inputs and how they meet — ``probe`` (the order-preserving left
+    input), ``build``, their keys and ``merge`` (merge join, else hash
+    join) — and becomes operators only if it wins (:func:`_build`).  Both
+    hold their provided order (a join keeps its probe's), their estimate
+    and what the search asked about them, each asked once: the interned
+    theory of their statements (one per alias subset), the interesting
+    orders they satisfy, and per join-key tuple whether their order is
+    merge-ready (``ready``).
+    """
+
     aliases: FrozenSet[str]
     label: str
+    prop: PhysicalProperty
+    estimate: PlanEstimate
+    scan: Optional[Operator] = None
+    probe: Optional["_Entry"] = None
+    build: Optional["_Entry"] = None
+    probe_keys: Tuple[str, ...] = ()
+    build_keys: Tuple[str, ...] = ()
+    merge: bool = False
+    theory: object = None  # the interned ODTheory of ``statements``
     satisfied: FrozenSet[_Interest] = frozenset()
     ready: Dict[Tuple[str, ...], bool] = field(default_factory=dict)
+    _statements: Optional[list] = field(default=None, repr=False)
 
     @property
     def cost(self) -> float:
         return self.estimate.cost.total
+
+    @property
+    def statements(self) -> list:
+        """The statement list :meth:`~repro.optimizer.planner.Planner.
+        join_planned` would thread through this subplan: a join's inputs'
+        statements plus one equivalence per key pair.  Made when read —
+        for a subset's first entry (its theory) and for the winner."""
+        if self._statements is None:
+            self._statements = self.probe.statements + self.build.statements
+            self._statements += map(join_equivalence, self.probe_keys, self.build_keys)
+        return self._statements
 
 
 @dataclass(frozen=True)
@@ -149,6 +182,10 @@ class JoinOrderDecision:
     satisfied_asked: int = field(default=0, compare=False)
     satisfied_inherited: int = field(default=0, compare=False)
     satisfied_reused: int = field(default=0, compare=False)
+    #: Join candidates the search priced, and join operators it built —
+    #: only the chosen tree's, none when the syntactic order is kept.
+    priced: int = field(default=0, compare=False)
+    built: int = field(default=0, compare=False)
 
     def describe(self) -> str:
         report = (
@@ -164,7 +201,8 @@ class JoinOrderDecision:
                 f"completed cost {self.syntactic_cost:.1f}"
             )
         return (
-            f"{report}; satisfied orders: {self.satisfied_asked} asked, "
+            f"{report}; join candidates: {self.priced} priced, "
+            f"{self.built} built; satisfied orders: {self.satisfied_asked} asked, "
             f"{self.satisfied_inherited} inherited from the probe, "
             f"{self.satisfied_reused} reused"
         )
@@ -221,13 +259,18 @@ class _Interests:
     * **Per join input.**  Merge-readiness, ``order ↦ join keys``, is
       answered once per ``(entry, keys)`` (:meth:`ready`); a single key is
       one of the interesting orders, whose answer the entry holds.
+    * **Per subset and per search.**  The interesting orders' columns are
+      resolved once per alias subset (:meth:`named`) against the subset's
+      leaf schemas, by :meth:`~repro.engine.schema.Schema.resolve`'s rule;
+      a join-key pair's column statistics once per search
+      (:meth:`key_stats`): inside one join block a key always names its
+      alias's base column, which the alias's leaf scan reads.
 
     ``asked`` + ``inherited`` + ``reused`` counts every candidate's
     answer about every interesting order its columns can name — what
-    asking each candidate directly would put to the oracle.  The search's
-    join-key statistics are looked up here too, once per key pair
-    (``pair_stats``): inside one join block a key always names its alias's
-    base column.
+    asking each candidate directly would put to the oracle.  ``priced``
+    counts join candidates, ``built`` the join operators :func:`_build`
+    made for the winner.
     """
 
     def __init__(self, planner, orders: Tuple[_Interest, ...]) -> None:
@@ -236,6 +279,8 @@ class _Interests:
         self.asked = 0
         self.inherited = 0
         self.reused = 0
+        self.priced = 0
+        self.built = 0
         #: (alias subset, provided order) -> (satisfied, answers it holds)
         self._memo: Dict[tuple, Tuple[FrozenSet[_Interest], int]] = {}
         self._theories: Dict[FrozenSet[str], object] = {}
@@ -245,14 +290,57 @@ class _Interests:
             for interest in orders
             if interest.kind == "partition" or planner.mode == "od"
         )
-        self.pair_stats: Dict[Tuple[str, str], object] = {}
+        #: alias -> its leaf scans, one per access path.
+        self.scans: Dict[str, List[Operator]] = {}
+        self._named: Dict[FrozenSet[str], Tuple[tuple, ...]] = {}
+        self._pair_stats: Dict[Tuple[str, str], object] = {}
 
-    def theory(self, aliases: FrozenSet[str], statements) -> object:
-        """The interned theory every join tree over ``aliases`` shares."""
-        theory = self._theories.get(aliases)
+    def theory(self, entry: _Entry) -> object:
+        """The interned theory every join tree over ``entry.aliases``
+        shares; only the subset's first entry reads its statements."""
+        theory = self._theories.get(entry.aliases)
         if theory is None:
-            theory = self._theories[aliases] = self.planner._theory(statements)
+            theory = self.planner._theory(entry.statements)
+            self._theories[entry.aliases] = theory
         return theory
+
+    def named(self, aliases: FrozenSet[str]) -> Tuple[tuple, ...]:
+        """``(interest, its resolved columns)`` for each interesting order
+        a subplan over ``aliases`` can name, in order."""
+        found = self._named.get(aliases)
+        if found is None:
+            names = {
+                name: None
+                for alias in aliases
+                for scan in self.scans[alias]
+                for name in scan.schema.names
+            }
+            out = []
+            for interest in self.orders:
+                try:
+                    resolved = tuple(resolve_name(names, c) for c in interest.columns)
+                except (KeyError, ValueError):
+                    continue  # not this subplan's columns
+                out.append((interest, resolved))
+            found = self._named[aliases] = tuple(out)
+        return found
+
+    def key_stats(self, probe_keys: Tuple[str, ...], build_keys: Tuple[str, ...]) -> list:
+        """The :class:`~repro.engine.stats.JoinKeyStats` of joining on
+        these keys, each read through a leaf scan of its alias (every
+        access path reads the same table)."""
+
+        def owner(key: str) -> Operator:
+            return self.scans[key.split(".", 1)[0]][0]
+
+        return join_key_stats(
+            self.planner.database,
+            [
+                (owner(left), left, owner(right), right)
+                for left, right in zip(probe_keys, build_keys)
+            ],
+            self._pair_stats,
+        )
 
     def satisfied(self, entry: _Entry, probe: Optional[_Entry] = None):
         """The interesting orders ``entry`` satisfies; ``probe`` is the
@@ -279,13 +367,8 @@ class _Interests:
         mode = self.planner.mode
         order = entry.prop.order
         out = []
-        answers = 0
-        for interest in self.orders:
-            try:
-                resolved = tuple(entry.op.schema.resolve(c) for c in interest.columns)
-            except (KeyError, ValueError):
-                continue  # not this subplan's columns
-            answers += 1
+        named = self.named(entry.aliases)
+        for interest, resolved in named:
             if interest in inherit:
                 self.inherited += 1
                 out.append(interest)
@@ -297,7 +380,7 @@ class _Interests:
                 ok = groupable(entry.theory, order, resolved, mode)
             if ok:
                 out.append(interest)
-        return frozenset(out), answers
+        return frozenset(out), len(named)
 
     def ready(self, entry: _Entry, keys: Tuple[str, ...]) -> bool:
         """Does ``entry``'s order satisfy its side's join ``keys``?"""
@@ -338,51 +421,48 @@ def _leaf_candidates(
     """One frontier entry per access path of a base relation
     (:meth:`~repro.optimizer.planner.Planner.access_paths`): the
     sequential scan and every index, the unbounded ones kept for their
-    order class."""
+    order class.  Leaves are built and estimated whole: the search reads
+    their schemas and the joins above read their statistics."""
     statements, paths = planner.access_paths(
         relation.alias, relation.table, relation.predicate
     )
+    alias = relation.alias
+    aliases = frozenset({alias})
+    scans = [
+        planner.scan_operator(alias, relation.table, relation.predicate, path)
+        for path in paths
+    ]
+    interests.scans[alias] = scans
     entries: List[_Entry] = []
-    aliases = frozenset({relation.alias})
-    theory = interests.theory(aliases, statements)
-    for path in paths:
-        op = planner.scan_operator(
-            relation.alias, relation.table, relation.predicate, path
-        )
+    for scan in scans:
         entry = _Entry(
-            op=op,
-            statements=list(statements),
-            theory=theory,
-            prop=PhysicalProperty(op.provides()),
-            estimate=estimate_plan(planner.database, op),
             aliases=aliases,
-            label=relation.alias,
+            label=alias,
+            prop=PhysicalProperty(scan.provides()),
+            estimate=estimate_plan(planner.database, scan),
+            scan=scan,
+            _statements=list(statements),
         )
+        entry.theory = interests.theory(entry)
         entry.satisfied = interests.satisfied(entry)
         entries.append(entry)
     return _prune(entries)
 
 
 # ----------------------------------------------------------------------
-# Joining two frontier entries
+# Pricing a join of two frontier entries
 # ----------------------------------------------------------------------
 def _join_estimate(
-    database,
-    op: Operator,
-    probe_est: PlanEstimate,
-    build_est: PlanEstimate,
-    pair_stats: dict,
+    merge: bool, probe_est: PlanEstimate, build_est: PlanEstimate, key_stats: list
 ) -> PlanEstimate:
     """Incremental join estimate: the children's estimates already live
     on the frontier entries, so only the join's own arm is computed —
     the same FD/OD-aware cardinality model and extra cost as
     ``estimate_plan``'s join case (which re-estimation of every
     candidate's whole subtree would duplicate at super-linear search
-    cost), via the shared ``join_key_stats`` profile lookup."""
-    rows = estimate_equijoin(
-        probe_est.rows, build_est.rows, join_key_stats(database, op, pair_stats)
-    )
-    if isinstance(op, MergeJoin):
+    cost), over the same ``join_key_stats`` profiles."""
+    rows = estimate_equijoin(probe_est.rows, build_est.rows, key_stats)
+    if merge:
         extra = Cost(cpu=0.2 * (probe_est.rows + build_est.rows))
     else:  # HashJoin: the build side is the right input
         extra = hash_cost(build_est.rows, probe_est.rows)
@@ -390,49 +470,39 @@ def _join_estimate(
 
 
 def _join_entries(
-    planner,
     probe: _Entry,
     build: _Entry,
     probe_keys: Tuple[str, ...],
     build_keys: Tuple[str, ...],
+    key_stats: list,
     aliases: FrozenSet[str],
     interests: _Interests,
 ) -> _Entry:
-    """Join two subplans with ``probe`` as the (order-preserving) left
-    input, through the planner's shared join construction — the same
-    statement threading the syntactic path uses, with the merge-readiness
-    the two entries already hold, so the two orderings can never diverge
-    physically."""
-    from .planner import _Planned  # deferred: planner loads first
-
-    planned = planner.join_planned(
-        _Planned(probe.op, probe.statements, probe.prop),
-        _Planned(build.op, build.statements, build.prop),
-        probe_keys,
-        build_keys,
-        ready=interests.ready(probe, probe_keys) and interests.ready(build, build_keys),
-    )
+    """Price joining two subplans with ``probe`` as the (order-preserving)
+    left input, as a description: a merge join when both entries' held
+    answers say their orders are merge-ready, the probe's order, and the
+    incremental estimate.  Nothing is built here; :func:`_build` makes
+    the winner through the planner's shared join construction, so the
+    two orderings can never diverge physically."""
+    merge = interests.ready(probe, probe_keys) and interests.ready(build, build_keys)
     entry = _Entry(
-        op=planned.op,
-        statements=planned.statements,
-        theory=interests.theory(aliases, planned.statements),
-        prop=planned.prop,
-        estimate=_join_estimate(
-            planner.database,
-            planned.op,
-            probe.estimate,
-            build.estimate,
-            interests.pair_stats,
-        ),
         aliases=aliases,
         label=f"({probe.label} ⋈ {build.label})",
+        prop=probe.prop,
+        estimate=_join_estimate(merge, probe.estimate, build.estimate, key_stats),
+        probe=probe,
+        build=build,
+        probe_keys=probe_keys,
+        build_keys=build_keys,
+        merge=merge,
     )
+    entry.theory = interests.theory(entry)
     entry.satisfied = interests.satisfied(entry, probe)
+    interests.priced += 1
     return entry
 
 
 def _combine(
-    planner,
     frontier_a: List[_Entry],
     frontier_b: List[_Entry],
     cross_edges: Sequence[JoinEdge],
@@ -451,16 +521,36 @@ def _combine(
             keys_a.append(edge.right_column)
             keys_b.append(edge.left_column)
     a, b = tuple(keys_a), tuple(keys_b)
+    stats_ab, stats_ba = interests.key_stats(a, b), interests.key_stats(b, a)
     out: List[_Entry] = []
     for entry_a in frontier_a:
         for entry_b in frontier_b:
             out.append(
-                _join_entries(planner, entry_a, entry_b, a, b, aliases, interests)
+                _join_entries(entry_a, entry_b, a, b, stats_ab, aliases, interests)
             )
             out.append(
-                _join_entries(planner, entry_b, entry_a, b, a, aliases, interests)
+                _join_entries(entry_b, entry_a, b, a, stats_ba, aliases, interests)
             )
     return out
+
+
+def _build(planner, entry: _Entry, interests: _Interests):
+    """Materialise a chosen description: its leaves' scans, joined through
+    :meth:`~repro.optimizer.planner.Planner.join_planned` with the
+    merge-readiness the entry holds."""
+    from .planner import _Planned  # deferred: planner loads first
+
+    if entry.scan is not None:
+        return _Planned(entry.scan, entry.statements, entry.prop)
+    planned = planner.join_planned(
+        _build(planner, entry.probe, interests),
+        _build(planner, entry.build, interests),
+        entry.probe_keys,
+        entry.build_keys,
+        ready=entry.merge,
+    )
+    interests.built += 1
+    return planned
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +583,6 @@ def _dp_search(
                         continue  # never introduce a cross product
                     grown.setdefault(subset_a | subset_b, []).extend(
                         _combine(
-                            planner,
                             frontiers[subset_a],
                             frontiers[subset_b],
                             cross,
@@ -526,7 +615,6 @@ def _greedy_search(
                 continue
             merged = _prune(
                 _combine(
-                    planner,
                     components[subset_a],
                     components[subset_b],
                     cross,
@@ -548,30 +636,32 @@ def _greedy_search(
 # ----------------------------------------------------------------------
 # Final selection
 # ----------------------------------------------------------------------
-def _completed_cost(planner, op, statements, prop, estimate, want, satisfied=None) -> float:
-    """Entry cost plus what the consumer (``want``: its desired order,
+def _completed_cost(estimate: PlanEstimate, want, ok: Optional[bool]) -> float:
+    """Subplan cost plus what the consumer (``want``: its desired order,
     else its desired grouping, else None) still has to pay: a sort if the
     order is not provided, a hash pass if the grouping cannot stream.
-    ``satisfied`` is a frontier entry's answers, ``want`` among the
-    orders they cover; without it the planner is asked."""
+    ``ok`` says whether the subplan gives ``want`` (``None``: it cannot
+    name ``want``'s columns, and nothing is charged)."""
     total = estimate.cost.total
+    if want is None or ok is None or ok:
+        return total
+    if want.kind == "order":
+        return total + sort_cost(estimate.rows).total
+    return total + hash_cost(estimate.rows, 0).total
+
+
+def _gives(planner, planned, want) -> Optional[bool]:
+    """Does a built subplan give ``want``?  The planner's direct question,
+    for the syntactic baseline (frontier entries hold their answers)."""
     if want is None:
-        return total
+        return None
     try:
-        resolved = tuple(op.schema.resolve(c) for c in want.columns)
+        resolved = tuple(planned.op.schema.resolve(c) for c in want.columns)
     except (KeyError, ValueError):
-        return total
-    if satisfied is not None:
-        ok = want in satisfied
-    elif want.kind == "order":
-        ok = planner._order_ok(statements, prop.order, resolved)
-    else:
-        ok = planner._partition_ok(statements, prop.order, resolved)
-    if not ok and want.kind == "order":
-        total += sort_cost(estimate.rows).total
-    elif not ok:
-        total += hash_cost(estimate.rows, 0).total
-    return total
+        return None
+    if want.kind == "order":
+        return planner._order_ok(planned.statements, planned.prop.order, resolved)
+    return planner._partition_ok(planned.statements, planned.prop.order, resolved)
 
 
 def _syntactic_schema(planner, graph: JoinGraph) -> Tuple[str, ...]:
@@ -592,8 +682,6 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
     consumers (explicit projections, filters, sorts, aggregates) resolve
     by name and need no compensation.
     """
-    from .planner import _Planned  # deferred: planner loads first
-
     graph = extract_join_graph(node, planner.resolver)
     if graph is None:
         return None
@@ -609,13 +697,10 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
     if not frontier:
         return None
 
+    # Every final entry spans the whole block, so names ``want`` alike.
+    named = any(interest == want for interest, _ in interests.named(graph.aliases()))
     scored = [
-        (
-            _completed_cost(
-                planner, e.op, e.statements, e.prop, e.estimate, want, e.satisfied
-            ),
-            e,
-        )
+        (_completed_cost(e.estimate, want, want in e.satisfied if named else None), e)
         for e in frontier
     ]
     best_completed, best = min(scored, key=lambda pair: (pair[0], pair[1].label))
@@ -623,30 +708,24 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
     syntactic = planner._plan_join_syntactic(node, desired)
     syntactic_estimate = estimate_plan(planner.database, syntactic.op)
     syntactic_completed = _completed_cost(
-        planner,
-        syntactic.op,
-        syntactic.statements,
-        syntactic.prop,
-        syntactic_estimate,
-        want,
+        syntactic_estimate, want, _gives(planner, syntactic, want)
     )
     syntactic_label = graph.syntactic_label()
 
     if best_completed < syntactic_completed * (1.0 - MIN_IMPROVEMENT):
-        op = best.op
+        planned = _build(planner, best, interests)
         estimate = best.estimate
         expected = _syntactic_schema(planner, graph)
         if (
             getattr(planner, "star_projection", False)
-            and tuple(op.schema.names) != expected
+            and tuple(planned.op.schema.names) != expected
         ):
             # SELECT * passes the join schema through positionally, so a
             # reordered join must restore the syntactic column
             # arrangement; every other consumer resolves by name and
             # skips this (identity renames: order property flows through).
-            op = Project(op, [Col(name) for name in expected], expected)
-            estimate = estimate_plan(planner.database, op)
-        planned = _Planned(op, best.statements, best.prop)
+            planned.op = Project(planned.op, [Col(name) for name in expected], expected)
+            estimate = estimate_plan(planner.database, planned.op)
         chosen_label, chosen_completed = best.label, best_completed
     else:
         planned = syntactic
@@ -664,5 +743,7 @@ def search_join_order(planner, node: LogicalJoin, desired) -> Optional[JoinOrder
         satisfied_asked=interests.asked,
         satisfied_inherited=interests.inherited,
         satisfied_reused=interests.reused,
+        priced=interests.priced,
+        built=interests.built,
     )
     return JoinOrderResult(planned=planned, record=record)

@@ -101,6 +101,7 @@ from .rewrites import (
     apply_date_rewrite,
     apply_rewrites,
     collect_aliases,
+    orient_join_keys,
     push_filters,
     split_conjuncts,
 )
@@ -395,7 +396,9 @@ class Planner:
         # other consumer resolves columns by name (the search reads this
         # to decide whether the compensating projection is needed).  The
         # same walk binds every column reference and type-checks WHERE
-        # comparisons before any rewrite reads rows.
+        # comparisons before any rewrite reads rows, once each ON pair
+        # sits on the sides that own its columns.
+        logical = orient_join_keys(logical, self.resolver)
         self.star_projection = _check_tree(logical, self.resolver)
         if self.mode != "naive":
             with self._span("pushdown"):

@@ -89,6 +89,7 @@ __all__ = [
     "conjoin",
     "collect_aliases",
     "NameResolver",
+    "orient_join_keys",
     "push_filters",
     "Fact",
     "RewriteRecord",
@@ -230,6 +231,43 @@ def _leaf_scan(node: LogicalNode):
     if isinstance(node, LogicalScan):
         return node, predicate
     return None
+
+
+# ----------------------------------------------------------------------
+# ON pairs
+# ----------------------------------------------------------------------
+def orient_join_keys(node: LogicalNode, resolver: NameResolver) -> LogicalNode:
+    """Put each ON pair's columns on their own inputs' sides.
+
+    SQL lets either side of ``=`` name either input, and a join node's
+    left columns must be its left input's.  A pair is swapped when the
+    resolver finds its left column only under the right input and its
+    right column only under the left input; any other pair stays as
+    written, for the binder to accept or report.
+    """
+
+    def only(reference: str, aliases, others) -> bool:
+        return bool(resolver.matches(reference, aliases)) and not resolver.matches(
+            reference, others
+        )
+
+    def orient(node: LogicalNode) -> Optional[LogicalNode]:
+        if not isinstance(node, LogicalJoin):
+            return None
+        left, right = collect_aliases(node.left), collect_aliases(node.right)
+        lefts, rights = [], []
+        for l, r in zip(node.left_columns, node.right_columns):
+            if only(l, right, left) and only(r, left, right):
+                l, r = r, l
+            lefts.append(l)
+            rights.append(r)
+        if tuple(lefts) == tuple(node.left_columns):
+            return None
+        return dataclasses.replace(
+            node, left_columns=tuple(lefts), right_columns=tuple(rights)
+        )
+
+    return _walk(node, orient)
 
 
 # ----------------------------------------------------------------------

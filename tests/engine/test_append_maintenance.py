@@ -11,6 +11,7 @@ value must equal what the full pass computes from the same rows.
 from __future__ import annotations
 
 import sqlite3
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +265,15 @@ class TestUniqueKeys:
             assert db.stats_snapshot()["maintenance"]["unique"] == counts
         # A one-column key keeps bare values.
         assert db._unique_checks["k", ("a",)].keys == {1, 2, 3}
+
+    def test_retained_keys_are_compact(self):
+        """The full pass keeps a set sized like a copy of itself, not the
+        one built element by element (about twice as large)."""
+        db, table = _unique_database()
+        table.load([(i, 0) for i in range(5_000)])
+        assert db.verified_unique_key("k", ["a"])
+        retained = db._unique_checks["k", ("a",)].keys
+        assert sys.getsizeof(retained) <= sys.getsizeof(set(retained))
 
 
 RW2 = dict((qid, sql) for qid, sql, _ in REWRITE_PACK_QUERIES)["RW2"]

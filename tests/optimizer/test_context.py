@@ -65,6 +65,31 @@ class TestBuildingBlocks:
         statements = alias_constraints(db, "x", "t")
         assert statements == [od("x.a", "x.b")]
 
+    def test_alias_constraints_qualify_once_until_a_declare(self):
+        """Qualified once per (table, alias); each caller gets its own list
+        to extend, and a ``declare`` between two plans is seen by the
+        second."""
+        from repro.engine.database import Database
+        from repro.engine.schema import Schema
+        from repro.engine.types import DataType
+
+        db = Database()
+        table = db.create_table(
+            "t", Schema.of(("a", DataType.INT), ("b", DataType.INT))
+        )
+        table.load([(1, 1), (2, 2)])
+        db.declare("t", od("a", "b"))
+        sql = "SELECT a, b FROM t ORDER BY b"
+        db.plan(sql)
+        first = alias_constraints(db, "t", "t")
+        first.append(od("t.b", "t.a"))  # the caller's copy only
+        second = alias_constraints(db, "t", "t")
+        assert second == [od("t.a", "t.b")] and second[0] is first[0]
+        db.declare("t", od("b", "a"))
+        db.plan(sql)
+        assert alias_constraints(db, "t", "t") == [od("t.a", "t.b"), od("t.b", "t.a")]
+        assert alias_constraints(db, "x", "t") == [od("x.a", "x.b"), od("x.b", "x.a")]
+
 
 class TestInterning:
     """``build_theory(reuse=True)`` interns on the statements alone:

@@ -144,6 +144,9 @@ class TestSearchWins:
         plan = db.plan(sql, use_cache=False, rewrites="off")
         decision = plan.plan_info.join_orders[0]
         assert decision.chosen == decision.syntactic == "(f ⋈ st)"
+        # The parse order's tree was built for the baseline; the search
+        # built none of the candidates it priced.
+        assert decision.priced == 4 and decision.built == 0
 
     def test_whole_workload_never_worse(self, snowflake):
         """Across the full query set the cost-based order must never do
@@ -461,3 +464,35 @@ def test_cold_sn6_prices_each_pair_once_and_asks_per_class():
     again = workload.database.plan(sql, use_cache=False).plan_info
     assert again.oracle == info.oracle
     assert pair_selectivity_stats()["computed"] == after["computed"]
+
+
+def test_cold_sn6_prices_descriptions_and_builds_one_tree(monkeypatch):
+    """Join candidates are priced as descriptions: of the 212 the DP
+    prices on a cold default-size SN6, only the chosen tree's four joins
+    become operators, beside the syntactic baseline's four."""
+    from repro.engine.operators import joins
+    from repro.optimizer.context import clear_theory_cache
+
+    constructed = []
+    original = joins._JoinBase.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    workload = build_snowflake()
+    clear_theory_cache()
+    monkeypatch.setattr(joins._JoinBase, "__init__", counting)
+    plan = workload.database.plan(QUERIES["SN6"][0], use_cache=False)
+    decision = plan.plan_info.join_orders[0]
+    assert (decision.priced, decision.built) == (212, 4)
+    assert decision.chosen != decision.syntactic
+    assert len(constructed) == decision.built + (decision.relations - 1)
+    assert "join candidates: 212 priced, 4 built" in decision.describe()
+    tree, stack = [], [plan]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children())
+        if isinstance(node, joins._JoinBase):
+            tree.append(node)
+    assert len(tree) == decision.built

@@ -24,7 +24,7 @@ from repro.optimizer.context import (
     clear_theory_cache,
     theory_cache_stats,
 )
-from repro.optimizer.planner import _ORACLE_KEYS
+from repro.optimizer.planner import _ORACLE_KEYS, _Planned
 from repro.workloads.rewrite_pack import REWRITE_PACK_QUERIES, build_rewrite_pack
 from repro.workloads.snowflake import (
     SNOWFLAKE_QUERIES,
@@ -106,12 +106,29 @@ def _direct(monkeypatch, planner, statements, ask):
         return ask(planner)
 
 
+def _built(planner, entry) -> _Planned:
+    """The candidate as operators, built by the planner's one join
+    constructor (the search builds only the tree it chose).  The join
+    kind does not change the schema, so every join is a hash join."""
+    if entry.scan is not None:
+        return _Planned(entry.scan, entry.statements, entry.prop)
+    return planner.join_planned(
+        _built(planner, entry.probe),
+        _built(planner, entry.build),
+        entry.probe_keys,
+        entry.build_keys,
+        ready=False,
+    )
+
+
 def _direct_satisfied(monkeypatch, interests, entry):
+    schema = _built(interests.planner, entry).op.schema
+
     def ask(planner):
         out = set()
         for interest in interests.orders:
             try:
-                resolved = tuple(entry.op.schema.resolve(c) for c in interest.columns)
+                resolved = tuple(schema.resolve(c) for c in interest.columns)
             except (KeyError, ValueError):
                 continue
             if interest.kind == "order":
